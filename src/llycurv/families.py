@@ -209,6 +209,8 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     """
     if n * d % 2 or d >= n or d < 1:
         raise InvalidParamsError(f"no {d}-regular graph on {n} vertices")
+    if d == 1 and n > 2:
+        raise InvalidParamsError(f"a 1-regular graph on {n} > 2 vertices is never connected")
     attempt = 0
     while True:
         rng = random.Random(f"{seed}:{attempt}")

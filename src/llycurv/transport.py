@@ -3,7 +3,8 @@
 Everything is rational: Wasserstein distances come from an integer min-cost
 flow after clearing denominators, and the curvature of an edge of a
 d-regular graph comes from an integer assignment problem between the
-punctured neighborhoods N_x and N_y.  The two routes are deliberately
+punctured neighborhoods N_x and N_y, decided outright whenever N_x and N_y
+have a perfect matching.  The two routes are deliberately
 independent so they can cross-check each other through the identity
 kappa = (d+1)/d * kappa_{1/(d+1)}.
 """
@@ -11,6 +12,7 @@ kappa = (d+1)/d * kappa_{1/(d+1)}.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +25,8 @@ from .errors import (
     NotAnEdgeError,
     NotRegularError,
 )
-from .graphs import Graph, all_pairs_distances, bfs_distances, decompose_edge
+from .graphs import Graph, bfs_distances, decompose_edge, is_connected
+from .matching import _hopcroft_karp
 
 Rational = Fraction
 
@@ -53,12 +56,6 @@ class ProbabilityMeasure:
     @classmethod
     def from_dict(cls, masses: dict[int, Fraction]) -> "ProbabilityMeasure":
         return cls(tuple(sorted((v, Fraction(m)) for v, m in masses.items() if m)))
-
-    def mass(self, v: int) -> Fraction:
-        for u, m in self.support:
-            if u == v:
-                return m
-        return Fraction(0)
 
 
 def lazy_walk_measure(g: Graph, x: int, p: Fraction | int) -> ProbabilityMeasure:
@@ -105,22 +102,37 @@ class CurvatureSpectrum:
     min_kappa: Fraction
 
 
-def hungarian(cost: list[list[int]]) -> tuple[int, list[int]]:
-    """Minimum-cost perfect assignment on a square integer matrix.
+def _assignment(
+    cost: list[list[int]], match_left: list[int] | None = None
+) -> tuple[int, list[int], list[int], list[int]]:
+    """Potential-based O(m^3) assignment on a square integer matrix.
 
-    Potential-based O(m^3) method; all arithmetic stays integral, so the
-    optimum is exact.  Returns (total cost, column chosen for each row).
+    The duals start at the row minima (u_i = min_j cost[i][j], v = 0), which
+    are feasible for any matrix.  A warm start match_left (column of each
+    row, -1 if none) may only pair a row with one of its row-minimum
+    columns, so that its pairs are tight; each unmatched row then costs one
+    shortest-augmenting-path phase.  Returns (total cost, column of each
+    row, row duals u, column duals v); every reduced cost
+    cost[i][j] - u[i] - v[j] ends >= 0 and is 0 on the chosen pairs, so
+    (u, v) is an optimal dual.
     """
     m = len(cost)
     if m == 0:
-        return 0, []
+        return 0, [], [], []
     if any(len(row) != m for row in cost):
         raise InvalidParamsError("cost matrix must be square")
     big = sum(abs(c) for row in cost for c in row) + 1
-    u = [0] * (m + 1)
+    u = [0] + [min(row) for row in cost]  # 1-based, slot 0 unused
     v = [0] * (m + 1)
     match = [0] * (m + 1)  # match[j] = row occupying column j (1-based)
+    if match_left is None:
+        match_left = [-1] * m
+    for i, j in enumerate(match_left):
+        if j != -1:
+            match[j + 1] = i + 1
     for i in range(1, m + 1):
+        if match_left[i - 1] != -1:
+            continue
         match[0] = i
         j0 = 0
         minv = [big] * (m + 1)
@@ -158,35 +170,81 @@ def hungarian(cost: list[list[int]]) -> tuple[int, list[int]]:
     for j in range(1, m + 1):
         row_to_col[match[j] - 1] = j - 1
     total = sum(cost[i][row_to_col[i]] for i in range(m))
-    return total, row_to_col
+    return total, row_to_col, u[1:], v[1:]
+
+
+def _lex_first_tight_assignment(
+    cost: list[list[int]], cols: list[int], u: list[int], v: list[int]
+) -> list[int]:
+    """Lexicographically first perfect matching of the equality subgraph.
+
+    (u, v) must be an optimal dual and cols an assignment tight under it.
+    The optimal assignments are then exactly the perfect matchings on the
+    tight pairs cost[i][j] == u[i] + v[j].  Rows are fixed in order: row i
+    takes the smallest tight column j for which an alternating path through
+    the unfixed rows leads from j's current row to row i's current column,
+    and the matching is rotated along that path.
+    """
+    m = len(cost)
+    tight = [[j for j in range(m) if cost[i][j] == u[i] + v[j]] for i in range(m)]
+    cols = list(cols)
+    row_of = [0] * m
+    for i, j in enumerate(cols):
+        row_of[j] = i
+    for i in range(m):
+        target = cols[i]
+        for j in tight[i]:
+            if j == target:
+                break
+            start = row_of[j]
+            if start < i:  # column taken by a fixed row
+                continue
+            parent = {start: -1}
+            queue = [start]
+            end = -1
+            for r in queue:
+                if target in tight[r]:
+                    end = r
+                    break
+                for c in tight[r]:
+                    owner = row_of[c]
+                    if owner > i and owner not in parent:
+                        parent[owner] = r
+                        queue.append(owner)
+            if end == -1:
+                continue
+            # Rotate: end takes target, each row on the path takes the
+            # column of the row after it, and row i takes j.
+            take = target
+            r = end
+            while r != -1:
+                cols[r], take = take, cols[r]
+                row_of[cols[r]] = r
+                r = parent[r]
+            cols[i] = j
+            row_of[j] = i
+            break
+    return cols
+
+
+def hungarian(cost: list[list[int]]) -> tuple[int, list[int]]:
+    """Minimum-cost perfect assignment on a square integer matrix.
+
+    Potential-based O(m^3) method; all arithmetic stays integral, so the
+    optimum is exact.  Returns (total cost, column chosen for each row).
+    """
+    total, cols, _, _ = _assignment(cost)
+    return total, cols
 
 
 def lex_smallest_optimal_assignment(cost: list[list[int]]) -> tuple[int, list[int]]:
     """Among all minimum-cost assignments, the lexicographically first one.
 
-    Fixes rows in order, keeping the smallest column whose forced choice
-    still completes to the optimal total.
+    Read off the equality subgraph of the solver's optimal duals: every
+    optimal assignment is tight under any optimal dual.
     """
-    m = len(cost)
-    total, _ = hungarian(cost)
-    chosen: list[int] = []
-    used: set[int] = set()
-    prefix = 0
-    for i in range(m):
-        for j in range(m):
-            if j in used:
-                continue
-            rem_cols = [c for c in range(m) if c not in used and c != j]
-            sub = [[cost[r][c] for c in rem_cols] for r in range(i + 1, m)]
-            rest, _ = hungarian(sub)
-            if prefix + cost[i][j] + rest == total:
-                chosen.append(j)
-                used.add(j)
-                prefix += cost[i][j]
-                break
-        else:
-            raise AssertionError("no completing column found; solver bug")
-    return total, chosen
+    total, cols, u, v = _assignment(cost)
+    return total, _lex_first_tight_assignment(cost, cols, u, v)
 
 
 def _transportation(
@@ -313,58 +371,41 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> Fraction:
     return 1 - w1
 
 
-def _assignment_costs(
-    g: Graph,
-    nx: tuple[int, ...],
-    ny: tuple[int, ...],
-    dist: list[list[int | None]] | None,
-) -> list[list[int]]:
-    if dist is not None:
-        return [[min(_int(dist[v][u]), _COST_CAP) for u in ny] for v in nx]
-    rows = []
-    for v in nx:
-        d = bfs_distances(g, v, max_depth=_COST_CAP)
-        rows.append([_COST_CAP if d[u] is None else min(d[u], _COST_CAP) for u in ny])
-    return rows
+def _neighbor_masks(g: Graph) -> list[int]:
+    """Bit w of masks[v] is set iff vw is an edge."""
+    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
 
 
-def _int(value: int | None) -> int:
-    return _COST_CAP if value is None else value
-
-
-def lly_curvature(
-    g: Graph,
-    x: int,
-    y: int,
-    want_witness: bool = False,
-    dist: list[list[int | None]] | None = None,
+def _edge_report(
+    g: Graph, masks: list[int], x: int, y: int, want_witness: bool
 ) -> CurvatureReport:
-    """Lin-Lu-Yau curvature of the edge xy of a regular graph.
-
-    kappa = (d + 1 - C)/d where C is the minimum cost of a bijection
-    N_x -> N_y under graph distance (entries lie in {1, 2, 3}).  When a
-    witness is requested it is the lexicographically smallest optimal
-    bijection, listed in N_x order.
-    """
-    if not g.is_regular():
-        raise NotRegularError("Lin-Lu-Yau curvature is only computed for regular graphs")
+    """lly_curvature on a graph already known to be regular."""
     parts = decompose_edge(g, x, y)
     d = g.degree(x)
     nx, ny = parts.nx, parts.ny
     if len(nx) != len(ny):
         raise NotRegularError("exclusive neighborhoods differ in size")
-    if not nx:
-        min_cost = 0
-        assignment: list[int] = []
+    rows = [masks[v] for v in nx]
+    adjacent = [[j for j, u in enumerate(ny) if r >> u & 1] for r in rows]
+    match, _ = _hopcroft_karp(adjacent, len(ny))
+    if -1 not in match and not want_witness:
+        # A perfect matching on the distance-1 pairs costs |N_x|, the least
+        # any bijection can: the edge is sharp.
+        min_cost = len(nx)
     else:
-        cost = _assignment_costs(g, nx, ny, dist)
+        # Distances v -> u between N_x and N_y, capped at 3 (v-x-y-u): 1 when
+        # adjacent, 2 when they share a neighbor, else 3.  Every cost is
+        # >= 1, so each matched pair is a row minimum and the matching
+        # warm-starts the assignment.
+        cost = [
+            [1 if r >> u & 1 else 2 if r & masks[u] else _COST_CAP for u in ny] for r in rows
+        ]
+        min_cost, match, *duals = _assignment(cost, match)
         if want_witness:
-            min_cost, assignment = lex_smallest_optimal_assignment(cost)
-        else:
-            min_cost, assignment = hungarian(cost)
+            match = _lex_first_tight_assignment(cost, match, *duals)
     kappa = Fraction(d + 1 - min_cost, d)
     upper = Fraction(2 + len(parts.delta), d)
-    witness = tuple((nx[i], ny[assignment[i]]) for i in range(len(nx))) if want_witness else None
+    witness = tuple((nx[i], ny[match[i]]) for i in range(len(nx))) if want_witness else None
     return CurvatureReport(
         x=x,
         y=y,
@@ -377,20 +418,39 @@ def lly_curvature(
     )
 
 
+def lly_curvature(g: Graph, x: int, y: int, want_witness: bool = False) -> CurvatureReport:
+    """Lin-Lu-Yau curvature of the edge xy of a regular graph.
+
+    kappa = (d + 1 - C)/d where C is the minimum cost of a bijection
+    N_x -> N_y under graph distance (entries lie in {1, 2, 3}).  A perfect
+    matching of N_x and N_y decides C = |N_x| outright; otherwise that
+    matching warm-starts the assignment.  When a witness is requested it
+    is the lexicographically smallest optimal bijection, listed in N_x
+    order.
+    """
+    if not g.is_regular():
+        raise NotRegularError("Lin-Lu-Yau curvature is only computed for regular graphs")
+    return _edge_report(g, _neighbor_masks(g), x, y, want_witness)
+
+
 def _spectrum_chunk(g: Graph, edges: list[tuple[int, int]]) -> list[CurvatureReport]:
-    dist = all_pairs_distances(g)
-    return [lly_curvature(g, x, y, dist=dist) for x, y in edges]
+    masks = _neighbor_masks(g)
+    return [_edge_report(g, masks, x, y, False) for x, y in edges]
 
 
 def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
-    """One curvature report per edge (sorted edge order) plus the minimum."""
+    """One curvature report per edge (sorted edge order) plus the minimum.
+
+    processes is capped at the core count and at the number of edges.
+    """
     if not g.is_regular():
         raise NotRegularError("curvature spectrum needs a regular graph")
-    if any(dv is None for dv in bfs_distances(g, 0)):
-        raise DisconnectedError("curvature spectrum needs a connected graph")
     edges = list(g.edges())
     if not edges:
         raise InvalidParamsError("graph has no edges")
+    if not is_connected(g):
+        raise DisconnectedError("curvature spectrum needs a connected graph")
+    processes = min(processes, os.cpu_count() or 1, len(edges))
     if processes <= 1 or len(edges) < 4:
         reports = _spectrum_chunk(g, edges)
     else:

@@ -113,3 +113,12 @@ def test_random_regular_graph_rejects_impossible():
         random_regular_graph(7, 3, seed=0)  # odd n*d
     with pytest.raises(InvalidParamsError):
         random_regular_graph(4, 4, seed=0)  # d >= n
+
+
+def test_random_regular_graph_rejects_disconnected_degree_one():
+    # A perfect matching on more than two vertices is never connected, so
+    # retrying for a connected one would never end.
+    for n in (4, 6, 10):
+        with pytest.raises(InvalidParamsError):
+            random_regular_graph(n, 1, seed=0)
+    assert random_regular_graph(2, 1, seed=0).edge_count == 1

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llycurv import transport
 from llycurv.errors import (
     DisconnectedError,
     InfiniteDistanceError,
     InvalidIdlenessError,
+    InvalidParamsError,
     NotAnEdgeError,
     NotRegularError,
 )
@@ -23,6 +25,7 @@ from llycurv.families import (
     cycle_graph,
     paley_graph,
     petersen_graph,
+    random_regular_graph,
     rook_graph,
     shrikhande_graph,
 )
@@ -266,18 +269,34 @@ def test_lly_bijection_costs_capped_at_three():
 
 
 def test_lly_witness_is_lex_smallest_optimal():
-    g = rook_graph(4)
-    r = lly_curvature(g, 0, 1, want_witness=True)
-    assert r.witness is not None
+    # Every rook(4) edge has a perfect local matching; on petersen, C7 and
+    # the small random regular graphs some edges do not, so their witness
+    # comes from the duals of the warm-started assignment.
     from llycurv.graphs import bfs_distances, decompose_edge
 
-    parts = decompose_edge(g, 0, 1)
-    cost = [
-        [min(bfs_distances(g, v)[u], 3) for u in parts.ny] for v in parts.nx
+    graphs = [rook_graph(4), petersen_graph(), cycle_graph(7)] + [
+        random_regular_graph(n, d, seed=seed)
+        for seed, (n, d) in enumerate([(10, 3), (12, 4), (14, 5), (16, 6)])
     ]
-    best_cols = min(all_optimal_assignments(cost))
-    assert r.witness == tuple((parts.nx[i], parts.ny[best_cols[i]]) for i in range(len(parts.nx)))
-    assert r.min_bijection_cost == 3  # perfect matching: all three pairs at distance 1
+    fallbacks = 0
+    for g in graphs:
+        for x, y in g.edges():
+            for a, b in ((x, y), (y, x)):
+                parts = decompose_edge(g, a, b)
+                assert len(parts.nx) <= 6  # keeps the brute force small
+                cost = [
+                    [min(bfs_distances(g, v)[u], 3) for u in parts.ny] for v in parts.nx
+                ]
+                r = lly_curvature(g, a, b, want_witness=True)
+                best_cols = min(all_optimal_assignments(cost))
+                assert r.witness == tuple(
+                    (parts.nx[i], parts.ny[best_cols[i]]) for i in range(len(parts.nx))
+                )
+                assert r.min_bijection_cost == brute_force_assignment(cost)
+                fallbacks += r.min_bijection_cost > len(parts.nx)
+    assert fallbacks > 0
+    # rook(4): perfect matching, all three pairs at distance 1
+    assert lly_curvature(rook_graph(4), 0, 1).min_bijection_cost == 3
 
 
 def test_lly_rejects_irregular_graph():
@@ -290,6 +309,41 @@ def test_curvature_spectrum_requires_connected():
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(DisconnectedError):
         curvature_spectrum(two_triangles)
+
+
+def test_curvature_spectrum_empty_graph_is_graph_level_error():
+    with pytest.raises(InvalidParamsError, match="no edges"):
+        curvature_spectrum(Graph(0, []))
+
+
+def test_curvature_spectrum_caps_processes(monkeypatch):
+    # An in-process stand-in for the pool records the worker count and the
+    # chunks it receives; no worker process is started.
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, graphs, chunks):
+            chunks = list(chunks)
+            assert all(chunks)
+            return [fn(g, chunk) for g, chunk in zip(graphs, chunks)]
+
+    monkeypatch.setattr(transport, "ProcessPoolExecutor", InlinePool)
+    g = complete_graph(4)  # 6 edges
+    seq = curvature_spectrum(g, processes=1)
+    monkeypatch.setattr(transport.os, "cpu_count", lambda: 64)
+    assert curvature_spectrum(g, processes=8) == seq
+    monkeypatch.setattr(transport.os, "cpu_count", lambda: 3)
+    assert curvature_spectrum(g, processes=8) == seq
+    assert seen == [6, 3]
 
 
 def test_curvature_spectrum_deterministic_and_parallel_equal():
