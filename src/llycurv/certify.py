@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from math import gcd
 
 from .errors import DegenerateParametersError, ViolatorTooSmallError
 from .graphs import SrgParams
@@ -290,11 +289,9 @@ def scan_parameters(max_n: int) -> list[ScanRow]:
     for n in range(3, max_n + 1):
         for d in range(2, n - 1):
             m = n - d - 1
-            js = np.arange(1, d)
-            if js.size == 0:
-                continue
-            hits = js[(d * js) % m == 0]
-            for j in hits.tolist():
+            # d*j = 0 mod m exactly when j is a multiple of m / gcd(d, m).
+            step = m // gcd(d, m)
+            for j in range(step, d, step):
                 beta = d * j // m
                 if not 1 <= beta <= d:
                     continue

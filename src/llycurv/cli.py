@@ -23,12 +23,16 @@ from .families import family_names, named_graph, paley_gamma_orders, paley_graph
 from .graphs import SrgParams, classify_regularity
 from .matching import local_perfect_matching
 from .residues import verify_corollary
-from .spectral import lichnerowicz_report, numerical_lambda2, srg_spectrum
+from .spectral import Eigenvalue, lichnerowicz_report, numerical_lambda2, srg_spectrum
 from .transport import curvature_spectrum, lly_curvature
 
 
 def _frac(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def _eig(value: Eigenvalue) -> dict[str, int]:
+    return {"u": value.u, "v": value.v, "w": value.w, "D": value.disc}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -215,19 +219,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         report = srg_spectrum(params)
         payload = {
             "params": list(params.as_tuple()),
-            "lambda1": {"u": 0, "v": 0, "w": 1, "D": 0},
-            "lambda2": {
-                "u": report.lambda2.u,
-                "v": report.lambda2.v,
-                "w": report.lambda2.w,
-                "D": report.lambda2.disc,
-            },
-            "lambda3": {
-                "u": report.lambda3.u,
-                "v": report.lambda3.v,
-                "w": report.lambda3.w,
-                "D": report.lambda3.disc,
-            },
+            "lambda1": _eig(Eigenvalue(0, 0, 1, 0)),
+            "lambda2": _eig(report.lambda2),
+            "lambda3": _eig(report.lambda3),
             "multiplicities": [report.m1, report.m2, report.m3],
         }
         _emit(_json_doc(args, payload), args.out)
@@ -238,12 +232,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if rc.is_strongly_regular and rc.params is not None:
         report = srg_spectrum(rc.params)
         payload["params"] = list(rc.params.as_tuple())
-        payload["lambda2"] = {
-            "u": report.lambda2.u,
-            "v": report.lambda2.v,
-            "w": report.lambda2.w,
-            "D": report.lambda2.disc,
-        }
+        payload["lambda2"] = _eig(report.lambda2)
         payload["multiplicities"] = [report.m1, report.m2, report.m3]
     _emit(_json_doc(args, payload), args.out)
     return 0
@@ -258,8 +247,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
         "sharp": report.sharp,
     }
     if report.lambda2_exact is not None:
-        lam = report.lambda2_exact
-        payload["lambda2"] = {"u": lam.u, "v": lam.v, "w": lam.w, "D": lam.disc}
+        payload["lambda2"] = _eig(report.lambda2_exact)
     if report.bound_kappa is not None:
         payload["bound_kappa"] = _frac(report.bound_kappa)
     _emit(_json_doc(args, payload), args.out)
@@ -307,8 +295,8 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def parse_scan_csv(text: str) -> list[dict[str, Any]]:
-    """Read back a scan CSV emission (inverse of the scan writer)."""
+def parse_csv(text: str) -> list[dict[str, int | None]]:
+    """Read back a scan or curvature CSV emission; an empty field reads as None."""
     rows = []
     header: list[str] | None = None
     for line in text.splitlines():
@@ -317,28 +305,7 @@ def parse_scan_csv(text: str) -> list[dict[str, Any]]:
         if header is None:
             header = line.split(",")
             continue
-        parts = line.split(",")
-        row: dict[str, Any] = {}
-        for key, value in zip(header, parts):
-            if key in ("kappa_num", "kappa_den"):
-                row[key] = int(value) if value else None
-            else:
-                row[key] = int(value)
-        rows.append(row)
-    return rows
-
-
-def parse_curvature_csv(text: str) -> list[dict[str, Any]]:
-    """Read back a curvature CSV emission (inverse of the curvature writer)."""
-    rows = []
-    header: list[str] | None = None
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append({k: int(v) for k, v in zip(header, line.split(","))})
+        rows.append({k: int(v) if v else None for k, v in zip(header, line.split(","))})
     return rows
 
 

@@ -19,7 +19,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .fields import is_nonzero_square, is_prime, make_field
-from .graphs import Graph, SrgParams, bfs_distances
+from .graphs import Graph, SrgParams, is_connected
 
 _PALEY_VERTEX_BOUND = 2**16
 
@@ -215,7 +215,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     while True:
         rng = random.Random(f"{seed}:{attempt}")
         g = _try_regular(n, d, rng)
-        if g is not None and all(dist is not None for dist in bfs_distances(g, 0)):
+        if g is not None and is_connected(g):
             return g
         attempt += 1
 
@@ -287,10 +287,6 @@ def paley_gamma_orders(gamma_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def is_prime_power(q: int) -> bool:
-    return prime_power_decomposition(q) is not None
-
-
 __all__ = [
     "CatalogEntry",
     "catalog",
@@ -301,7 +297,6 @@ __all__ = [
     "family_names",
     "hypercube_graph",
     "is_prime",
-    "is_prime_power",
     "johnson_graph",
     "named_graph",
     "paley_gamma_orders",

@@ -2,7 +2,8 @@
 
 The graph type stores one sorted neighbor tuple per vertex; every other
 module reads it and nothing mutates it.  Alongside the type live the
-operations the curvature machinery leans on: breadth-first distances, the
+operations the curvature machinery leans on: neighbor bitmasks (the one
+common-neighbor primitive of the exact code), breadth-first distances, the
 four-way decomposition of the vertex set around an edge, regularity
 classification, and the per-vertex neighbor profile of amply regular
 graphs.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     InvalidParamsError,
@@ -82,11 +83,6 @@ class Graph:
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
 
-    @classmethod
-    def from_adjacency(cls, adjacency: Sequence[Sequence[int]]) -> "Graph":
-        n = len(adjacency)
-        return cls(n, ((u, v) for u in range(n) for v in adjacency[u] if u < v))
-
     def neighbors(self, v: VertexId) -> tuple[int, ...]:
         self._check_vertex(v)
         return self._adj[v]
@@ -136,41 +132,24 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def merge_intersection(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Intersection of two ascending sequences by a single merge scan."""
-    out: list[int] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
+def neighbor_masks(g: Graph) -> list[int]:
+    """Bit w of masks[v] is set iff vw is an edge.
 
-
-def common_neighbor_count(g: Graph, u: VertexId, v: VertexId) -> int:
-    return len(merge_intersection(g.neighbors(u), g.neighbors(v)))
-
-
-def bfs_distances(g: Graph, source: VertexId, max_depth: int | None = None) -> list[int | None]:
-    """Distances from source; None marks vertices in other components.
-
-    With max_depth set, vertices farther than the cutoff are also left as
-    None (used by the curvature code, whose costs are capped anyway).
+    (masks[u] & masks[v]).bit_count() is the number of common neighbors of
+    u and v, and masks[u] >> v & 1 tells whether uv is an edge.
     """
+    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+
+
+def bfs_distances(g: Graph, source: VertexId) -> list[int | None]:
+    """Distances from source; None marks vertices in other components."""
     if not (0 <= source < g.n):
         raise InvalidVertexError(f"vertex {source} out of range for n={g.n}")
     dist: list[int | None] = [None] * g.n
     dist[source] = 0
     frontier = [source]
     depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
+    while frontier:
         depth += 1
         nxt: list[int] = []
         for u in frontier:
@@ -215,7 +194,8 @@ def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
         raise NotAnEdgeError(f"({x},{y}) is not an edge")
     gx = g.neighbors(x)
     gy = g.neighbors(y)
-    delta = merge_intersection(gx, gy)
+    gy_set = set(gy)
+    delta = tuple(v for v in gx if v in gy_set)
     delta_set = set(delta)
     nx = tuple(v for v in gx if v not in delta_set and v != y)
     ny = tuple(v for v in gy if v not in delta_set and v != x)
@@ -266,14 +246,15 @@ def classify_regularity(g: Graph) -> RegularityClass:
     if d == 0 or d == g.n - 1:
         return RegularityClass(RegularityKind.REGULAR, degree=d)
 
+    masks = neighbor_masks(g)
     alphas: set[int] = set()
     betas: set[int] = set()
     every_nonadjacent_close = True
     for u in range(g.n):
-        row = g.neighbors(u)
+        row = masks[u]
         for v in range(u + 1, g.n):
-            c = len(merge_intersection(row, g.neighbors(v)))
-            if g.has_edge(u, v):
+            c = (row & masks[v]).bit_count()
+            if row >> v & 1:
                 alphas.add(c)
             elif c > 0:
                 # Non-adjacent with a common neighbor is exactly distance 2.
@@ -323,8 +304,8 @@ def neighbor_profile(
     parts = decompose_edge(g, x, y)
     if v not in parts.nx:
         raise InvalidVertexError(f"vertex {v} is not in N_x of edge ({x},{y})")
-    gv = g.neighbors(v)
-    ell = len(merge_intersection(gv, parts.ny))
+    gv = set(g.neighbors(v))
+    ell = len(gv.intersection(parts.ny))
     expected = NeighborProfile(
         ell=ell,
         in_delta=params.beta - 1 - ell,
@@ -333,9 +314,9 @@ def neighbor_profile(
     )
     actual = NeighborProfile(
         ell=ell,
-        in_delta=len(merge_intersection(gv, parts.delta)),
-        in_nx=len(merge_intersection(gv, parts.nx)),
-        in_pxy=len(merge_intersection(gv, parts.pxy)),
+        in_delta=len(gv.intersection(parts.delta)),
+        in_nx=len(gv.intersection(parts.nx)),
+        in_pxy=len(gv.intersection(parts.pxy)),
     )
     if expected != actual:
         raise NotAmplyRegularError(

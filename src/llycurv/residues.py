@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InvalidOrderError, InvalidPairError
 from .families import prime_power_decomposition
@@ -79,16 +80,6 @@ class CorollaryReport:
         return not self.failures
 
 
-def _colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Index combinations in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, n):
-        for rest in _colex_combinations(last, k - 1):
-            yield rest + (last,)
-
-
 def subset_threshold(q: int) -> int:
     """Smallest admissible |S|, the exact rational bound 3(q-1)/4 rounded up."""
     return -((-3 * (q - 1)) // 4)
@@ -126,11 +117,10 @@ def verify_corollary(
     tested = 0
     if mode == "exhaustive":
         for size in range(threshold, len(universe) + 1):
-            for combo in _colex_combinations(len(universe), size):
-                subset = [universe[i] for i in combo]
+            for subset in combinations(universe, size):
                 tested += 1
                 if find_pattern_witness(field, x, y, subset) is None:
-                    failures.append(tuple(universe[i].index for i in combo))
+                    failures.append(tuple(e.index for e in subset))
     elif mode == "sampled":
         if seed is None or trials is None:
             raise InvalidOrderError("sampled mode needs both seed and trials")

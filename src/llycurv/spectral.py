@@ -3,7 +3,9 @@
 Eigenvalues of strongly regular graphs are quadratic irrationalities
 (u + v sqrt(D))/w and are kept in that exact form; numerical values only
 appear where a graph has no closed form, and equality with a rational
-curvature is always decided exactly.
+curvature is always decided exactly.  numerical_lambda2, the one
+floating-point computation, imports its eigensolver inside the function,
+so importing this module loads no linear-algebra library.
 """
 
 from __future__ import annotations
@@ -12,15 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import numpy as np
-
 from .errors import (
     DisconnectedError,
     InfeasibleParametersError,
     InvalidParamsError,
     NotSrgParametersError,
 )
-from .graphs import Graph, SrgParams, bfs_distances, classify_regularity
+from .graphs import Graph, SrgParams, classify_regularity, is_connected, neighbor_masks
 
 _EIG_TOL = 1e-9
 
@@ -128,40 +128,39 @@ def srg_spectrum(params: SrgParams) -> SpectrumReport:
 
 
 def verify_srg_identity(g: Graph, params: SrgParams) -> bool:
-    """Entrywise check of A^2 = dI + alpha A + beta (J - I - A) in integers."""
+    """Entrywise check of A^2 = dI + alpha A + beta (J - I - A) in integers.
+
+    (A^2)_uv counts the common neighbors of u and v, so the diagonal must
+    be d and an off-diagonal entry alpha or beta as uv is an edge or not.
+    """
     if g.n != params.n:
         raise InvalidParamsError(f"graph has {g.n} vertices, params say {params.n}")
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges():
-        a[u, v] = 1
-        a[v, u] = 1
-    eye = np.eye(g.n, dtype=np.int64)
-    ones = np.ones((g.n, g.n), dtype=np.int64)
-    lhs = a @ a
-    rhs = params.d * eye + params.alpha * a + params.beta * (ones - eye - a)
-    return bool((lhs == rhs).all())
-
-
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    degrees = np.array(g.degree_sequence(), dtype=float)
-    if (degrees == 0).any():
-        raise DisconnectedError("graph has isolated vertices")
-    a = np.zeros((g.n, g.n), dtype=float)
-    for u, v in g.edges():
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    scale = 1.0 / np.sqrt(degrees)
-    return np.eye(g.n) - scale[:, None] * a * scale[None, :]
+    masks = neighbor_masks(g)
+    for u, row in enumerate(masks):
+        if row.bit_count() != params.d:
+            return False
+        for v in range(u + 1, g.n):
+            expected = params.alpha if row >> v & 1 else params.beta
+            if (row & masks[v]).bit_count() != expected:
+                return False
+    return True
 
 
 def numerical_lambda2(g: Graph) -> float:
     """Smallest nonzero eigenvalue of the normalized Laplacian, to < 1e-9."""
-    if any(dv is None for dv in bfs_distances(g, 0)):
-        raise DisconnectedError("lambda2 of a disconnected graph is 0")
     if g.n < 2:
         raise InvalidParamsError("need at least two vertices")
-    eigs = np.linalg.eigvalsh(normalized_laplacian(g))
-    return float(eigs[1])
+    if not is_connected(g):
+        raise DisconnectedError("lambda2 of a disconnected graph is 0")
+    import numpy as np
+
+    a = np.zeros((g.n, g.n), dtype=float)
+    for u, v in g.edges():
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    scale = 1.0 / np.sqrt(np.array(g.degree_sequence(), dtype=float))
+    laplacian = np.eye(g.n) - scale[:, None] * a * scale[None, :]
+    return float(np.linalg.eigvalsh(laplacian)[1])
 
 
 @dataclass(frozen=True)

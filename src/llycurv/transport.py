@@ -25,7 +25,7 @@ from .errors import (
     NotAnEdgeError,
     NotRegularError,
 )
-from .graphs import Graph, bfs_distances, decompose_edge, is_connected
+from .graphs import Graph, bfs_distances, decompose_edge, is_connected, neighbor_masks
 from .matching import _hopcroft_karp
 
 Rational = Fraction
@@ -371,11 +371,6 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> Fraction:
     return 1 - w1
 
 
-def _neighbor_masks(g: Graph) -> list[int]:
-    """Bit w of masks[v] is set iff vw is an edge."""
-    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
-
-
 def _edge_report(
     g: Graph, masks: list[int], x: int, y: int, want_witness: bool
 ) -> CurvatureReport:
@@ -430,11 +425,11 @@ def lly_curvature(g: Graph, x: int, y: int, want_witness: bool = False) -> Curva
     """
     if not g.is_regular():
         raise NotRegularError("Lin-Lu-Yau curvature is only computed for regular graphs")
-    return _edge_report(g, _neighbor_masks(g), x, y, want_witness)
+    return _edge_report(g, neighbor_masks(g), x, y, want_witness)
 
 
 def _spectrum_chunk(g: Graph, edges: list[tuple[int, int]]) -> list[CurvatureReport]:
-    masks = _neighbor_masks(g)
+    masks = neighbor_masks(g)
     return [_edge_report(g, masks, x, y, False) for x, y in edges]
 
 

@@ -93,3 +93,16 @@ def uniform_measure_w1_oracle(g: Graph, verts1, verts2) -> Fraction:
     assert len(verts2) == k
     cost = [[dist[u][v] for v in verts2] for u in verts1]
     return Fraction(brute_force_assignment(cost), k)
+
+
+def matrix_srg_identity(g: Graph, params) -> bool:
+    """A^2 = dI + alpha A + beta (J - I - A) by a dense integer matrix product."""
+    n = g.n
+    a = np.zeros((n, n), dtype=np.int64)
+    for u, v in g.edges():
+        a[u, v] = 1
+        a[v, u] = 1
+    eye = np.eye(n, dtype=np.int64)
+    ones = np.ones((n, n), dtype=np.int64)
+    rhs = params.d * eye + params.alpha * a + params.beta * (ones - eye - a)
+    return bool((a @ a == rhs).all())

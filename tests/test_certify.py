@@ -16,6 +16,7 @@ from llycurv.certify import (
 from llycurv.errors import DegenerateParametersError, ViolatorTooSmallError
 from llycurv.families import catalog
 from llycurv.graphs import SrgParams
+from llycurv.spectral import integral_multiplicities
 from llycurv.transport import curvature_spectrum
 
 
@@ -175,6 +176,23 @@ def test_scan_rows_satisfy_identity_and_bounds():
         n, d, a, b = row.params.as_tuple()
         assert d * (d - a - 1) == (n - d - 1) * b
         assert 1 <= b <= d and 0 <= a <= d - 1 and d < n
+
+
+def test_scan_80_is_complete_against_brute_force():
+    # Every non-complete (n, d, alpha, beta) with beta >= 1 that meets the
+    # counting identity and has integral multiplicities, by plain search.
+    expected = [
+        (n, d, a, b)
+        for n in range(3, 81)
+        for d in range(1, n - 1)
+        for a in range(d)
+        for b in range(1, d + 1)
+        if d * (d - a - 1) == (n - d - 1) * b
+        and integral_multiplicities(n, d, a, b) is not None
+    ]
+    got = [r.params.as_tuple() for r in scan_parameters(80)]
+    assert sorted(got) == sorted(expected)
+    assert len(got) > 100
 
 
 def test_scan_finds_cocktail_party_chain():

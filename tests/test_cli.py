@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from llycurv.cli import main, parse_curvature_csv, parse_scan_csv
+from llycurv.cli import main, parse_csv
 from llycurv.graphio import load_graph
 from llycurv.families import paley_graph, rook_graph
 
@@ -56,7 +56,7 @@ def test_curvature_csv_roundtrip(tmp_path, capsys):
     run(capsys, "gen", "--name", "paley", "--q", "9", "--out", str(gpath))
     code, out, _ = run(capsys, "curvature", "--graph", str(gpath), "--format", "csv")
     assert code == 0
-    rows = parse_curvature_csv(out)
+    rows = parse_csv(out)
     assert len(rows) == 18
     assert all(r["kappa_num"] == 3 and r["kappa_den"] == 4 for r in rows)
 
@@ -99,7 +99,7 @@ def test_scan_csv_roundtrip(tmp_path, capsys):
     path = tmp_path / "scan.csv"
     code, _, _ = run(capsys, "scan", "--max-n", "30", "--out", str(path))
     assert code == 0
-    rows = parse_scan_csv(path.read_text())
+    rows = parse_csv(path.read_text())
     assert any(
         r["n"] == 29 and r["d"] == 14 and r["cond1"] == 1 and r["conference"] == 1
         for r in rows

@@ -29,7 +29,7 @@ from llycurv.graphs import (
     bfs_distances,
     classify_regularity,
     decompose_edge,
-    merge_intersection,
+    neighbor_masks,
     neighbor_profile,
     parameter_identity_check,
 )
@@ -82,9 +82,15 @@ def test_bfs_triangle_inequality_sampled():
         assert dist[a][c] <= dist[a][b] + dist[b][c]
 
 
-def test_merge_intersection():
-    assert merge_intersection((1, 3, 5, 9), (2, 3, 4, 9, 12)) == (3, 9)
-    assert merge_intersection((), (1, 2)) == ()
+def test_neighbor_masks_count_common_neighbors():
+    g = petersen_graph()
+    masks = neighbor_masks(g)
+    assert neighbor_masks(Graph(0, [])) == []
+    for u in range(g.n):
+        for v in range(g.n):
+            assert (masks[u] >> v & 1) == g.has_edge(u, v)
+            common = set(g.neighbors(u)) & set(g.neighbors(v))
+            assert (masks[u] & masks[v]).bit_count() == len(common)
 
 
 def test_decompose_paley13_edge_01():

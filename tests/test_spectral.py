@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from llycurv.errors import (
     DisconnectedError,
     InfeasibleParametersError,
+    InvalidParamsError,
     NotSrgParametersError,
 )
 from llycurv.families import (
@@ -29,6 +34,7 @@ from llycurv.spectral import (
     srg_spectrum,
     verify_srg_identity,
 )
+from helpers import matrix_srg_identity
 
 
 def test_spectrum_paley9():
@@ -92,6 +98,33 @@ def test_verify_srg_identity_examples():
     assert not verify_srg_identity(hypercube_graph(3), SrgParams(8, 3, 0, 2))
 
 
+def test_verify_srg_identity_matches_matrix_oracle():
+    cases = [(entry.graph, entry.params) for entry in catalog() if entry.params is not None]
+    cases += [
+        (petersen_graph(), SrgParams(10, 3, 1, 1)),  # wrong alpha
+        (petersen_graph(), SrgParams(10, 4, 0, 1)),  # wrong degree only
+        (complete_graph(5), SrgParams(5, 4, 3, 0)),  # J - I - A = 0: any beta holds
+        (complete_graph(5), SrgParams(5, 4, 2, 0)),
+    ]
+    outcomes = set()
+    for g, params in cases:
+        got = verify_srg_identity(g, params)
+        assert got == matrix_srg_identity(g, params), (g, params)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, llycurv; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_numerical_lambda2_complete_graph():
     assert abs(numerical_lambda2(complete_graph(5)) - 1.25) < 1e-12
 
@@ -107,6 +140,11 @@ def test_numerical_lambda2_paley9():
 def test_numerical_lambda2_disconnected_raises():
     with pytest.raises(DisconnectedError):
         numerical_lambda2(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_numerical_lambda2_empty_graph_is_graph_level_error():
+    with pytest.raises(InvalidParamsError):
+        numerical_lambda2(Graph(0, []))
 
 
 def test_numerical_matches_closed_form_on_catalog():
