@@ -189,10 +189,14 @@ def b_one_rule(params: SrgParams) -> str | None:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the parameter-only argument for kappa = (2+alpha)/d."""
+    """Outcome of the parameter-only argument for kappa = (2+alpha)/d.
+
+    conditions is the report of the closed-form conditions it started from.
+    """
 
     params: SrgParams
     outcome: str  # "sharp_by_condition" | "sharp_by_sweep" | "inconclusive"
+    conditions: ConditionReport
     condition: str | None = None
     b_one: str | None = None
     sweep: tuple[ObstructionQuadratic, ...] = ()
@@ -218,6 +222,7 @@ def certify_curvature(params: SrgParams) -> Certificate:
     if report.any_holds:
         return Certificate(
             params=params,
+            conditions=report,
             outcome="sharp_by_condition",
             condition=report.first_satisfied(),
             certified_kappa=kappa,
@@ -226,25 +231,25 @@ def certify_curvature(params: SrgParams) -> Certificate:
     if core == 0:
         # N_x and N_y are empty; the empty matching is perfect.
         return Certificate(
-            params=params, outcome="sharp_by_sweep", b_one="empty_core",
-            certified_kappa=kappa,
+            params=params, conditions=report, outcome="sharp_by_sweep",
+            b_one="empty_core", certified_kappa=kappa,
         )
     rule = b_one_rule(params)
     if rule is None:
         return Certificate(
-            params=params, outcome="inconclusive",
+            params=params, conditions=report, outcome="inconclusive",
             reason="size-1 violators not excludable from parameters",
         )
     pxy = n - 2 * d + alpha
     if pxy == 0:
         # Every vertex of N_x is adjacent to all of N_y; no violator of any size.
         return Certificate(
-            params=params, outcome="sharp_by_sweep", b_one=rule,
+            params=params, conditions=report, outcome="sharp_by_sweep", b_one=rule,
             certified_kappa=kappa,
         )
     if alpha == 0:
         return Certificate(
-            params=params, outcome="inconclusive", b_one=rule,
+            params=params, conditions=report, outcome="inconclusive", b_one=rule,
             reason="alpha = 0 degenerates the quadratic and no condition applies",
         )
     sweep = []
@@ -253,12 +258,12 @@ def certify_curvature(params: SrgParams) -> Certificate:
         sweep.append(quad)
         if quad.feasible:
             return Certificate(
-                params=params, outcome="inconclusive", b_one=rule,
+                params=params, conditions=report, outcome="inconclusive", b_one=rule,
                 sweep=tuple(sweep),
                 reason=f"quadratic admits a real edge count at b = {b}",
             )
     return Certificate(
-        params=params, outcome="sharp_by_sweep", b_one=rule,
+        params=params, conditions=report, outcome="sharp_by_sweep", b_one=rule,
         sweep=tuple(sweep), certified_kappa=kappa,
     )
 
@@ -299,14 +304,13 @@ def scan_parameters(max_n: int) -> list[ScanRow]:
                 if integral_multiplicities(n, d, alpha, beta) is None:
                     continue
                 params = SrgParams(n, d, alpha, beta)
-                conditions = evaluate_conditions(params)
                 cert = certify_curvature(params)
                 rows.append(
                     ScanRow(
                         params=params,
                         multiplicities_integral=True,
                         identity_holds=True,
-                        conditions=conditions,
+                        conditions=cert.conditions,
                         sweep_sharp=cert.outcome == "sharp_by_sweep",
                         conference=params.is_conference,
                         certified_kappa=cert.certified_kappa,

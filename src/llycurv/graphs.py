@@ -177,7 +177,9 @@ class EdgeNeighborhood:
     """The partition V = {x} + {y} + delta + nx + ny + pxy around an edge xy.
 
     delta holds the common neighbors, nx/ny the exclusive neighbors of x/y,
-    and pxy everything adjacent to neither endpoint.
+    and pxy everything adjacent to neither endpoint.  pxy is computed on
+    demand from the vertex count n: it is O(n), and the curvature paths
+    never read it.
     """
 
     x: VertexId
@@ -185,7 +187,12 @@ class EdgeNeighborhood:
     delta: tuple[int, ...]
     nx: tuple[int, ...]
     ny: tuple[int, ...]
-    pxy: tuple[int, ...]
+    n: int
+
+    @property
+    def pxy(self) -> tuple[int, ...]:
+        closed = {self.x, self.y, *self.delta, *self.nx, *self.ny}
+        return tuple(v for v in range(self.n) if v not in closed)
 
 
 def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
@@ -199,9 +206,7 @@ def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
     delta_set = set(delta)
     nx = tuple(v for v in gx if v not in delta_set and v != y)
     ny = tuple(v for v in gy if v not in delta_set and v != x)
-    closed = delta_set.union(gx, gy, (x, y))
-    pxy = tuple(v for v in range(g.n) if v not in closed)
-    return EdgeNeighborhood(x=x, y=y, delta=delta, nx=nx, ny=ny, pxy=pxy)
+    return EdgeNeighborhood(x=x, y=y, delta=delta, nx=nx, ny=ny, n=g.n)
 
 
 class RegularityKind(Enum):

@@ -121,8 +121,16 @@ def _assignment(
         return 0, [], [], []
     if any(len(row) != m for row in cost):
         raise InvalidParamsError("cost matrix must be square")
-    big = sum(abs(c) for row in cost for c in row) + 1
     u = [0] + [min(row) for row in cost]  # 1-based, slot 0 unused
+    # An "infinity" above every reduced cost of any integer matrix.  With
+    # spread = max - min entry, a phase's augmenting path costs at most
+    # spread (the direct edge from the new row, whose dual is still its row
+    # minimum, to a free column, whose dual is still 0), so a column dual
+    # falls by at most spread per phase and by at most m * spread overall.
+    # A row's dual equals its matched cost minus that column's dual, so
+    # every reduced cost c - u - v is at most (m + 1) * spread.
+    spread = max(map(max, cost)) - min(u[1:])
+    big = (m + 1) * spread + 1
     v = [0] * (m + 1)
     match = [0] * (m + 1)  # match[j] = row occupying column j (1-based)
     if match_left is None:

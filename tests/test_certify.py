@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from llycurv import certify
 from llycurv.certify import (
     b_one_rule,
     certify_curvature,
@@ -193,6 +194,19 @@ def test_scan_80_is_complete_against_brute_force():
     got = [r.params.as_tuple() for r in scan_parameters(80)]
     assert sorted(got) == sorted(expected)
     assert len(got) > 100
+
+
+def test_scan_evaluates_conditions_once_per_row(monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return evaluate_conditions(params)
+
+    monkeypatch.setattr(certify, "evaluate_conditions", counted)
+    rows = scan_parameters(60)
+    assert calls == [r.params for r in rows]
+    assert all(r.conditions == evaluate_conditions(r.params) for r in rows)
 
 
 def test_scan_finds_cocktail_party_chain():

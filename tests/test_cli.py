@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from llycurv.cli import main, parse_csv
 from llycurv.graphio import load_graph
 from llycurv.families import paley_graph, rook_graph
@@ -144,6 +146,22 @@ def test_corollary_command(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["subsets_tested"] == 67 and doc["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (
+            ("--q", "29", "--mode", "sampled", "--seed", "1", "--trials", "0"),
+            "InvalidOrderError",
+        ),
+        (("--q", "37", "--mode", "exhaustive"), "TooLargeError"),
+    ],
+)
+def test_corollary_unbounded_inputs_exit_2(capsys, args, error):
+    code, out, err = run(capsys, "corollary", *args)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
 
 
 def test_verify_conjecture_small(capsys):

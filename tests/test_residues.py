@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
-from llycurv.errors import InvalidOrderError, InvalidPairError
-from llycurv.families import paley_graph
+from llycurv import residues
+from llycurv.errors import InvalidOrderError, InvalidPairError, TooLargeError
+from llycurv.families import paley_graph, prime_power_decomposition
 from llycurv.fields import is_nonzero_square, make_field
 from llycurv.graphs import decompose_edge
 from llycurv.matching import local_perfect_matching
 from llycurv.residues import (
     canonical_pair,
     find_pattern_witness,
+    pattern_free_kernel,
     square_index_set,
     subset_threshold,
     verify_corollary,
@@ -113,6 +116,77 @@ def test_verify_corollary_sampled_deterministic():
     b = verify_corollary(29, mode="sampled", seed=11, trials=500)
     assert a == b
     assert a.subsets_tested == 500 and a.failures == ()
+
+
+def _reference_pattern_free(q, subsets):
+    f = make_field(*prime_power_decomposition(q))
+    x, y = canonical_pair(f)
+    elements = list(f.elements())  # element v has index v
+    return [
+        s for s in subsets
+        if find_pattern_witness(f, x, y, [elements[v] for v in s]) is None
+    ]
+
+
+@pytest.mark.parametrize("q, sizes", [(13, (6, 7, 8, 9)), (17, (9, 10, 11, 12))])
+def test_kernel_agrees_with_reference_on_every_subset(q, sizes):
+    # below the threshold 3(q-1)/4 pattern-free subsets exist, so the two
+    # failure lists are compared where they are non-empty; at it they vanish
+    kernel = pattern_free_kernel(paley_graph(q), 0, 1)
+    universe = range(2, q)
+    for size in sizes:
+        subsets = list(combinations(universe, size))
+        fast = [s for s in subsets if kernel(s)]
+        assert fast == _reference_pattern_free(q, subsets), (q, size)
+        assert bool(fast) == (size < subset_threshold(q)), (q, size)
+
+
+def test_kernel_agrees_with_reference_on_gf25_samples():
+    # GF(25) is not a prime field: vertex v of P(25) must be element v
+    f = make_field(5, 2)
+    x, y = canonical_pair(f)
+    kernel = pattern_free_kernel(paley_graph(25), x.index, y.index)
+    universe = [v for v in range(25) if v not in (x.index, y.index)]
+    rng = random.Random(25)
+    subsets = [
+        tuple(sorted(rng.sample(universe, rng.randrange(8, 19)))) for _ in range(2000)
+    ]
+    fast = [s for s in subsets if kernel(s)]
+    assert fast == _reference_pattern_free(25, subsets)
+    assert 0 < len(fast) < len(subsets)
+
+
+def test_verify_corollary_q29_exhaustive_within_bound():
+    report = verify_corollary(29)
+    assert report.subsets_tested == 397_594  # sum of C(27, s), s >= 21
+    assert report.failures == ()
+
+
+def test_verify_corollary_exhaustive_bound_rejects_before_enumerating(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("enumerated or built a graph past the bound")
+
+    monkeypatch.setattr(residues, "combinations", forbidden)
+    monkeypatch.setattr(residues, "paley_graph", forbidden)
+    with pytest.raises(TooLargeError):
+        verify_corollary(37)  # 32,267,668 subsets
+    with pytest.raises(TooLargeError):
+        verify_corollary(101)  # about 8.8e22 subsets
+
+
+def test_verify_corollary_order_bound_builds_no_graph(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("built a Paley graph past the order bound")
+
+    monkeypatch.setattr(residues, "paley_graph", forbidden)
+    with pytest.raises(TooLargeError):
+        verify_corollary(1033, mode="sampled", seed=1, trials=1)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_verify_corollary_sampled_needs_a_trial(trials):
+    with pytest.raises(InvalidOrderError):
+        verify_corollary(29, mode="sampled", seed=1, trials=trials)
 
 
 def test_verify_corollary_rejects_bad_orders():

@@ -79,6 +79,24 @@ def test_hungarian_matches_brute_force_hypothesis(cost):
     assert hungarian(cost)[0] == brute_force_assignment(cost)
 
 
+def test_hungarian_negative_entries_match_brute_force():
+    # the solver's "infinity" is derived from the entry range, so cover
+    # negative, mixed-sign and constant matrices, not only LLY costs 1..3
+    rng = random.Random(29)
+    for _ in range(300):
+        m = rng.randrange(1, 7)
+        lo = rng.choice((-1000, -40, -9, -3, 0))
+        hi = lo + rng.choice((0, 1, 5, 60, 2000))
+        cost = [[rng.randint(lo, hi) for _ in range(m)] for _ in range(m)]
+        total, cols = hungarian(cost)
+        assert total == brute_force_assignment(cost), cost
+        assert sorted(cols) == list(range(m))
+        assert sum(cost[i][cols[i]] for i in range(m)) == total
+        lex_total, lex_cols = lex_smallest_optimal_assignment(cost)
+        assert lex_total == total
+        assert tuple(lex_cols) == min(all_optimal_assignments(cost)), cost
+
+
 def test_hungarian_assignment_achieves_reported_cost():
     rng = random.Random(3)
     for _ in range(50):
