@@ -23,6 +23,7 @@ from .families import (
     CatalogEntry,
     catalog,
     named_graph,
+    paley_automorphisms,
     paley_gamma_orders,
     paley_graph,
     random_regular_graph,

@@ -19,7 +19,13 @@ from typing import Any
 from . import graphio
 from .certify import certify_curvature, scan_parameters
 from .errors import LlycurvError
-from .families import family_names, named_graph, paley_gamma_orders, paley_graph
+from .families import (
+    family_names,
+    named_graph,
+    paley_automorphisms,
+    paley_gamma_orders,
+    paley_graph,
+)
 from .graphs import SrgParams, classify_regularity
 from .matching import local_perfect_matching
 from .residues import verify_corollary
@@ -273,7 +279,9 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
     ok = True
     for gamma, q in paley_gamma_orders(args.gamma_max):
         expected = Fraction(1, 2) + Fraction(1, 2 * gamma)
-        spectrum = curvature_spectrum(paley_graph(q), processes=args.threads)
+        spectrum = curvature_spectrum(
+            paley_graph(q), processes=args.threads, automorphisms=paley_automorphisms(q)
+        )
         bad = [
             {"edge": [r.x, r.y], "kappa": _frac(r.kappa)}
             for r in spectrum.reports

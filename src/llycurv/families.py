@@ -18,10 +18,12 @@ from .errors import (
     TooLargeError,
     UnknownFamilyError,
 )
-from .fields import is_nonzero_square, is_prime, make_field
+from .fields import FiniteField, _prime_divisors, is_nonzero_square, is_prime, make_field
 from .graphs import Graph, SrgParams, is_connected
 
-_PALEY_VERTEX_BOUND = 2**16
+# P(q) has q(q-1)/4 edges and its build costs time and memory in proportion;
+# q = 1021 is the largest order inside the bound (about 2 s to build).
+_PALEY_EDGE_BOUND = 2**18
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
@@ -42,17 +44,27 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     return (q, 1)  # q itself prime
 
 
-def paley_graph(q: int) -> Graph:
-    """Vertices GF(q), u ~ v iff u - v is a nonzero square; needs q = 1 mod 4."""
+def _check_paley_size(q: int) -> None:
+    if q * (q - 1) // 4 > _PALEY_EDGE_BOUND:
+        raise TooLargeError(
+            f"Paley order {q} has {q * (q - 1) // 4} edges, above the bound {_PALEY_EDGE_BOUND}"
+        )
+
+
+def _paley_field(q: int) -> FiniteField:
+    """GF(q) for a valid Paley order, checked against the size bound first."""
     pm = prime_power_decomposition(q)
     if pm is None:
         raise NotPrimePowerError(f"{q} is not a prime power")
     if q % 4 != 1:
         raise NotPaleyOrderError(f"{q} is not congruent to 1 mod 4")
-    if q > _PALEY_VERTEX_BOUND:
-        raise TooLargeError(f"Paley order {q} exceeds vertex bound {_PALEY_VERTEX_BOUND}")
-    p, m = pm
-    field = make_field(p, m)
+    _check_paley_size(q)
+    return make_field(*pm)
+
+
+def paley_graph(q: int) -> Graph:
+    """Vertices GF(q), u ~ v iff u - v is a nonzero square; needs q = 1 mod 4."""
+    field = _paley_field(q)
     elements = list(field.elements())
     squares = [e for e in elements if is_nonzero_square(field, e)]
     # q = 1 mod 4 makes -1 a square, so u + s runs over all neighbors of u.
@@ -64,6 +76,31 @@ def paley_graph(q: int) -> Graph:
             if iu < iv:
                 edges.append((iu, iv))
     return Graph(q, edges)
+
+
+def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of the affine maps t -> a t + b, a a nonzero square, of P(q).
+
+    Each map is a vertex permutation (image of every field index): the m
+    translations by the basis elements 1, t, ..., t^(m-1) of GF(p^m), which
+    generate every translation, and t -> g^2 t for the first primitive
+    element g in index order, which generates every square multiplier.
+    The group they generate is transitive on the edges of P(q).
+    """
+    field = _paley_field(q)
+    one = field.one
+    # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1.
+    g = next(
+        e
+        for e in field.elements()
+        if not e.is_zero and all(e ** ((q - 1) // r) != one for r in _prime_divisors(q - 1))
+    )
+    shifts = [field.element([int(i == k) for i in range(field.m)]) for k in range(field.m)]
+    square = g * g
+    elements = list(field.elements())
+    maps = [tuple((e + b).index for e in elements) for b in shifts]
+    maps.append(tuple((square * e).index for e in elements))
+    return tuple(maps)
 
 
 def rook_graph(k: int) -> Graph:
@@ -278,7 +315,13 @@ def catalog() -> list[CatalogEntry]:
 
 
 def paley_gamma_orders(gamma_max: int) -> list[tuple[int, int]]:
-    """All (gamma, q=4*gamma+1) with q a prime power, 2 <= gamma <= gamma_max."""
+    """All (gamma, q=4*gamma+1) with q a prime power, 2 <= gamma <= gamma_max.
+
+    Raises TooLargeError up front when P(4*gamma_max+1) would exceed the
+    Paley edge bound.
+    """
+    if gamma_max >= 2:
+        _check_paley_size(4 * gamma_max + 1)
     out = []
     for g in range(2, gamma_max + 1):
         q = 4 * g + 1
@@ -299,6 +342,7 @@ __all__ = [
     "is_prime",
     "johnson_graph",
     "named_graph",
+    "paley_automorphisms",
     "paley_gamma_orders",
     "paley_graph",
     "petersen_graph",

@@ -118,9 +118,10 @@ def canonical_pair(field: FiniteField) -> tuple[FieldElement, FieldElement]:
     """(0, c) with c the index-smallest nonzero square.
 
     Affine maps t -> a t + b with a a nonzero square act transitively on
-    square-difference pairs, so verifying one pair verifies them all; the
-    symmetry itself is exercised by the test suite rather than assumed
-    blindly.
+    square-difference pairs, so verifying one pair verifies them all.
+    tests/test_residues.py::test_paley_edges_form_one_orbit checks that
+    transitivity for every Paley order q <= 101, with generators verified
+    as automorphisms of P(q).
     """
     for e in field.elements():
         if is_nonzero_square(field, e):

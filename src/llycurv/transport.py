@@ -16,6 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import (
     DisconnectedError,
@@ -441,10 +442,60 @@ def _spectrum_chunk(g: Graph, edges: list[tuple[int, int]]) -> list[CurvatureRep
     return [_edge_report(g, masks, x, y, False) for x, y in edges]
 
 
-def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
+def _edge_orbits(
+    g: Graph, edges: list[tuple[int, int]], automorphisms: Sequence[Sequence[int]]
+) -> list[int]:
+    """For each edge, the index of the first edge of its class.
+
+    Each map is checked to be an automorphism of g before it is used: a
+    bijection of range(n) carrying the neighbor mask of every v onto the
+    mask of its image.  Union-find then merges e with sigma(e) for each map
+    sigma, so every class lies inside one orbit of the group the maps
+    generate (and is the whole orbit under that group).
+    """
+    n = g.n
+    masks = neighbor_masks(g)
+    for sigma in automorphisms:
+        if len(sigma) != n or set(sigma) != set(range(n)):
+            raise InvalidParamsError("an automorphism must be a permutation of range(n)")
+        for v in range(n):
+            if sum(1 << sigma[w] for w in g.neighbors(v)) != masks[sigma[v]]:
+                raise InvalidParamsError(f"map does not preserve the neighbors of vertex {v}")
+    index = {e: i for i, e in enumerate(edges)}
+    parent = list(range(len(edges)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    classes = len(edges)
+    for sigma in automorphisms:
+        for i, (x, y) in enumerate(edges):
+            a, b = sigma[x], sigma[y]
+            ri, rj = find(i), find(index[(a, b) if a < b else (b, a)])
+            if ri != rj:  # the smaller index stays the root
+                parent[max(ri, rj)] = min(ri, rj)
+                classes -= 1
+                if classes == 1:  # nothing is left to merge
+                    break
+        if classes == 1:
+            break
+    return [find(i) for i in range(len(edges))]
+
+
+def curvature_spectrum(
+    g: Graph, processes: int = 1, automorphisms: Sequence[Sequence[int]] = ()
+) -> CurvatureSpectrum:
     """One curvature report per edge (sorted edge order) plus the minimum.
 
-    processes is capped at the core count and at the number of edges.
+    automorphisms, vertex permutations each checked against g before use,
+    split the edges into classes inside orbits; one edge per class is
+    solved and its report copied to the others with their own (x, y).
+    That is sound because every report field is invariant under
+    automorphisms and symmetric in x and y.  processes is capped at the
+    core count and at the number of edges solved.
     """
     if not g.is_regular():
         raise NotRegularError("curvature spectrum needs a regular graph")
@@ -453,18 +504,31 @@ def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
         raise InvalidParamsError("graph has no edges")
     if not is_connected(g):
         raise DisconnectedError("curvature spectrum needs a connected graph")
-    processes = min(processes, os.cpu_count() or 1, len(edges))
-    if processes <= 1 or len(edges) < 4:
-        reports = _spectrum_chunk(g, edges)
+    reps = edges
+    if automorphisms:
+        roots = _edge_orbits(g, edges, automorphisms)
+        reps = [edges[i] for i in sorted(set(roots))]
+    processes = min(processes, os.cpu_count() or 1, len(reps))
+    if processes <= 1 or len(reps) < 4:
+        reports = _spectrum_chunk(g, reps)
     else:
-        chunks = [edges[k::processes] for k in range(processes)]
+        chunks = [reps[k::processes] for k in range(processes)]
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_spectrum_chunk, [g] * processes, chunks))
         reports = [r for part in parts for r in part]
         reports.sort(key=lambda r: (r.x, r.y))
-    return CurvatureSpectrum(
-        reports=tuple(reports), min_kappa=min(r.kappa for r in reports)
-    )
+    min_kappa = min(r.kappa for r in reports)
+    if automorphisms:
+        solved = {(r.x, r.y): r for r in reports}
+        reports = []
+        for (x, y), i in zip(edges, roots):
+            r = solved[edges[i]]
+            reports.append(
+                CurvatureReport(
+                    x, y, r.kappa, r.delta_size, r.upper_bound, r.sharp, r.min_bijection_cost
+                )
+            )
+    return CurvatureSpectrum(reports=tuple(reports), min_kappa=min_kappa)
 
 
 def idleness_identity_check(g: Graph, x: int, y: int) -> tuple[Fraction, Fraction]:

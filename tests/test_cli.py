@@ -172,6 +172,19 @@ def test_verify_conjecture_small(capsys):
     assert doc["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--name", "paley", "--q", "65521"),
+        ("verify-conjecture", "--gamma-max", "100000000"),
+    ],
+)
+def test_paley_edge_bound_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "TooLargeError"
+
+
 def test_config_echoed_in_output(capsys):
     code, out, _ = run(capsys, "spectrum", "--params", "9,4,1,2")
     doc = json.loads(out)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from llycurv import families
 from llycurv.errors import (
     InvalidParamsError,
     NotPaleyOrderError,
     NotPrimePowerError,
+    TooLargeError,
     UnknownFamilyError,
 )
 from llycurv.families import (
@@ -15,6 +17,7 @@ from llycurv.families import (
     cocktail_party_graph,
     johnson_graph,
     named_graph,
+    paley_automorphisms,
     paley_gamma_orders,
     paley_graph,
     prime_power_decomposition,
@@ -58,6 +61,54 @@ def test_paley_rejects_bad_orders():
         paley_graph(7)  # prime but 3 mod 4
     with pytest.raises(NotPrimePowerError):
         paley_graph(21)
+
+
+def test_paley_edge_bound_rejects_before_field_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("built a field past the Paley edge bound")
+
+    monkeypatch.setattr(families, "make_field", forbidden)
+    for q in (1033, 65521):  # 266,514 and about 1.07e9 edges
+        with pytest.raises(TooLargeError):
+            paley_graph(q)
+        with pytest.raises(TooLargeError):
+            paley_automorphisms(q)
+
+
+def test_paley_gamma_orders_bounded_up_front(monkeypatch):
+    # gamma 252 (q = 1009) is the largest order verify-conjecture is sized
+    # for; past the edge bound no order is enumerated.
+    assert paley_gamma_orders(255)[-3:] == [(252, 1009), (253, 1013), (255, 1021)]
+
+    def forbidden(q):
+        raise AssertionError("enumerated orders past the Paley edge bound")
+
+    monkeypatch.setattr(families, "prime_power_decomposition", forbidden)
+    for gamma_max in (256, 10**8):
+        with pytest.raises(TooLargeError):
+            paley_gamma_orders(gamma_max)
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 25, 49, 81, 125])
+def test_paley_automorphisms_are_affine_generators(q):
+    # m translations and one square multiplier, each a permutation fixing
+    # the adjacency; the multiplier cycles the (q-1)/2 nonzero squares.
+    p, m = prime_power_decomposition(q)
+    maps = paley_automorphisms(q)
+    assert len(maps) == m + 1
+    g = paley_graph(q)
+    edges = set(g.edges())
+    for sigma in maps:
+        assert sorted(sigma) == list(range(q))
+        assert {tuple(sorted((sigma[x], sigma[y]))) for x, y in edges} == edges
+    multiplier = maps[-1]
+    assert multiplier[0] == 0
+    squares = set(g.neighbors(0))
+    orbit, v = set(), next(iter(squares))
+    while v not in orbit:
+        orbit.add(v)
+        v = multiplier[v]
+    assert orbit == squares
 
 
 def test_named_graph_dispatch():

@@ -23,8 +23,10 @@ from llycurv.families import (
     cocktail_party_graph,
     complete_graph,
     cycle_graph,
+    paley_automorphisms,
     paley_graph,
     petersen_graph,
+    prime_power_decomposition,
     random_regular_graph,
     rook_graph,
     shrikhande_graph,
@@ -359,9 +361,75 @@ def test_curvature_spectrum_caps_processes(monkeypatch):
     seq = curvature_spectrum(g, processes=1)
     monkeypatch.setattr(transport.os, "cpu_count", lambda: 64)
     assert curvature_spectrum(g, processes=8) == seq
+    # Swapping vertices 0 and 1 leaves 4 edge classes to solve.
+    assert curvature_spectrum(g, processes=8, automorphisms=[(1, 0, 2, 3)]) == seq
+    # Every edge of a Paley graph is in one orbit: one edge, no pool.
+    p13 = paley_graph(13)
+    assert curvature_spectrum(
+        p13, processes=8, automorphisms=paley_automorphisms(13)
+    ) == curvature_spectrum(p13)
     monkeypatch.setattr(transport.os, "cpu_count", lambda: 3)
     assert curvature_spectrum(g, processes=8) == seq
-    assert seen == [6, 3]
+    assert seen == [6, 4, 3]
+
+
+PALEY_ORDERS_TO_101 = [q for q in range(5, 102, 4) if prime_power_decomposition(q)]
+
+
+@pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
+def test_curvature_spectrum_paley_orbits_match_every_edge(q):
+    g = paley_graph(q)
+    assert curvature_spectrum(g, automorphisms=paley_automorphisms(q)) == curvature_spectrum(g)
+
+
+def _torus_3x5():
+    # C3 x C5, vertex 5a + b = (a, b), with the translations by (1, 0) and
+    # (0, 1).  They keep the triangle edges apart from the pentagon edges,
+    # and the two classes have different curvature.
+    edges = set()
+    for v in range(15):
+        a, b = divmod(v, 5)
+        for w in (5 * ((a + 1) % 3) + b, 5 * a + (b + 1) % 5):
+            edges.add((min(v, w), max(v, w)))
+    shifts = [
+        tuple(5 * ((v // 5 + da) % 3) + (v % 5 + db) % 5 for v in range(15))
+        for da, db in ((1, 0), (0, 1))
+    ]
+    return Graph(15, edges), shifts
+
+
+def test_curvature_spectrum_partial_orbits_match_every_edge():
+    # Maps that leave several edge classes: the rook(4) transpose (i, j) ->
+    # (j, i), and the translations of the C3 x C5 torus.
+    transpose = tuple(4 * (v % 4) + v // 4 for v in range(16))
+    torus, shifts = _torus_3x5()
+    for g, maps in ((rook_graph(4), [transpose]), (torus, shifts)):
+        roots = transport._edge_orbits(g, list(g.edges()), maps)
+        assert 1 < len(set(roots)) < g.edge_count
+        assert curvature_spectrum(g, automorphisms=maps) == curvature_spectrum(g)
+    assert len({r.kappa for r in curvature_spectrum(torus).reports}) == 2
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        tuple(range(12)),  # too short
+        (0, 0) + tuple(range(2, 13)),  # repeats 0, misses 1
+        tuple(range(1, 14)),  # 13 is not a vertex
+    ],
+)
+def test_curvature_spectrum_rejects_non_permutation(sigma):
+    with pytest.raises(InvalidParamsError, match="permutation"):
+        curvature_spectrum(paley_graph(13), automorphisms=[sigma])
+
+
+def test_curvature_spectrum_rejects_non_automorphism():
+    # Swapping 0 and 1 is a permutation, but 0 and 1 do not share all other
+    # neighbors in P(13).  It fails even behind a valid generator.
+    swap = (1, 0) + tuple(range(2, 13))
+    for maps in ([swap], [*paley_automorphisms(13), swap]):
+        with pytest.raises(InvalidParamsError, match="neighbors"):
+            curvature_spectrum(paley_graph(13), automorphisms=maps)
 
 
 def test_curvature_spectrum_deterministic_and_parallel_equal():
