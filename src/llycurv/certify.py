@@ -6,6 +6,12 @@ conditions evaluated in exact integer arithmetic, and a discriminant sweep
 that rules out Hall violators of every relevant size by showing the master
 quadratic in the violator's edge count X has no real solution.
 
+The sweep decides each size b by the sign of one integer: with
+K = alpha |P_xy| (d-alpha-1), the coefficients cleared to A2 = 2K(b-1) a2,
+A1 = 2K a1 and A0 = 2K a0 are integers, and the discriminant has the sign
+of (b-1) A1^2 - 4 A2 A0.  Fractions are built from the same integers only
+when a transcript (`Certificate.sweep`, `obstruction_quadratic`) is read.
+
 All square-root comparisons are done by squaring behind sign guards; there
 is no floating point anywhere in this module.
 """
@@ -16,11 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegenerateParametersError, ViolatorTooSmallError
+from .errors import DegenerateParametersError, TooLargeError, ViolatorTooSmallError
 from .graphs import SrgParams
 from .spectral import integral_multiplicities
 
 _CONDITION_ORDER = ("cond1", "cond2", "cond3", "cond4", "cond5", "hlx", "ll")
+_SWEEP_BOUND = 2**16  # violator sizes one certificate may sweep
+_SCAN_CAP = 4096  # largest max_n of scan_parameters
 
 
 @dataclass(frozen=True)
@@ -123,16 +131,21 @@ class ObstructionQuadratic:
     feasible: bool
 
 
-def obstruction_quadratic(params: SrgParams, b: int) -> ObstructionQuadratic:
-    """Assemble the exact-|P_xy| variant of the violator inequality.
+def _sweep_terms(params: SrgParams) -> tuple[int, int, int, int, int]:
+    """The b-independent integers (K, s, u, w2, w1) of the cleared quadratic.
 
-    Four convexity lower bounds on the common-neighbor counts inside delta
-    (denominator alpha), P_xy (denominator n - 2d + alpha), T (denominator
-    b - 1) and N_x (denominator d - alpha - 1) are summed against the
-    ceiling C(b,2) * max(alpha, beta) - C(b,2).
+    The four convexity lower bounds on the common-neighbor counts inside
+    delta (denominator alpha), P_xy (denominator |P_xy| = n - 2d + alpha),
+    T (denominator b - 1) and N_x (denominator c = d - alpha - 1) are summed
+    against the ceiling C(b,2) * max(alpha, beta) - C(b,2).  Multiplying by
+    2K, K = alpha |P_xy| c, clears every denominator but b - 1:
+      2K(b-1) a2 = (b-1) s + K,  s = |P_xy| c + alpha c + alpha |P_xy|;
+      2K a1 = -2b u,
+        u = (beta-1) |P_xy| c + alpha c^2 - (alpha-beta+1) alpha |P_xy|;
+      2K a0 = b^2 w2 - b w1,  w1 = K (d - max(alpha, beta)),
+        w2 = (beta-1)^2 |P_xy| c + alpha c^3 + (alpha-beta+1)^2 alpha |P_xy|
+             + K (1 - max(alpha, beta)).
     """
-    if b < 2:
-        raise ViolatorTooSmallError("sizes b < 2 are handled by the b = 1 rules")
     n, d, alpha, beta = params.as_tuple()
     pxy = n - 2 * d + alpha
     core = d - alpha - 1
@@ -140,28 +153,51 @@ def obstruction_quadratic(params: SrgParams, b: int) -> ObstructionQuadratic:
         raise DegenerateParametersError(
             f"quadratic undefined: alpha={alpha}, |P_xy|={pxy}, |N_x|={core}"
         )
-    half = Fraction(1, 2)
-    a2 = half * (
-        Fraction(1, alpha) + Fraction(1, pxy) + Fraction(1, b - 1) + Fraction(1, core)
+    k = alpha * pxy * core
+    top = max(alpha, beta)
+    excess = alpha - beta + 1
+    s = pxy * core + alpha * core + alpha * pxy
+    u = (beta - 1) * pxy * core + alpha * core * core - excess * alpha * pxy
+    w2 = (
+        (beta - 1) ** 2 * pxy * core
+        + alpha * core**3
+        + excess * excess * alpha * pxy
+        + k * (1 - top)
     )
-    a1 = -b * (
-        Fraction(beta - 1, alpha) + Fraction(core, pxy) - Fraction(alpha - beta + 1, core)
-    )
-    a0 = (
-        half
-        * b
-        * b
-        * (
-            Fraction((beta - 1) ** 2, alpha)
-            + Fraction(core * core, pxy)
-            + Fraction((alpha - beta + 1) ** 2, core)
-        )
-        - half * (d - 1) * b
-        + half * (b * b - b) * (1 - max(alpha, beta))
-    )
-    disc = a1 * a1 - 4 * a2 * a0
+    return k, s, u, w2, k * (d - top)
+
+
+def _cleared(terms: tuple[int, int, int, int, int], b: int) -> tuple[int, int, int, int]:
+    """(A2, A1, A0, (b-1) A1^2 - 4 A2 A0) at size b.
+
+    The last has the sign of the discriminant, since it is the discriminant
+    times (2K)^2 (b-1) > 0.
+    """
+    k, s, u, w2, w1 = terms
+    a2 = (b - 1) * s + k
+    a1 = -2 * b * u
+    a0 = b * (b * w2 - w1)
+    return a2, a1, a0, (b - 1) * a1 * a1 - 4 * a2 * a0
+
+
+def obstruction_quadratic(params: SrgParams, b: int) -> ObstructionQuadratic:
+    """The exact-|P_xy| violator inequality at size b, in Fractions.
+
+    Built from the cleared integers of `_cleared`, so it is the same
+    derivation the sweep of `certify_curvature` decides by.
+    """
+    if b < 2:
+        raise ViolatorTooSmallError("sizes b < 2 are handled by the b = 1 rules")
+    terms = _sweep_terms(params)
+    k = terms[0]
+    a2, a1, a0, disc = _cleared(terms, b)
     return ObstructionQuadratic(
-        b=b, a2=a2, a1=a1, a0=a0, discriminant=disc, feasible=disc >= 0
+        b=b,
+        a2=Fraction(a2, 2 * k * (b - 1)),
+        a1=Fraction(a1, 2 * k),
+        a0=Fraction(a0, 2 * k),
+        discriminant=Fraction(disc, 4 * k * k * (b - 1)),
+        feasible=disc >= 0,
     )
 
 
@@ -192,6 +228,8 @@ class Certificate:
     """Outcome of the parameter-only argument for kappa = (2+alpha)/d.
 
     conditions is the report of the closed-form conditions it started from.
+    last_b is the last violator size the sweep decided (1 when there was no
+    sweep); the sweep covers b = 2 .. last_b.
     """
 
     params: SrgParams
@@ -199,7 +237,7 @@ class Certificate:
     conditions: ConditionReport
     condition: str | None = None
     b_one: str | None = None
-    sweep: tuple[ObstructionQuadratic, ...] = ()
+    last_b: int = 1
     certified_kappa: Fraction | None = None
     reason: str | None = None
 
@@ -207,14 +245,22 @@ class Certificate:
     def sharp(self) -> bool:
         return self.outcome != "inconclusive"
 
+    @property
+    def sweep(self) -> tuple[ObstructionQuadratic, ...]:
+        """The swept quadratics in Fractions, built on demand for transcripts."""
+        return tuple(obstruction_quadratic(self.params, b) for b in range(2, self.last_b + 1))
+
 
 def certify_curvature(params: SrgParams) -> Certificate:
     """Certify the curvature of every edge from the parameters, if possible.
 
     Tries the closed-form conditions first, then excludes a size-1 violator
     and sweeps the obstruction quadratic over b = 2 .. floor((d-alpha)/2);
-    larger subsets are covered by the half-size Hall reduction.  Any
-    non-excludable case yields an inconclusive certificate, never a guess.
+    larger subsets are covered by the half-size Hall reduction.  Each size
+    is decided by the sign of the cleared integer discriminant, and the
+    sweep stops at the first feasible b.  Any non-excludable case yields an
+    inconclusive certificate, never a guess.  A sweep of more than
+    _SWEEP_BOUND sizes raises TooLargeError before any size is decided.
     """
     n, d, alpha, beta = params.as_tuple()
     kappa = Fraction(2 + alpha, d)
@@ -252,19 +298,22 @@ def certify_curvature(params: SrgParams) -> Certificate:
             params=params, conditions=report, outcome="inconclusive", b_one=rule,
             reason="alpha = 0 degenerates the quadratic and no condition applies",
         )
-    sweep = []
-    for b in range(2, (d - alpha) // 2 + 1):
-        quad = obstruction_quadratic(params, b)
-        sweep.append(quad)
-        if quad.feasible:
-            return Certificate(
-                params=params, conditions=report, outcome="inconclusive", b_one=rule,
-                sweep=tuple(sweep),
-                reason=f"quadratic admits a real edge count at b = {b}",
+    last = (d - alpha) // 2  # >= 1, since d - alpha - 1 >= 1 here
+    if last >= 2:
+        terms = _sweep_terms(params)
+        if last - 1 > _SWEEP_BOUND:
+            raise TooLargeError(
+                f"sweep of {last - 1} violator sizes exceeds the bound {_SWEEP_BOUND}"
             )
+        for b in range(2, last + 1):
+            if _cleared(terms, b)[3] >= 0:
+                return Certificate(
+                    params=params, conditions=report, outcome="inconclusive", b_one=rule,
+                    last_b=b, reason=f"quadratic admits a real edge count at b = {b}",
+                )
     return Certificate(
         params=params, conditions=report, outcome="sharp_by_sweep", b_one=rule,
-        sweep=tuple(sweep), certified_kappa=kappa,
+        last_b=last, certified_kappa=kappa,
     )
 
 
@@ -288,8 +337,8 @@ def scan_parameters(max_n: int) -> list[ScanRow]:
     and both nontrivial eigenvalue multiplicities are positive integers.
     Graph existence is NOT decided; rows are parameter-level objects.
     """
-    if max_n > 4096:
-        raise DegenerateParametersError("scan capped at max_n = 4096")
+    if max_n > _SCAN_CAP:
+        raise TooLargeError(f"scan capped at max_n = {_SCAN_CAP}")
     rows: list[ScanRow] = []
     for n in range(3, max_n + 1):
         for d in range(2, n - 1):

@@ -95,6 +95,40 @@ def uniform_measure_w1_oracle(g: Graph, verts1, verts2) -> Fraction:
     return Fraction(brute_force_assignment(cost), k)
 
 
+def fraction_obstruction_quadratic(params, b: int) -> tuple[Fraction, ...]:
+    """(a2, a1, a0, discriminant) of the size-b violator inequality, term by term.
+
+    The paper's formula in Fractions: four convexity lower bounds on the
+    common-neighbor counts inside delta (denominator alpha), P_xy
+    (denominator n - 2d + alpha), T (denominator b - 1) and N_x
+    (denominator d - alpha - 1), summed against the ceiling
+    C(b,2) * max(alpha, beta) - C(b,2).
+    """
+    n, d, alpha, beta = params.as_tuple()
+    pxy = n - 2 * d + alpha
+    core = d - alpha - 1
+    half = Fraction(1, 2)
+    a2 = half * (
+        Fraction(1, alpha) + Fraction(1, pxy) + Fraction(1, b - 1) + Fraction(1, core)
+    )
+    a1 = -b * (
+        Fraction(beta - 1, alpha) + Fraction(core, pxy) - Fraction(alpha - beta + 1, core)
+    )
+    a0 = (
+        half
+        * b
+        * b
+        * (
+            Fraction((beta - 1) ** 2, alpha)
+            + Fraction(core * core, pxy)
+            + Fraction((alpha - beta + 1) ** 2, core)
+        )
+        - half * (d - 1) * b
+        + half * (b * b - b) * (1 - max(alpha, beta))
+    )
+    return a2, a1, a0, a1 * a1 - 4 * a2 * a0
+
+
 def matrix_srg_identity(g: Graph, params) -> bool:
     """A^2 = dI + alpha A + beta (J - I - A) by a dense integer matrix product."""
     n = g.n

@@ -14,11 +14,13 @@ from llycurv.certify import (
     obstruction_quadratic,
     scan_parameters,
 )
-from llycurv.errors import DegenerateParametersError, ViolatorTooSmallError
+from llycurv.errors import DegenerateParametersError, TooLargeError, ViolatorTooSmallError
 from llycurv.families import catalog
 from llycurv.graphs import SrgParams
 from llycurv.spectral import integral_multiplicities
 from llycurv.transport import curvature_spectrum
+
+from helpers import fraction_obstruction_quadratic
 
 
 def test_conditions_conference_gamma7():
@@ -83,6 +85,76 @@ def test_obstruction_guards():
         obstruction_quadratic(SrgParams(324, 152, 70, 72), 1)
     with pytest.raises(DegenerateParametersError):
         obstruction_quadratic(SrgParams(10, 3, 0, 1), 2)  # alpha = 0
+
+
+def _enters_sweep(params):
+    n, d, a, _ = params.as_tuple()
+    return (
+        not evaluate_conditions(params).any_holds
+        and d - a - 1 > 0
+        and b_one_rule(params) is not None
+        and n - 2 * d + a > 0
+        and a >= 1
+    )
+
+
+def _oracle_sweep(params):
+    """(outcome, last b decided) of a sweep driven by the Fraction formula."""
+    last = (params.d - params.alpha) // 2
+    for b in range(2, last + 1):
+        if fraction_obstruction_quadratic(params, b)[3] >= 0:
+            return "inconclusive", b
+    return "sharp_by_sweep", last
+
+
+@pytest.fixture(scope="module")
+def scan400_sweeps():
+    rows = scan_parameters(400)
+    return {
+        row.params: _oracle_sweep(row.params) for row in rows if _enters_sweep(row.params)
+    }
+
+
+def test_obstruction_matches_fraction_oracle(scan400_sweeps):
+    cases = [
+        (params, b)
+        for params, (_, last) in scan400_sweeps.items()
+        for b in range(2, last + 1)
+    ]
+    assert len(cases) == 11329
+    cases += [(SrgParams(324, 152, 70, 72), b) for b in range(2, 42)]
+    cases.append((SrgParams(21, 10, 4, 5), 3))
+    for params, b in cases:
+        quad = obstruction_quadratic(params, b)
+        a2, a1, a0, disc = fraction_obstruction_quadratic(params, b)
+        assert (quad.b, quad.a2, quad.a1, quad.a0, quad.discriminant, quad.feasible) == (
+            b, a2, a1, a0, disc, disc >= 0
+        ), (params, b)
+
+
+def test_certificate_sweep_agrees_with_fraction_oracle(scan400_sweeps):
+    outcomes = set()
+    for params, expected in scan400_sweeps.items():
+        cert = certify_curvature(params)
+        assert (cert.outcome, cert.last_b) == expected, params
+        outcomes.add(cert.outcome)
+    assert outcomes == {"inconclusive", "sharp_by_sweep"}
+
+
+def test_sweep_bound(monkeypatch):
+    # (d - alpha)/2 - 1 sizes: exactly the bound is swept, one more is refused
+    # before any size is decided
+    at_bound = SrgParams(648000, 140000 + 2 * (certify._SWEEP_BOUND + 1), 140000, 144000)
+    above = SrgParams(648000, 140000 + 2 * (certify._SWEEP_BOUND + 2), 140000, 144000)
+    monkeypatch.setattr(certify, "_cleared", lambda terms, b: (0, 0, 0, 0))
+    assert certify_curvature(at_bound).last_b == 2
+
+    def fail(*args):
+        raise AssertionError("sweep work before the bound check")
+
+    monkeypatch.setattr(certify, "_cleared", fail)
+    with pytest.raises(TooLargeError):
+        certify_curvature(above)
 
 
 def test_b_one_rules():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from llycurv import certify
 from llycurv.cli import main, parse_csv
 from llycurv.graphio import load_graph
 from llycurv.families import paley_graph, rook_graph
@@ -95,6 +97,42 @@ def test_certify_published_example(capsys):
     assert doc["outcome"] == "sharp_by_sweep"
     assert len(doc["sweep"]) == 40
     assert all(not row["feasible"] for row in doc["sweep"])
+
+
+@pytest.mark.parametrize(
+    "params, sha256",
+    [
+        ("324,152,70,72", "00d0bf4cb9774e20121eb04b4f0dd357402d28101059afd281f7520a1500ed03"),
+        ("21,10,4,5", "b937abc15db6f7533950832e8930b301ae19925bbc66f653c85b36afa7852c41"),
+    ],
+)
+def test_certify_transcript_bytes_pinned(capsys, params, sha256):
+    code, out, _ = run(capsys, "certify", "--params", params, "--sweep-transcript")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def _fail(*args):
+    raise AssertionError("work done before the size bound was checked")
+
+
+def test_certify_sweep_bound_exits_2(capsys, monkeypatch):
+    # the (324, 152, 70, 72) shape scaled by 10^7 needs 4.1e8 sweep sizes
+    monkeypatch.setattr(certify, "obstruction_quadratic", _fail)
+    monkeypatch.setattr(certify, "_cleared", _fail)
+    code, out, err = run(
+        capsys, "certify", "--params", "3240000000,1520000000,700000000,720000000",
+        "--sweep-transcript",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "TooLargeError"
+
+
+def test_scan_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(certify, "integral_multiplicities", _fail)
+    code, out, err = run(capsys, "scan", "--max-n", "4097")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "TooLargeError"
 
 
 def test_scan_csv_roundtrip(tmp_path, capsys):
