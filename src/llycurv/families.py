@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
+from typing import Iterable
 
 from .errors import (
     InvalidParamsError,
@@ -22,7 +24,8 @@ from .fields import FiniteField, _prime_divisors, is_nonzero_square, is_prime, m
 from .graphs import Graph, SrgParams, is_connected
 
 # P(q) has q(q-1)/4 edges and its build costs time and memory in proportion;
-# q = 1021 is the largest order inside the bound (about 2 s to build).
+# q = 1021 is the largest order inside the bound (about 0.15 s to build on a
+# 2-core machine).
 _PALEY_EDGE_BOUND = 2**18
 
 
@@ -62,20 +65,55 @@ def _paley_field(q: int) -> FiniteField:
     return make_field(*pm)
 
 
-def paley_graph(q: int) -> Graph:
-    """Vertices GF(q), u ~ v iff u - v is a nonzero square; needs q = 1 mod 4."""
-    field = _paley_field(q)
-    elements = list(field.elements())
-    squares = [e for e in elements if is_nonzero_square(field, e)]
-    # q = 1 mod 4 makes -1 a square, so u + s runs over all neighbors of u.
+def _translation(radices: tuple[int, ...], s: int) -> list[int]:
+    """Image of every index under u -> u + s in Z_r1 x ... x Z_rk.
+
+    Indices are mixed-radix with the first digit most significant, and the
+    sum is taken digit by digit; with radices (p,) * m this is the canonical
+    index of GF(p^m), whose addition is coefficient-wise mod p.
+    """
+    image, weight = [0], 1
+    for r in reversed(radices):  # least significant digit first
+        s, d = divmod(s, r)
+        highs = [(e + d) % r * weight for e in range(r)]
+        image = highs if weight == 1 else [high + low for high in highs for low in image]
+        weight *= r
+    return image
+
+
+def _cayley_graph(radices: tuple[int, ...], connection: Iterable[int]) -> Graph:
+    """Cayley graph of Z_r1 x ... x Z_rk: u ~ u + s for s in the connection set.
+
+    The connection set is given by index, must be closed under negation and
+    must not hold 0; each edge is taken at its smaller end.
+    """
     edges = []
-    for u in elements:
-        iu = u.index
-        for s in squares:
-            iv = (u + s).index
-            if iu < iv:
-                edges.append((iu, iv))
-    return Graph(q, edges)
+    for s in connection:
+        edges.extend((u, v) for u, v in enumerate(_translation(radices, s)) if u < v)
+    return Graph(prod(radices), edges)
+
+
+def _intersection_graph(n: int, k: int, meet: int) -> Graph:
+    """k-subsets of an n-set in lexicographic order, adjacent iff they share `meet` elements."""
+    verts = [set(s) for s in combinations(range(n), k)]
+    edges = [
+        (i, j)
+        for i, s in enumerate(verts)
+        for j in range(i + 1, len(verts))
+        if len(s & verts[j]) == meet
+    ]
+    return Graph(len(verts), edges)
+
+
+def paley_graph(q: int) -> Graph:
+    """Vertices GF(q), u ~ v iff u - v is a nonzero square; needs q = 1 mod 4.
+
+    q = 1 mod 4 makes -1 a square, so P(q) is the Cayley graph of the
+    additive group Z_p^m on the nonzero squares.
+    """
+    field = _paley_field(q)
+    squares = [e.index for e in field.elements() if is_nonzero_square(field, e)]
+    return _cayley_graph((field.p,) * field.m, squares)
 
 
 def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
@@ -88,6 +126,7 @@ def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
     The group they generate is transitive on the edges of P(q).
     """
     field = _paley_field(q)
+    p, m = field.p, field.m
     one = field.one
     # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1.
     g = next(
@@ -95,11 +134,10 @@ def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
         for e in field.elements()
         if not e.is_zero and all(e ** ((q - 1) // r) != one for r in _prime_divisors(q - 1))
     )
-    shifts = [field.element([int(i == k) for i in range(field.m)]) for k in range(field.m)]
+    # t^k has the index p^(m-1-k): the constant term is the leading digit.
+    maps = [tuple(_translation((p,) * m, p ** (m - 1 - k))) for k in range(m)]
     square = g * g
-    elements = list(field.elements())
-    maps = [tuple((e + b).index for e in elements) for b in shifts]
-    maps.append(tuple((square * e).index for e in elements))
+    maps.append(tuple((square * e).index for e in field.elements()))
     return tuple(maps)
 
 
@@ -107,93 +145,55 @@ def rook_graph(k: int) -> Graph:
     """Cartesian product of two complete graphs K_k; vertex (i,j) -> i*k+j."""
     if k < 2:
         raise InvalidParamsError("rook graph needs k >= 2")
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            v = i * k + j
-            for jj in range(j + 1, k):
-                edges.append((v, i * k + jj))
-            for ii in range(i + 1, k):
-                edges.append((v, ii * k + j))
-    return Graph(k * k, edges)
+    return _cayley_graph((k, k), [*range(1, k), *range(k, k * k, k)])
 
 
 def shrikhande_graph() -> Graph:
     """Cayley graph on Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}."""
-    conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-    edges = []
-    for a in range(4):
-        for b in range(4):
-            v = 4 * a + b
-            for da, db in conn:
-                w = 4 * ((a + da) % 4) + (b + db) % 4
-                if v < w:
-                    edges.append((v, w))
-    return Graph(16, edges)
+    return _cayley_graph((4, 4), [4, 12, 1, 3, 5, 15])
 
 
 def cocktail_party_graph(k: int) -> Graph:
-    """K_{2k} minus the perfect matching {(2i, 2i+1)}."""
+    """K_{2k} minus the perfect matching {(2i, 2i+1)}: Z_k x Z_2 without (0, 1)."""
     if k < 2:
         raise InvalidParamsError("cocktail party graph needs k >= 2")
-    n = 2 * k
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if v != u + 1 or u % 2 == 1]
-    return Graph(n, edges)
+    return _cayley_graph((k, 2), range(2, 2 * k))
 
 
 def johnson_graph(n: int, k: int) -> Graph:
     """k-subsets of an n-set, adjacent iff the intersection has size k-1."""
     if not (1 <= k <= n):
         raise InvalidParamsError(f"johnson graph needs 1 <= k <= n, got ({n},{k})")
-    verts = list(combinations(range(n), k))
-    index = {s: i for i, s in enumerate(verts)}
-    edges = []
-    for i, s in enumerate(verts):
-        sset = set(s)
-        for t in verts[i + 1 :]:
-            if len(sset.intersection(t)) == k - 1:
-                edges.append((i, index[t]))
-    return Graph(len(verts), edges)
+    return _intersection_graph(n, k, k - 1)
 
 
 def petersen_graph() -> Graph:
     """Kneser graph on 2-subsets of a 5-set: adjacent iff disjoint."""
-    verts = list(combinations(range(5), 2))
-    index = {s: i for i, s in enumerate(verts)}
-    edges = []
-    for i, s in enumerate(verts):
-        for t in verts[i + 1 :]:
-            if not set(s).intersection(t):
-                edges.append((i, index[t]))
-    return Graph(10, edges)
+    return _intersection_graph(5, 2, 0)
 
 
 def clebsch_graph() -> Graph:
     """Halved 5-cube: even-weight 5-bit strings, adjacent at Hamming distance 2.
 
-    This is the (16, 10, 6, 6) realization; since that parameter set has a
-    unique graph, the classifier signature is the whole correctness check.
+    Vertex i is the even-weight string v with i = v >> 1, so the graph is
+    the Cayley graph of Z_2^4 on the s of popcount 1 or 2 (v ^ w has weight
+    popcount(s) rounded up to even). This is the (16, 10, 6, 6)
+    realization; since that parameter set has a unique graph, the
+    classifier signature is the whole correctness check.
     """
-    verts = [v for v in range(32) if bin(v).count("1") % 2 == 0]
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for i, v in enumerate(verts):
-        for w in verts[i + 1 :]:
-            if bin(v ^ w).count("1") == 2:
-                edges.append((i, index[w]))
-    return Graph(16, edges)
+    return _cayley_graph((2,) * 4, [s for s in range(1, 16) if bin(s).count("1") <= 2])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidParamsError("cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return _cayley_graph((n,), [1, n - 1])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidParamsError("complete graph needs n >= 1")
-    return Graph(n, combinations(range(n), 2))
+    return _cayley_graph((n,), range(1, n))
 
 
 def hypercube_graph(m: int) -> Graph:
@@ -201,9 +201,7 @@ def hypercube_graph(m: int) -> Graph:
         raise InvalidParamsError("hypercube needs m >= 1")
     if m > 16:
         raise TooLargeError("hypercube dimension capped at 16")
-    n = 1 << m
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(m) if v < v ^ (1 << b)]
-    return Graph(n, edges)
+    return _cayley_graph((2,) * m, [1 << b for b in range(m)])
 
 
 _FAMILIES = {

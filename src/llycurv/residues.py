@@ -19,7 +19,7 @@ from typing import Callable, Collection, Iterable
 
 from .errors import InvalidOrderError, InvalidPairError, TooLargeError
 from .families import paley_graph, prime_power_decomposition
-from .fields import FieldElement, FiniteField, is_nonzero_square, make_field
+from .fields import FieldElement, FiniteField, is_nonzero_square
 from .graphs import Graph, decompose_edge, neighbor_masks
 
 # Building P(q) and its bitmasks costs O(q^2) time and memory.
@@ -142,8 +142,7 @@ def verify_corollary(
     with integer neighbor bitmasks the test is one AND per N_x vertex of S.
     find_pattern_witness is the independent field-arithmetic reference.
     """
-    pm = prime_power_decomposition(q)
-    if pm is None or q % 4 != 1 or q <= 5:
+    if prime_power_decomposition(q) is None or q % 4 != 1 or q <= 5:
         raise InvalidOrderError(f"need a prime power q = 1 mod 4 with q > 5, got {q}")
     if q > _ORDER_BOUND:
         raise TooLargeError(f"order {q} exceeds the corollary bound {_ORDER_BOUND}")
@@ -162,8 +161,9 @@ def verify_corollary(
             raise InvalidOrderError(f"sampled mode needs trials >= 1, got {trials}")
     else:
         raise InvalidOrderError(f"unknown mode {mode!r}")
-    x, y = (e.index for e in canonical_pair(make_field(*pm)))
-    pattern_free = pattern_free_kernel(paley_graph(q), x, y)
+    g = paley_graph(q)
+    x, y = 0, g.neighbors(0)[0]  # canonical_pair: 0 and the index-smallest nonzero square
+    pattern_free = pattern_free_kernel(g, x, y)
     universe = [v for v in range(q) if v != x and v != y]
     failures: list[tuple[int, ...]] = []
     tested = 0

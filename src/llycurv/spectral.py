@@ -67,11 +67,6 @@ class SpectrumReport:
     m2: int
     m3: int
 
-    @property
-    def lambda1(self) -> Fraction:
-        """The trivial eigenvalue; 0 for every connected graph."""
-        return Fraction(0)
-
 
 def integral_multiplicities(n: int, d: int, alpha: int, beta: int) -> tuple[int, int] | None:
     """(m2, m3) when both are positive integers, else None.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from llycurv import families
@@ -24,7 +26,9 @@ from llycurv.families import (
     random_regular_graph,
     rook_graph,
 )
-from llycurv.graphs import SrgParams, bfs_distances, classify_regularity
+from llycurv.fields import FieldElement, make_field
+from llycurv.graphs import Graph, SrgParams, bfs_distances, classify_regularity
+from llycurv.residues import square_index_set
 
 
 def test_prime_power_decomposition():
@@ -95,6 +99,7 @@ def test_paley_automorphisms_are_affine_generators(q):
     # the adjacency; the multiplier cycles the (q-1)/2 nonzero squares.
     p, m = prime_power_decomposition(q)
     maps = paley_automorphisms(q)
+    assert maps == _affine_oracle(q)
     assert len(maps) == m + 1
     g = paley_graph(q)
     edges = set(g.edges())
@@ -109,6 +114,112 @@ def test_paley_automorphisms_are_affine_generators(q):
         orbit.add(v)
         v = multiplier[v]
     assert orbit == squares
+
+
+def _by_predicate(n, adjacent):
+    """The graph on 0..n-1 with u ~ v iff adjacent(u, v), tested on every pair."""
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if adjacent(u, v)])
+
+
+def _paley_oracle(q):
+    field = make_field(*prime_power_decomposition(q))
+    squares = square_index_set(field)
+    elements = list(field.elements())
+    return _by_predicate(q, lambda u, v: (elements[u] - elements[v]).index in squares)
+
+
+def _rook_oracle(k):
+    return _by_predicate(k * k, lambda u, v: u // k == v // k or u % k == v % k)
+
+
+def _shrikhande_oracle():
+    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+
+    def adjacent(u, v):
+        (a, b), (c, d) = divmod(u, 4), divmod(v, 4)
+        return ((c - a) % 4, (d - b) % 4) in conn
+
+    return _by_predicate(16, adjacent)
+
+
+def _cocktail_party_oracle(k):
+    return _by_predicate(2 * k, lambda u, v: u // 2 != v // 2)
+
+
+def _subset_oracle(n, k, meet):
+    verts = list(combinations(range(n), k))
+    return _by_predicate(len(verts), lambda u, v: len(set(verts[u]) & set(verts[v])) == meet)
+
+
+def _clebsch_oracle():
+    verts = [v for v in range(32) if bin(v).count("1") % 2 == 0]
+    return _by_predicate(16, lambda u, v: bin(verts[u] ^ verts[v]).count("1") == 2)
+
+
+# family -> (parameter sets, the graph built pair by pair from its definition)
+_ORACLES = {
+    "paley": ([{"q": q} for q in (5, 9, 13, 25, 49, 81, 125)], _paley_oracle),
+    "rook": ([{"k": k} for k in (2, 3, 5)], _rook_oracle),
+    "shrikhande": ([{}], _shrikhande_oracle),
+    "cocktail_party": ([{"k": k} for k in (2, 3, 6)], _cocktail_party_oracle),
+    "johnson": (
+        [{"n": 4, "k": 1}, {"n": 5, "k": 2}, {"n": 6, "k": 3}],
+        lambda n, k: _subset_oracle(n, k, k - 1),
+    ),
+    "clebsch": ([{}], _clebsch_oracle),
+    "petersen": ([{}], lambda: _subset_oracle(5, 2, 0)),
+    "cycle": (
+        [{"n": n} for n in (3, 4, 7)],
+        lambda n: _by_predicate(n, lambda u, v: (v - u) % n in (1, n - 1)),
+    ),
+    "complete": ([{"n": n} for n in (1, 2, 6)], lambda n: _by_predicate(n, lambda u, v: True)),
+    "hypercube": (
+        [{"m": m} for m in (1, 3, 5)],
+        lambda m: _by_predicate(1 << m, lambda u, v: bin(u ^ v).count("1") == 1),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, params) for name, (sets, _) in _ORACLES.items() for params in sets],
+    ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v.values())),
+)
+def test_family_numbering_matches_its_definition(name, params):
+    assert named_graph(name, **params) == _ORACLES[name][1](**params)
+
+
+def test_oracles_cover_every_family():
+    assert set(_ORACLES) == set(families.family_names())
+
+
+def _affine_oracle(q):
+    """Basis translations and t -> g^2 t by FieldElement + and *, g of order q - 1."""
+    field = make_field(*prime_power_decomposition(q))
+    elements = list(field.elements())
+
+    def order(e):
+        k, power = 1, e
+        while power != field.one:
+            k, power = k + 1, power * e
+        return k
+
+    g = next(e for e in elements if not e.is_zero and order(e) == q - 1)
+    basis = [field.element([int(i == k) for i in range(field.m)]) for k in range(field.m)]
+    maps = [tuple((e + b).index for e in elements) for b in basis]
+    maps.append(tuple((g * g * e).index for e in elements))
+    return tuple(maps)
+
+
+@pytest.mark.parametrize("q", [13, 49, 125])
+def test_paley_builds_without_field_addition(monkeypatch, q):
+    expected = (_paley_oracle(q), _affine_oracle(q))
+
+    def forbidden(self, other):
+        raise AssertionError("FieldElement addition while building P(q)")
+
+    monkeypatch.setattr(FieldElement, "__add__", forbidden)
+    assert (paley_graph(q), paley_automorphisms(q)) == expected
 
 
 def test_named_graph_dispatch():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from llycurv.errors import InvalidParamsError
 from llycurv.families import catalog, paley_graph, petersen_graph
-from llycurv.graphio import from_graph6, from_json, to_graph6, to_json
+from llycurv.graphio import from_graph6, from_json, load_graph, save_graph, to_graph6, to_json
 from llycurv.graphs import Graph
 
 
@@ -70,6 +70,31 @@ def test_json_roundtrip_and_determinism():
 def test_json_edges_sorted():
     g = Graph(4, [(3, 2), (1, 0)])
     assert to_json(g) == '{"edges":[[0,1],[2,3]],"n":4}\n'
+
+
+@pytest.mark.parametrize(
+    "name, fmt, written",
+    [
+        ("p13.g6", None, "graph6"),
+        ("p13.txt", "graph6", "graph6"),
+        ("p13.json", None, "json"),  # inferred from the suffix
+        ("p13.data", "json", "json"),
+    ],
+)
+def test_save_graph_round_trips_through_load_graph(tmp_path, name, fmt, written):
+    g = paley_graph(13)
+    path = tmp_path / name
+    save_graph(g, path, fmt)
+    expected = to_json(g) if written == "json" else to_graph6(g) + "\n"
+    assert path.read_text() == expected
+    assert load_graph(path) == g
+    assert load_graph(str(path), written) == g
+
+
+def test_save_graph_rejects_unknown_format(tmp_path):
+    with pytest.raises(InvalidParamsError):
+        save_graph(petersen_graph(), tmp_path / "g.json", "dot")
+    assert not (tmp_path / "g.json").exists()
 
 
 @settings(max_examples=60, deadline=None)

@@ -43,6 +43,13 @@ def test_canonical_pair_q13():
     assert (x.index, y.index) == (0, 1)  # 1 is the smallest square mod 13
 
 
+@pytest.mark.parametrize("q", [q for q in range(9, 50, 4) if prime_power_decomposition(q)])
+def test_verify_corollary_reads_the_canonical_pair_from_the_graph(q):
+    x, y = canonical_pair(make_field(*prime_power_decomposition(q)))
+    report = verify_corollary(q, mode="sampled", seed=0, trials=1)
+    assert report.pair == (x.index, y.index)
+
+
 def test_witness_exists_for_a_maximal_subset_q13():
     f = make_field(13)
     x, y = f.element(0), f.element(1)
