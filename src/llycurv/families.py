@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
-from typing import Iterable
+from math import comb, prod
+from typing import Collection
 
 from .errors import (
     InvalidParamsError,
@@ -20,48 +20,46 @@ from .errors import (
     TooLargeError,
     UnknownFamilyError,
 )
-from .fields import FiniteField, _prime_divisors, is_nonzero_square, is_prime, make_field
+from .fields import FiniteField, _prime_divisors, is_prime, make_field, square_index_set
 from .graphs import Graph, SrgParams, is_connected
 
-# P(q) has q(q-1)/4 edges and its build costs time and memory in proportion;
-# q = 1021 is the largest order inside the bound (about 0.15 s to build on a
-# 2-core machine).
-_PALEY_EDGE_BOUND = 2**18
+# A family's build costs time and memory in proportion to its edges (or, for
+# the k-subset families, to the vertex pairs tested), so one bound covers
+# every family; P(1021), the largest Paley graph inside it, builds in about
+# 0.15 s on a 2-core machine.
+_EDGE_BOUND = 2**18
+
+
+def _check_edges(count: int, what: str, unit: str = "edges") -> None:
+    if count > _EDGE_BOUND:
+        raise TooLargeError(f"{what} has {count} {unit}, above the bound {_EDGE_BOUND}")
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     """Return (p, m) with q = p^m, or None when q is not a prime power."""
-    if q < 2:
+    divisors = _prime_divisors(q)
+    if len(divisors) != 1:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p:
-            continue
-        m = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            m += 1
-        return (p, m) if rest == 1 else None
-    return (q, 1)  # q itself prime
+    p, m = divisors[0], 1
+    while p**m < q:
+        m += 1
+    return p, m
 
 
 def _check_paley_size(q: int) -> None:
-    if q * (q - 1) // 4 > _PALEY_EDGE_BOUND:
-        raise TooLargeError(
-            f"Paley order {q} has {q * (q - 1) // 4} edges, above the bound {_PALEY_EDGE_BOUND}"
-        )
+    """P(q) has q(q-1)/4 edges; callers check this before they factor q."""
+    if q > 1:
+        _check_edges(q * (q - 1) // 4, f"Paley order {q}")
 
 
 def _paley_field(q: int) -> FiniteField:
     """GF(q) for a valid Paley order, checked against the size bound first."""
+    _check_paley_size(q)
     pm = prime_power_decomposition(q)
     if pm is None:
         raise NotPrimePowerError(f"{q} is not a prime power")
     if q % 4 != 1:
         raise NotPaleyOrderError(f"{q} is not congruent to 1 mod 4")
-    _check_paley_size(q)
     return make_field(*pm)
 
 
@@ -81,20 +79,28 @@ def _translation(radices: tuple[int, ...], s: int) -> list[int]:
     return image
 
 
-def _cayley_graph(radices: tuple[int, ...], connection: Iterable[int]) -> Graph:
+def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Graph:
     """Cayley graph of Z_r1 x ... x Z_rk: u ~ u + s for s in the connection set.
 
     The connection set is given by index, must be closed under negation and
-    must not hold 0; each edge is taken at its smaller end.
+    must not hold 0; each edge is taken at its smaller end.  The n |S| / 2
+    edges are checked against the bound before any is built.
     """
+    n = prod(radices)
+    _check_edges(n * len(connection) // 2, f"a Cayley graph of order {n} and degree {len(connection)}")
     edges = []
     for s in connection:
         edges.extend((u, v) for u, v in enumerate(_translation(radices, s)) if u < v)
-    return Graph(prod(radices), edges)
+    return Graph(n, edges)
 
 
 def _intersection_graph(n: int, k: int, meet: int) -> Graph:
-    """k-subsets of an n-set in lexicographic order, adjacent iff they share `meet` elements."""
+    """k-subsets of an n-set in lexicographic order, adjacent iff they share `meet` elements.
+
+    Every pair of subsets is tested, so the pair count is checked against the
+    bound first.
+    """
+    _check_edges(comb(comb(n, k), 2), f"the graph on the {k}-subsets of a {n}-set", "pairs to test")
     verts = [set(s) for s in combinations(range(n), k)]
     edges = [
         (i, j)
@@ -112,8 +118,7 @@ def paley_graph(q: int) -> Graph:
     additive group Z_p^m on the nonzero squares.
     """
     field = _paley_field(q)
-    squares = [e.index for e in field.elements() if is_nonzero_square(field, e)]
-    return _cayley_graph((field.p,) * field.m, squares)
+    return _cayley_graph((field.p,) * field.m, square_index_set(field))
 
 
 def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
@@ -199,8 +204,9 @@ def complete_graph(n: int) -> Graph:
 def hypercube_graph(m: int) -> Graph:
     if m < 1:
         raise InvalidParamsError("hypercube needs m >= 1")
-    if m > 16:
-        raise TooLargeError("hypercube dimension capped at 16")
+    # from m = 19 on, 2^m vertices of degree m pass the bound: stop before m-sized radices
+    if m >= _EDGE_BOUND.bit_length():
+        raise TooLargeError(f"hypercube({m}) has more than {_EDGE_BOUND} edges")
     return _cayley_graph((2,) * m, [1 << b for b in range(m)])
 
 

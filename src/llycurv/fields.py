@@ -11,28 +11,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from .errors import NotPrimeError, TooLargeError
 
-_FIELD_BOUND = 2**32
+_FIELD_BOUND = 2**16
 
 Poly = tuple[int, ...]  # low-degree-first, no trailing zeros
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+    return _prime_divisors(n) == [n]
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; the one trial-division loop."""
+    out = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _trim(coeffs: list[int]) -> Poly:
@@ -74,84 +79,27 @@ def _poly_powmod(base: Poly, exp: int, modulus: Poly, p: int) -> Poly:
     return result
 
 
-def _poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
-    while b:
-        # a mod b with b made monic on the fly
-        inv_lead = pow(b[-1], p - 2, p)
-        bb = tuple((c * inv_lead) % p for c in b)
-        r = list(a)
-        while len(r) >= len(bb) and _trim(list(r)):
-            r = list(_trim(r))
-            if len(r) < len(bb):
-                break
-            c = r[-1]
-            shift = len(r) - len(bb)
-            for j, bj in enumerate(bb):
-                r[shift + j] = (r[shift + j] - c * bj) % p
-            r = list(_trim(r))
-        a, b = b, _trim(r)
-    return a
-
-
-def _is_irreducible(modulus: Poly, p: int) -> bool:
-    """Rabin's test: x^(p^m) = x mod f, and gcd(x^(p^(m/r)) - x, f) = 1."""
-    m = len(modulus) - 1
-    if m < 1:
-        return False
-    x: Poly = (0, 1)
-    if _poly_powmod(x, p**m, modulus, p) != _poly_mod(list(x), modulus, p):
-        return False
-    for r in _prime_divisors(m):
-        h = _poly_powmod(x, p ** (m // r), modulus, p)
-        diff = _poly_sub(h, _poly_mod(list(x), modulus, p), p)
-        if len(_poly_gcd(modulus, diff, p)) > 1:
-            return False
-    return True
-
-
-def _poly_sub(a: Poly, b: Poly, p: int) -> Poly:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _monic_polys(p: int, degree: int) -> Iterator[Poly]:
+    """Monic polynomials of one degree over GF(p), constant term varying fastest."""
+    for digits in product(range(p), repeat=degree):  # last digit varies fastest
+        yield tuple(reversed(digits)) + (1,)
 
 
 def _canonical_modulus(p: int, m: int) -> Poly:
     """First monic irreducible of degree m, varying the constant term fastest.
 
     The resulting order tries t^m + c before t^m + t + c and so on, which
-    pins GF(9) to t^2 + 1 and GF(25) to t^2 + 2.
+    pins GF(9) to t^2 + 1 and GF(25) to t^2 + 2.  A candidate is irreducible
+    iff no monic polynomial of degree at most m/2 divides it; with
+    p^m <= _FIELD_BOUND that is at most 2 p^(m/2) <= 512 trial divisors.
     """
     if m == 1:
         return (0, 1)  # the polynomial t; arithmetic is plain mod p
-    counters = [0] * m
-    while True:
-        candidate = tuple(counters) + (1,)
-        if _is_irreducible(candidate, p):
-            return candidate
-        for i in range(m):
-            counters[i] += 1
-            if counters[i] < p:
-                break
-            counters[i] = 0
-        else:  # wrapped around without finding one; cannot happen
-            raise AssertionError(f"no irreducible of degree {m} over GF({p})")
+    return next(
+        f
+        for f in _monic_polys(p, m)
+        if all(_poly_mod(list(f), d, p) for k in range(1, m // 2 + 1) for d in _monic_polys(p, k))
+    )
 
 
 @dataclass(frozen=True)
@@ -254,14 +202,29 @@ class FiniteField:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FiniteField:
-    """Construct GF(p^m) with the canonical (smallest) irreducible modulus."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    """Construct GF(p^m) with the canonical (smallest) irreducible modulus.
+
+    The order is checked against _FIELD_BOUND before p is tested for
+    primality; every prime is at least 2, so an m past log2 of the bound is
+    rejected without computing p^m.
+    """
     if m < 1:
         raise TooLargeError(f"extension degree must be >= 1, got {m}")
-    if p**m > _FIELD_BOUND:
+    if m >= _FIELD_BOUND.bit_length() or p**m > _FIELD_BOUND:
         raise TooLargeError(f"field order {p}^{m} exceeds bound {_FIELD_BOUND}")
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
     return FiniteField(p=p, m=m, modulus=_canonical_modulus(p, m))
+
+
+@lru_cache(maxsize=None)
+def square_index_set(field: FiniteField) -> frozenset[int]:
+    """Indices of the nonzero squares, obtained by squaring every element.
+
+    This is the route the program uses; is_nonzero_square (the Euler
+    criterion) is the independent one, and the test suite checks they agree.
+    """
+    return frozenset((e * e).index for e in field.elements() if not e.is_zero)
 
 
 def is_nonzero_square(field: FiniteField, a: FieldElement) -> bool:

@@ -12,30 +12,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Collection, Iterable
 
 from .errors import InvalidOrderError, InvalidPairError, TooLargeError
-from .families import paley_graph, prime_power_decomposition
-from .fields import FieldElement, FiniteField, is_nonzero_square
+from .families import _check_paley_size, paley_graph, prime_power_decomposition
+from .fields import FieldElement, FiniteField, is_nonzero_square, square_index_set
 from .graphs import Graph, decompose_edge, neighbor_masks
 
-# Building P(q) and its bitmasks costs O(q^2) time and memory.
-_ORDER_BOUND = 2**10
 # Exhaustive mode runs at q = 29 (397,594 subsets); q = 37 would need 32 million.
 _EXHAUSTIVE_SUBSET_BOUND = 10**6
-
-
-@lru_cache(maxsize=None)
-def square_index_set(field: FiniteField) -> frozenset[int]:
-    """Indices of the nonzero squares, obtained by squaring every element.
-
-    Independent of the Euler-criterion route in fields.is_nonzero_square;
-    the test suite checks the two agree.
-    """
-    return frozenset((e * e).index for e in field.elements() if not e.is_zero)
 
 
 def find_pattern_witness(
@@ -141,11 +128,12 @@ def verify_corollary(
     canonical edge (x, y) is an edge of P(q) from N_x to N_y inside S, so
     with integer neighbor bitmasks the test is one AND per N_x vertex of S.
     find_pattern_witness is the independent field-arithmetic reference.
+    P(q) is held in memory, so q is checked against the Paley edge bound
+    before it is factored.
     """
-    if prime_power_decomposition(q) is None or q % 4 != 1 or q <= 5:
+    _check_paley_size(q)
+    if q <= 5 or q % 4 != 1 or prime_power_decomposition(q) is None:
         raise InvalidOrderError(f"need a prime power q = 1 mod 4 with q > 5, got {q}")
-    if q > _ORDER_BOUND:
-        raise TooLargeError(f"order {q} exceeds the corollary bound {_ORDER_BOUND}")
     sizes = range(subset_threshold(q), q - 1)  # universe is GF(q) minus x, y
     if mode == "exhaustive":
         total = sum(comb(q - 2, s) for s in sizes)

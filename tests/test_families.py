@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import pytest
 
-from llycurv import families
+from llycurv import families, fields, residues
+from llycurv.cli import main
 from llycurv.errors import (
     InvalidParamsError,
     NotPaleyOrderError,
@@ -26,9 +28,8 @@ from llycurv.families import (
     random_regular_graph,
     rook_graph,
 )
-from llycurv.fields import FieldElement, make_field
+from llycurv.fields import FieldElement, is_nonzero_square, make_field
 from llycurv.graphs import Graph, SrgParams, bfs_distances, classify_regularity
-from llycurv.residues import square_index_set
 
 
 def test_prime_power_decomposition():
@@ -67,16 +68,77 @@ def test_paley_rejects_bad_orders():
         paley_graph(21)
 
 
-def test_paley_edge_bound_rejects_before_field_work(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("built a field past the Paley edge bound")
+def _forbidden(*args):
+    raise AssertionError("work done past the edge bound")
 
-    monkeypatch.setattr(families, "make_field", forbidden)
-    for q in (1033, 65521):  # 266,514 and about 1.07e9 edges
+
+@pytest.mark.parametrize("q", [1033, 65521, 998244359987710471])
+def test_paley_edge_bound_rejects_before_factoring(monkeypatch, capsys, q):
+    # 266,514 edges, about 1.07e9, and an order with no prime factor below
+    # 3 * 10^7, whose trial division would take minutes: each is rejected
+    # before q is factored.
+    monkeypatch.setattr(families, "make_field", _forbidden)
+    for module in (families, residues):
+        monkeypatch.setattr(module, "prime_power_decomposition", _forbidden)
+    for module in (families, fields):
+        monkeypatch.setattr(module, "_prime_divisors", _forbidden)
+    for build in (paley_graph, paley_automorphisms, residues.verify_corollary):
         with pytest.raises(TooLargeError):
-            paley_graph(q)
-        with pytest.raises(TooLargeError):
-            paley_automorphisms(q)
+            build(q)
+    for argv in (["gen", "--name", "paley", "--q", str(q)], ["corollary", "--q", str(q)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "TooLargeError"
+
+
+# Each family at the first size past the edge bound (for the k-subset
+# families, past it in vertex pairs to test), then sizes far past it whose
+# builds would run for minutes or exhaust memory, and a hypercube dimension
+# whose radices alone would not fit in memory.
+_PAST_THE_BOUND = [
+    ("paley", {"q": 1033}),  # 266,514 edges
+    ("rook", {"k": 65}),  # 270,400 edges
+    ("cocktail_party", {"k": 363}),  # 262,812 edges
+    ("johnson", {"n": 725, "k": 1}),  # 262,450 pairs
+    ("cycle", {"n": 2**18 + 1}),
+    ("complete", {"n": 725}),  # 262,450 edges
+    ("hypercube", {"m": 16}),  # 524,288 edges
+    ("johnson", {"n": 20, "k": 10}),
+    ("complete", {"n": 30000}),
+    ("rook", {"k": 600}),
+    ("cycle", {"n": 30000000}),
+    ("hypercube", {"m": 17}),
+    ("hypercube", {"m": 10**12}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    _PAST_THE_BOUND,
+    ids=[f"{n}-{','.join(map(str, p.values()))}" for n, p in _PAST_THE_BOUND],
+)
+def test_every_family_is_bounded_before_building(monkeypatch, capsys, name, params):
+    monkeypatch.setattr(families, "_translation", _forbidden)
+    monkeypatch.setattr(families, "combinations", _forbidden)
+    with pytest.raises(TooLargeError):
+        named_graph(name, **params)
+    argv = ["gen", "--name", name]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "TooLargeError"
+
+
+def test_families_build_at_the_edge_bound():
+    # the last size inside the bound, one below each entry of _PAST_THE_BOUND
+    assert paley_graph(1021).edge_count == 260_355
+    assert rook_graph(64).edge_count == 258_048
+    assert cocktail_party_graph(362).edge_count == 261_364
+    assert named_graph("cycle", n=2**18).edge_count == 2**18
+    assert named_graph("hypercube", m=15).edge_count == 245_760
+    for name, params in (("johnson", {"n": 724, "k": 1}), ("complete", {"n": 724})):
+        assert named_graph(name, **params).edge_count == 261_726
 
 
 def test_paley_gamma_orders_bounded_up_front(monkeypatch):
@@ -122,10 +184,10 @@ def _by_predicate(n, adjacent):
 
 
 def _paley_oracle(q):
+    # the Euler criterion, independent of the squaring that paley_graph uses
     field = make_field(*prime_power_decomposition(q))
-    squares = square_index_set(field)
     elements = list(field.elements())
-    return _by_predicate(q, lambda u, v: (elements[u] - elements[v]).index in squares)
+    return _by_predicate(q, lambda u, v: is_nonzero_square(field, elements[u] - elements[v]))
 
 
 def _rook_oracle(k):

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from llycurv import fields
 from llycurv.errors import NotPrimeError, TooLargeError
+from llycurv.families import prime_power_decomposition
 from llycurv.fields import is_nonzero_square, is_prime, make_field
+
+# The canonical modulus of every GF(p^m) with m >= 2 and p^m <= 2^16,
+# recorded with Rabin's irreducibility test, an independent route to the
+# same choice.
+MODULI = Path(__file__).parent / "data" / "field_moduli.json"
 
 
 def test_make_field_prime():
@@ -76,14 +86,47 @@ def test_canonical_modulus_matches_brute_force_enumeration(p, m):
     assert make_field(p, m).modulus == expected
 
 
+def test_canonical_moduli_pinned():
+    pinned = json.loads(MODULI.read_text())
+    extensions = [
+        (p, m) for p in range(2, 2**8 + 1) if is_prime(p) for m in range(2, 17) if p**m <= 2**16
+    ]
+    assert [(p, m) for p, m, _ in pinned] == extensions
+    for p, m, modulus in pinned:
+        assert make_field(p, m).modulus == tuple(modulus), (p, m)
+
+
+def test_is_prime_and_prime_powers_match_brute_force():
+    def brute_prime(n):
+        return n >= 2 and all(n % d for d in range(2, n))
+
+    primes = [n for n in range(5001) if brute_prime(n)]
+    powers = {p**m: (p, m) for p in primes for m in range(1, 13) if p**m <= 5000}
+    for n in range(5001):
+        assert is_prime(n) == brute_prime(n), n
+        assert prime_power_decomposition(n) == powers.get(n), n
+
+
+def _forbidden(*args):
+    raise AssertionError("primality or modulus work before the field bound was checked")
+
+
+@pytest.mark.parametrize("p, m", [(2, 17), (2, 33), (65537, 1), (2, 10**9)])
+def test_make_field_rejects_huge_order(monkeypatch, p, m):
+    for name in ("is_prime", "_prime_divisors", "_canonical_modulus"):
+        monkeypatch.setattr(fields, name, _forbidden)
+    with pytest.raises(TooLargeError):
+        make_field(p, m)
+
+
+def test_make_field_builds_at_the_bound():
+    assert make_field(65521).q == 65521
+    assert make_field(2, 16).q == 2**16
+
+
 def test_make_field_rejects_non_prime():
     with pytest.raises(NotPrimeError):
         make_field(9)
-
-
-def test_make_field_rejects_huge_order():
-    with pytest.raises(TooLargeError):
-        make_field(2, 33)
 
 
 def test_is_prime_small_values():
