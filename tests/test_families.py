@@ -72,8 +72,7 @@ def _forbidden(*args):
     raise AssertionError("work done past the edge bound")
 
 
-@pytest.mark.parametrize("q", [1033, 65521, 998244359987710471])
-def test_paley_edge_bound_rejects_before_factoring(monkeypatch, capsys, q):
+def test_paley_edge_bound_rejects_before_field_work(monkeypatch, capsys):
     # 266,514 edges, about 1.07e9, and an order with no prime factor below
     # 3 * 10^7, whose trial division would take minutes: each is rejected
     # before q is factored.
@@ -82,13 +81,14 @@ def test_paley_edge_bound_rejects_before_factoring(monkeypatch, capsys, q):
         monkeypatch.setattr(module, "prime_power_decomposition", _forbidden)
     for module in (families, fields):
         monkeypatch.setattr(module, "_prime_divisors", _forbidden)
-    for build in (paley_graph, paley_automorphisms, residues.verify_corollary):
-        with pytest.raises(TooLargeError):
-            build(q)
-    for argv in (["gen", "--name", "paley", "--q", str(q)], ["corollary", "--q", str(q)]):
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and json.loads(err)["error"] == "TooLargeError"
+    for q in (1033, 65521, 998244359987710471):
+        for build in (paley_graph, paley_automorphisms, residues.verify_corollary):
+            with pytest.raises(TooLargeError):
+                build(q)
+        for argv in (["gen", "--name", "paley", "--q", str(q)], ["corollary", "--q", str(q)]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err)["error"] == "TooLargeError"
 
 
 # Each family at the first size past the edge bound (for the k-subset

@@ -111,12 +111,12 @@ def _forbidden(*args):
     raise AssertionError("primality or modulus work before the field bound was checked")
 
 
-@pytest.mark.parametrize("p, m", [(2, 17), (2, 33), (65537, 1), (2, 10**9)])
-def test_make_field_rejects_huge_order(monkeypatch, p, m):
+def test_make_field_rejects_huge_order(monkeypatch):
     for name in ("is_prime", "_prime_divisors", "_canonical_modulus"):
         monkeypatch.setattr(fields, name, _forbidden)
-    with pytest.raises(TooLargeError):
-        make_field(p, m)
+    for p, m in ((2, 17), (2, 33), (65537, 1), (2, 10**9)):
+        with pytest.raises(TooLargeError):
+            make_field(p, m)
 
 
 def test_make_field_builds_at_the_bound():
