@@ -100,7 +100,10 @@ def _intersection_graph(n: int, k: int, meet: int) -> Graph:
     Every pair of subsets is tested, so the pair count is checked against the
     bound first.
     """
-    _check_edges(comb(comb(n, k), 2), f"the graph on the {k}-subsets of a {n}-set", "pairs to test")
+    what = f"the graph on the {k}-subsets of a {n}-set"
+    if 0 < k < n:  # at least n subsets: a large n is rejected before C(n, k) is computed
+        _check_edges(comb(n, 2), what, "or more pairs to test")
+    _check_edges(comb(comb(n, k), 2), what, "pairs to test")
     verts = [set(s) for s in combinations(range(n), k)]
     edges = [
         (i, j)
@@ -150,6 +153,7 @@ def rook_graph(k: int) -> Graph:
     """Cartesian product of two complete graphs K_k; vertex (i,j) -> i*k+j."""
     if k < 2:
         raise InvalidParamsError("rook graph needs k >= 2")
+    _check_edges(k * k * (k - 1), f"rook({k})")
     return _cayley_graph((k, k), [*range(1, k), *range(k, k * k, k)])
 
 
@@ -162,6 +166,7 @@ def cocktail_party_graph(k: int) -> Graph:
     """K_{2k} minus the perfect matching {(2i, 2i+1)}: Z_k x Z_2 without (0, 1)."""
     if k < 2:
         raise InvalidParamsError("cocktail party graph needs k >= 2")
+    _check_edges(2 * k * (k - 1), f"cocktail_party({k})")
     return _cayley_graph((k, 2), range(2, 2 * k))
 
 
@@ -198,6 +203,7 @@ def cycle_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidParamsError("complete graph needs n >= 1")
+    _check_edges(n * (n - 1) // 2, f"complete({n})")
     return _cayley_graph((n,), range(1, n))
 
 

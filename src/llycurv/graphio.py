@@ -1,18 +1,24 @@
 """Graph serialization: header-less graph6 and a JSON adjacency document.
 
 Both writers are byte-deterministic; edges in the JSON form are sorted
-lexicographically with u < v.
+lexicographically with u < v.  Both readers check the vertex and the edge
+count against the families' edge bound before they build anything.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
-from .errors import InvalidParamsError, TooLargeError
-from .graphs import Graph
+from .errors import InvalidParamsError, LlycurvError, TooLargeError
+from .families import _check_edges
+from .graphs import Graph, neighbor_masks
 
 _G6_MAX = 2**36 - 1
+_GRAPH6 = re.compile("[?-~]*")  # characters 63..126
+_G6_VALUES = bytes((b - 63) % 256 for b in range(256))
+_SIX_BITS = tuple(format(v, "06b") for v in range(64))
 
 
 def _encode_size(n: int) -> list[int]:
@@ -46,42 +52,35 @@ def _decode_size(data: bytes) -> tuple[int, int]:
 
 def to_graph6(g: Graph) -> str:
     """Encode in the standard header-less graph6 format."""
-    out = _encode_size(g.n)
-    bits: list[int] = []
-    for v in range(1, g.n):
-        row = set(g.neighbors(v))
-        for u in range(v):
-            bits.append(1 if u in row else 0)
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return bytes(out).decode("ascii")
+    masks = neighbor_masks(g)
+    bits = "".join("1" if masks[v] >> u & 1 else "0" for v in range(1, g.n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
+    body = [int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6)]
+    return bytes(_encode_size(g.n) + body).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
-    data = text.strip().encode("ascii")
-    if any(b < 63 or b > 126 for b in data):
+    text = text.strip()
+    if not _GRAPH6.fullmatch(text):
         raise InvalidParamsError("graph6 bytes out of range")
+    data = text.encode("ascii")
     n, off = _decode_size(data)
+    _check_edges(n, "the graph6 graph", "vertices")
     need = (n * (n - 1) // 2 + 5) // 6
     body = data[off:]
     if len(body) != need:
         raise InvalidParamsError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bits: list[int] = []
-    for b in body:
-        val = b - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
+    # Byte b carries the six bits of b - 63; bit v(v-1)/2 + u of the body is the pair u < v.
+    values = body.translate(_G6_VALUES)
+    _check_edges(int.from_bytes(values, "big").bit_count(), "the graph6 graph")
+    bits = "".join(map(_SIX_BITS.__getitem__, values))
     edges = []
-    idx = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+        row = v * (v - 1) // 2
+        k = bits.find("1", row, row + v)
+        while k != -1:
+            edges.append((k - row, v))
+            k = bits.find("1", k + 1, row + v)
     return Graph(n, edges)
 
 
@@ -91,10 +90,16 @@ def to_json(g: Graph) -> str:
 
 
 def from_json(text: str) -> Graph:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise InvalidParamsError('expected {"n": int, "edges": [[u,v],...]}')
-    return Graph(int(doc["n"]), [(int(u), int(v)) for u, v in doc["edges"]])
+    try:
+        doc = json.loads(text)
+        n, pairs = int(doc["n"]), doc["edges"]
+        _check_edges(n, "the JSON graph", "vertices")
+        _check_edges(len(pairs), "the JSON graph")
+        return Graph(n, [(int(u), int(v)) for u, v in pairs])
+    except LlycurvError:
+        raise
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParamsError('expected {"n": int, "edges": [[u,v],...]}') from exc
 
 
 def save_graph(g: Graph, path: str | Path, fmt: str | None = None) -> None:
@@ -109,10 +114,11 @@ def save_graph(g: Graph, path: str | Path, fmt: str | None = None) -> None:
 
 
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
-    path = Path(path)
-    text = path.read_text()
+    """Read a graph file; without fmt it is graph6 iff its stripped bytes all lie in 63..126."""
+    # Bad UTF-8 becomes U+FFFD, which graph6 rejects and JSON allows only inside a string.
+    text = Path(path).read_bytes().decode(errors="replace")
     if fmt is None:
-        fmt = "json" if text.lstrip().startswith("{") else "graph6"
+        fmt = "graph6" if _GRAPH6.fullmatch(text.strip()) else "json"
     if fmt == "json":
         return from_json(text)
     if fmt == "graph6":

@@ -3,10 +3,10 @@
 The graph type stores one sorted neighbor tuple per vertex; every other
 module reads it and nothing mutates it.  Alongside the type live the
 operations the curvature machinery leans on: neighbor bitmasks (the one
-common-neighbor primitive of the exact code), breadth-first distances, the
-four-way decomposition of the vertex set around an edge, regularity
-classification, and the per-vertex neighbor profile of amply regular
-graphs.
+common-neighbor primitive of the exact code, built once per graph and kept
+by it), breadth-first distances, the four-way decomposition of the vertex
+set around an edge, regularity classification, and the per-vertex
+neighbor profile of amply regular graphs.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class SrgParams:
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with sorted adjacency lists."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
@@ -82,6 +82,7 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+        self._masks: tuple[int, ...] | None = None  # built by neighbor_masks
 
     def neighbors(self, v: VertexId) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -132,13 +133,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def neighbor_masks(g: Graph) -> list[int]:
+def neighbor_masks(g: Graph) -> tuple[int, ...]:
     """Bit w of masks[v] is set iff vw is an edge.
 
     (masks[u] & masks[v]).bit_count() is the number of common neighbors of
-    u and v, and masks[u] >> v & 1 tells whether uv is an edge.
+    u and v, and masks[u] >> v & 1 tells whether uv is an edge.  The masks
+    are built on first use and kept by the graph, which never changes.
     """
-    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    if g._masks is None:
+        g._masks = tuple(sum(1 << w for w in row) for row in g._adj)
+    return g._masks
 
 
 def bfs_distances(g: Graph, source: VertexId) -> list[int | None]:

@@ -18,7 +18,7 @@ from .errors import (
     TooLargeError,
     UnbalancedSidesError,
 )
-from .graphs import Graph, decompose_edge
+from .graphs import Graph, decompose_edge, neighbor_masks
 
 _HALL_EXHAUSTIVE_CAP = 14
 
@@ -56,6 +56,13 @@ class MatchingResult:
     pairs: tuple[tuple[int, int], ...]
     perfect: bool
     violator: tuple[int, ...] | None
+
+
+def _local_adjacency(
+    masks: Sequence[int], nx: Sequence[int], ny: Sequence[int]
+) -> list[list[int]]:
+    """Hopcroft-Karp adjacency of H(x, y): row i lists the j with nx[i] ~ ny[j]."""
+    return [[j for j, u in enumerate(ny) if masks[v] >> u & 1] for v in nx]
 
 
 def _hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int], list[int]]:
@@ -132,9 +139,7 @@ def max_matching(instance: BipartiteInstance) -> MatchingResult:
     adj = instance.adjacency()
     match_left, match_right = _hopcroft_karp(adj, len(instance.right))
     pairs = tuple((u, match_left[u]) for u in range(len(adj)) if match_left[u] != -1)
-    perfect = (
-        len(pairs) == len(instance.left) == len(instance.right) and len(pairs) > 0
-    ) or (len(instance.left) == len(instance.right) == 0)
+    perfect = len(pairs) == len(instance.left) == len(instance.right)
     violator = None
     if len(pairs) < len(instance.left):
         violator = _hall_violator(adj, match_left, match_right)
@@ -146,13 +151,8 @@ def local_perfect_matching(g: Graph, x: int, y: int) -> tuple[BipartiteInstance,
     if not g.is_regular():
         raise NotRegularError("local matching is stated for regular graphs")
     parts = decompose_edge(g, x, y)
-    right_index = {u: j for j, u in enumerate(parts.ny)}
-    edges = tuple(
-        (i, right_index[u])
-        for i, v in enumerate(parts.nx)
-        for u in g.neighbors(v)
-        if u in right_index
-    )
+    adj = _local_adjacency(neighbor_masks(g), parts.nx, parts.ny)
+    edges = tuple((i, j) for i, row in enumerate(adj) for j in row)
     instance = BipartiteInstance(left=parts.nx, right=parts.ny, edges=edges)
     return instance, max_matching(instance)
 

@@ -27,9 +27,7 @@ from .errors import (
     NotRegularError,
 )
 from .graphs import Graph, bfs_distances, decompose_edge, is_connected, neighbor_masks
-from .matching import _hopcroft_karp
-
-Rational = Fraction
+from .matching import _hopcroft_karp, _local_adjacency
 
 # Assignment costs are capped here: v-x-y-u is always a path of length 3.
 _COST_CAP = 3
@@ -380,18 +378,15 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> Fraction:
     return 1 - w1
 
 
-def _edge_report(
-    g: Graph, masks: list[int], x: int, y: int, want_witness: bool
-) -> CurvatureReport:
+def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureReport:
     """lly_curvature on a graph already known to be regular."""
     parts = decompose_edge(g, x, y)
     d = g.degree(x)
     nx, ny = parts.nx, parts.ny
     if len(nx) != len(ny):
         raise NotRegularError("exclusive neighborhoods differ in size")
-    rows = [masks[v] for v in nx]
-    adjacent = [[j for j, u in enumerate(ny) if r >> u & 1] for r in rows]
-    match, _ = _hopcroft_karp(adjacent, len(ny))
+    masks = neighbor_masks(g)
+    match, _ = _hopcroft_karp(_local_adjacency(masks, nx, ny), len(ny))
     if -1 not in match and not want_witness:
         # A perfect matching on the distance-1 pairs costs |N_x|, the least
         # any bijection can: the edge is sharp.
@@ -402,7 +397,8 @@ def _edge_report(
         # >= 1, so each matched pair is a row minimum and the matching
         # warm-starts the assignment.
         cost = [
-            [1 if r >> u & 1 else 2 if r & masks[u] else _COST_CAP for u in ny] for r in rows
+            [1 if r >> u & 1 else 2 if r & masks[u] else _COST_CAP for u in ny]
+            for r in (masks[v] for v in nx)
         ]
         min_cost, match, *duals = _assignment(cost, match)
         if want_witness:
@@ -434,55 +430,43 @@ def lly_curvature(g: Graph, x: int, y: int, want_witness: bool = False) -> Curva
     """
     if not g.is_regular():
         raise NotRegularError("Lin-Lu-Yau curvature is only computed for regular graphs")
-    return _edge_report(g, neighbor_masks(g), x, y, want_witness)
-
-
-def _spectrum_chunk(g: Graph, edges: list[tuple[int, int]]) -> list[CurvatureReport]:
-    masks = neighbor_masks(g)
-    return [_edge_report(g, masks, x, y, False) for x, y in edges]
+    return _edge_report(g, x, y, want_witness)
 
 
 def _edge_orbits(
     g: Graph, edges: list[tuple[int, int]], automorphisms: Sequence[Sequence[int]]
 ) -> list[int]:
-    """For each edge, the index of the first edge of its class.
+    """For each edge, the index of the first edge of its orbit.
 
     Each map is checked to be an automorphism of g before it is used: a
     bijection of range(n) carrying the neighbor mask of every v onto the
-    mask of its image.  Union-find then merges e with sigma(e) for each map
-    sigma, so every class lies inside one orbit of the group the maps
-    generate (and is the whole orbit under that group).
+    mask of its image.  From each edge not yet labelled, in edge order, the
+    walk applies every map to every edge it reaches, so it labels exactly
+    the orbit of that edge under the group the maps generate.
     """
-    n = g.n
     masks = neighbor_masks(g)
     for sigma in automorphisms:
-        if len(sigma) != n or set(sigma) != set(range(n)):
+        if len(sigma) != g.n or set(sigma) != set(range(g.n)):
             raise InvalidParamsError("an automorphism must be a permutation of range(n)")
-        for v in range(n):
+        for v in range(g.n):
             if sum(1 << sigma[w] for w in g.neighbors(v)) != masks[sigma[v]]:
                 raise InvalidParamsError(f"map does not preserve the neighbors of vertex {v}")
     index = {e: i for i, e in enumerate(edges)}
-    parent = list(range(len(edges)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    classes = len(edges)
-    for sigma in automorphisms:
-        for i, (x, y) in enumerate(edges):
-            a, b = sigma[x], sigma[y]
-            ri, rj = find(i), find(index[(a, b) if a < b else (b, a)])
-            if ri != rj:  # the smaller index stays the root
-                parent[max(ri, rj)] = min(ri, rj)
-                classes -= 1
-                if classes == 1:  # nothing is left to merge
-                    break
-        if classes == 1:
-            break
-    return [find(i) for i in range(len(edges))]
+    roots = [-1] * len(edges)
+    for first in range(len(edges)):
+        if roots[first] != -1:
+            continue
+        roots[first] = first
+        orbit = [first]
+        for i in orbit:
+            x, y = edges[i]
+            for sigma in automorphisms:
+                a, b = sigma[x], sigma[y]
+                j = index[(a, b) if a < b else (b, a)]
+                if roots[j] == -1:
+                    roots[j] = first
+                    orbit.append(j)
+    return roots
 
 
 def curvature_spectrum(
@@ -491,11 +475,12 @@ def curvature_spectrum(
     """One curvature report per edge (sorted edge order) plus the minimum.
 
     automorphisms, vertex permutations each checked against g before use,
-    split the edges into classes inside orbits; one edge per class is
-    solved and its report copied to the others with their own (x, y).
-    That is sound because every report field is invariant under
-    automorphisms and symmetric in x and y.  processes is capped at the
-    core count and at the number of edges solved.
+    split the edges into orbits; the first edge of each orbit is solved and
+    its report copied to the others with their own (x, y).  That is sound
+    because every report field is invariant under automorphisms and
+    symmetric in x and y.  The solved edges go to the pool in contiguous
+    chunks, so their reports come back in edge order.  processes is capped
+    at the core count and at the number of edges solved.
     """
     if not g.is_regular():
         raise NotRegularError("curvature spectrum needs a regular graph")
@@ -504,25 +489,23 @@ def curvature_spectrum(
         raise InvalidParamsError("graph has no edges")
     if not is_connected(g):
         raise DisconnectedError("curvature spectrum needs a connected graph")
-    reps = edges
-    if automorphisms:
-        roots = _edge_orbits(g, edges, automorphisms)
-        reps = [edges[i] for i in sorted(set(roots))]
-    processes = min(processes, os.cpu_count() or 1, len(reps))
-    if processes <= 1 or len(reps) < 4:
-        reports = _spectrum_chunk(g, reps)
+    roots = _edge_orbits(g, edges, automorphisms) if automorphisms else range(len(edges))
+    todo = [e for i, e in enumerate(edges) if roots[i] == i]
+    args = ([g] * len(todo), [x for x, _ in todo], [y for _, y in todo], [False] * len(todo))
+    processes = min(processes, os.cpu_count() or 1, len(todo))
+    if processes <= 1 or len(todo) < 4:
+        solved = list(map(_edge_report, *args))
     else:
-        chunks = [reps[k::processes] for k in range(processes)]
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_spectrum_chunk, [g] * processes, chunks))
-        reports = [r for part in parts for r in part]
-        reports.sort(key=lambda r: (r.x, r.y))
-    min_kappa = min(r.kappa for r in reports)
-    if automorphisms:
-        solved = {(r.x, r.y): r for r in reports}
-        reports = []
-        for (x, y), i in zip(edges, roots):
-            r = solved[edges[i]]
+            solved = list(pool.map(_edge_report, *args, chunksize=-(-len(todo) // processes)))
+    min_kappa = min(r.kappa for r in solved)
+    reports: list[CurvatureReport] = []
+    in_order = iter(solved)
+    for i, ((x, y), root) in enumerate(zip(edges, roots)):
+        if root == i:
+            reports.append(next(in_order))
+        else:
+            r = reports[root]
             reports.append(
                 CurvatureReport(
                     x, y, r.kappa, r.delta_size, r.upper_bound, r.sharp, r.min_bijection_cost

@@ -65,6 +65,17 @@ def test_curvature_csv_roundtrip(tmp_path, capsys):
     assert all(r["kappa_num"] == 3 and r["kappa_den"] == 4 for r in rows)
 
 
+def test_curvature_reads_a_60_vertex_graph6_file(tmp_path, capsys):
+    # graph6 writes n = 60 as the size byte 123, which is "{".
+    gpath = tmp_path / "c60.g6"
+    run(capsys, "gen", "--name", "cycle", "--n", "60", "--out", str(gpath))
+    assert gpath.read_text().startswith("{")
+    code, out, _ = run(capsys, "curvature", "--graph", str(gpath))
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["edges"]) == 60 and doc["min_kappa"] == {"num": "0", "den": "1"}
+
+
 def test_match_witness_output(tmp_path, capsys):
     gpath = tmp_path / "g.g6"
     run(capsys, "gen", "--name", "rook", "--k", "4", "--out", str(gpath))
@@ -239,3 +250,27 @@ def test_invalid_params_exit_code_two(capsys):
 def test_missing_file_exit_code_two(capsys):
     code, _, err = run(capsys, "curvature", "--graph", "/nonexistent/file.g6")
     assert code == 2
+
+
+_BAD_GRAPH_FILES = [
+    ("short-edge.json", b'{"n": 3, "edges": [[0]]}', "InvalidParamsError"),
+    ("edges-not-a-list.json", b'{"n": 3, "edges": 5}', "InvalidParamsError"),
+    ("not-utf8.g6", b"\xff\xfe{", "InvalidParamsError"),
+    ("huge-n.json", b'{"n": 1000000000, "edges": []}', "TooLargeError"),
+    ("many-edges.json", b'{"n": 3, "edges": [' + b"[0,1]," * 2**18 + b"[0,1]]}", "TooLargeError"),
+    ("huge-n.g6", b"~~@?????", "TooLargeError"),  # n = 2^30
+    ("k725.g6", b"~?JT" + b"~" * 43742, "TooLargeError"),  # K_725: 262,450 edges
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("curvature",), ("match", "--edge", "0,1"), ("spectrum",), ("sharpness",)],
+    ids=lambda command: command[0],
+)
+def test_bad_graph_files_exit_2(tmp_path, capsys, command):
+    for name, data, error in _BAD_GRAPH_FILES:
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, command[0], "--graph", str(path), *command[1:])
+        assert (code, out, json.loads(err)["error"]) == (2, "", error), name

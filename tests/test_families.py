@@ -109,6 +109,11 @@ _PAST_THE_BOUND = [
     ("cycle", {"n": 30000000}),
     ("hypercube", {"m": 17}),
     ("hypercube", {"m": 10**12}),
+    # sized from the parameters before any range, connection set or C(n, k)
+    ("complete", {"n": 10**20}),
+    ("cocktail_party", {"k": 10**20}),
+    ("johnson", {"n": 10**6, "k": 5 * 10**5}),
+    ("rook", {"k": 10**8}),
 ]
 
 

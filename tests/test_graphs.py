@@ -85,7 +85,8 @@ def test_bfs_triangle_inequality_sampled():
 def test_neighbor_masks_count_common_neighbors():
     g = petersen_graph()
     masks = neighbor_masks(g)
-    assert neighbor_masks(Graph(0, [])) == []
+    assert neighbor_masks(g) is masks  # built once, kept by the graph
+    assert neighbor_masks(Graph(0, [])) == ()
     for u in range(g.n):
         for v in range(g.n):
             assert (masks[u] >> v & 1) == g.has_edge(u, v)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llycurv.errors import InvalidParamsError
-from llycurv.families import catalog, paley_graph, petersen_graph
+from llycurv.families import catalog, cycle_graph, paley_graph, petersen_graph
 from llycurv.graphio import from_graph6, from_json, load_graph, save_graph, to_graph6, to_json
 from llycurv.graphs import Graph
 
@@ -79,10 +79,11 @@ def test_json_edges_sorted():
         ("p13.txt", "graph6", "graph6"),
         ("p13.json", None, "json"),  # inferred from the suffix
         ("p13.data", "json", "json"),
+        ("c60.g6", None, "graph6"),  # its size byte 123 is "{"
     ],
 )
 def test_save_graph_round_trips_through_load_graph(tmp_path, name, fmt, written):
-    g = paley_graph(13)
+    g = cycle_graph(60) if name.startswith("c60") else paley_graph(13)
     path = tmp_path / name
     save_graph(g, path, fmt)
     expected = to_json(g) if written == "json" else to_graph6(g) + "\n"

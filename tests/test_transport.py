@@ -351,10 +351,10 @@ def test_curvature_spectrum_caps_processes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, graphs, chunks):
-            chunks = list(chunks)
-            assert all(chunks)
-            return [fn(g, chunk) for g, chunk in zip(graphs, chunks)]
+        def map(self, fn, *columns, chunksize):
+            # one contiguous chunk of the edges to solve per worker
+            assert -(-len(columns[0]) // chunksize) == seen[-1]
+            return map(fn, *columns)
 
     monkeypatch.setattr(transport, "ProcessPoolExecutor", InlinePool)
     g = complete_graph(4)  # 6 edges
@@ -403,10 +403,12 @@ def test_curvature_spectrum_partial_orbits_match_every_edge():
     # (j, i), and the translations of the C3 x C5 torus.
     transpose = tuple(4 * (v % 4) + v // 4 for v in range(16))
     torus, shifts = _torus_3x5()
-    for g, maps in ((rook_graph(4), [transpose]), (torus, shifts)):
+    # rook(4) runs a second time through a real pool (two workers on two or more cores).
+    cases = ((rook_graph(4), [transpose], 1), (torus, shifts, 1), (rook_graph(4), [transpose], 2))
+    for g, maps, processes in cases:
         roots = transport._edge_orbits(g, list(g.edges()), maps)
         assert 1 < len(set(roots)) < g.edge_count
-        assert curvature_spectrum(g, automorphisms=maps) == curvature_spectrum(g)
+        assert curvature_spectrum(g, processes, maps) == curvature_spectrum(g)
     assert len({r.kappa for r in curvature_spectrum(torus).reports}) == 2
 
 
