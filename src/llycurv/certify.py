@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt, prod
 
 from .errors import DegenerateParametersError, TooLargeError, ViolatorTooSmallError
+from .fields import _prime_divisors
 from .graphs import SrgParams
 from .spectral import integral_multiplicities
 
@@ -330,39 +331,81 @@ class ScanRow:
     certified_kappa: Fraction | None
 
 
+def _divisors(factors: tuple[int, ...]) -> list[int]:
+    """Every divisor of the product of factors, from the primes dividing each factor."""
+    product = prod(factors)
+    divisors = [1]
+    for p in {p for f in factors for p in _prime_divisors(f)}:
+        powers = [1]
+        while product % (powers[-1] * p) == 0:
+            powers.append(powers[-1] * p)
+        divisors = [x * y for x in divisors for y in powers]
+    return divisors
+
+
+def _candidate_tuples(max_n: int) -> set[tuple[int, int, int, int]]:
+    """The (n, d, alpha, beta) with n <= max_n that the eigenvalue equations allow.
+
+    Read off the eigenvalues of a non-complete SRG with beta >= 1
+    (Brouwer-Van Maldeghem, Strongly Regular Graphs, ch. 1).  Irrational
+    eigenvalues force the conference line (4g+1, 2g, g-1, g).  Integral ones
+    r >= 0 > -t have t >= 2, beta = e, d = e + rt, alpha = e + r - t and
+    n = d + 1 + d(r+1)(t-1)/e, and -t has multiplicity (d + r(n-1))/(r+t),
+    so r + t must divide d + r(n-1).  For r = 0 that is the complete
+    multipartite chain n = d + t with t | d; for r >= 1,
+    n = 1 + rt + (r+1)(t-1) + e + P/e with P = rt(r+1)(t-1), so e runs over
+    the divisors of P, built from the factors of r, r+1, t and t-1.  Since
+    e + P/e >= 2 sqrt(P), n grows with r and t past the loops' bounds.
+    """
+    found = {(4 * g + 1, 2 * g, g - 1, g) for g in range(1, (max_n - 1) // 4 + 1)}
+    for t in range(2, max_n // 2 + 1):
+        found.update((d + t, d, d - t, d) for d in range(t, max_n - t + 1, t))
+    r = 1
+    while 3 * r + 2 + 2 * isqrt(2 * r * (r + 1)) <= max_n:  # the floor of n at t = 2
+        t = 2
+        while True:
+            rt = r * t
+            base = 1 + rt + (r + 1) * (t - 1)
+            product = rt * (r + 1) * (t - 1)
+            if base + 2 * isqrt(product) > max_n:
+                break
+            for e in _divisors((r, r + 1, t, t - 1)):
+                n, d = base + e + product // e, e + rt
+                if e >= t - r and n <= max_n and (d + r * (n - 1)) % (r + t) == 0:
+                    found.add((n, d, e + r - t, e))
+            t += 1
+        r += 1
+    return found
+
+
 def scan_parameters(max_n: int) -> list[ScanRow]:
     """All feasible SRG parameter tuples with n <= max_n, certified.
 
     Feasible means the counting identity d(d-alpha-1) = (n-d-1) beta holds
     and both nontrivial eigenvalue multiplicities are positive integers.
+    The candidates come from the eigenvalue equations (`_candidate_tuples`);
+    rows are in (n, d, -alpha) order.
     Graph existence is NOT decided; rows are parameter-level objects.
     """
     if max_n > _SCAN_CAP:
         raise TooLargeError(f"scan capped at max_n = {_SCAN_CAP}")
     rows: list[ScanRow] = []
-    for n in range(3, max_n + 1):
-        for d in range(2, n - 1):
-            m = n - d - 1
-            # d*j = 0 mod m exactly when j is a multiple of m / gcd(d, m).
-            step = m // gcd(d, m)
-            for j in range(step, d, step):
-                beta = d * j // m
-                if not 1 <= beta <= d:
-                    continue
-                alpha = d - 1 - j
-                if integral_multiplicities(n, d, alpha, beta) is None:
-                    continue
-                params = SrgParams(n, d, alpha, beta)
-                cert = certify_curvature(params)
-                rows.append(
-                    ScanRow(
-                        params=params,
-                        multiplicities_integral=True,
-                        identity_holds=True,
-                        conditions=cert.conditions,
-                        sweep_sharp=cert.outcome == "sharp_by_sweep",
-                        conference=params.is_conference,
-                        certified_kappa=cert.certified_kappa,
-                    )
-                )
+    for n, d, alpha, beta in sorted(_candidate_tuples(max_n), key=lambda p: (p[0], p[1], -p[2])):
+        if d * (d - alpha - 1) != (n - d - 1) * beta:
+            continue
+        if integral_multiplicities(n, d, alpha, beta) is None:
+            continue
+        params = SrgParams(n, d, alpha, beta)
+        cert = certify_curvature(params)
+        rows.append(
+            ScanRow(
+                params=params,
+                multiplicities_integral=True,
+                identity_holds=True,
+                conditions=cert.conditions,
+                sweep_sharp=cert.outcome == "sharp_by_sweep",
+                conference=params.is_conference,
+                certified_kappa=cert.certified_kappa,
+            )
+        )
     return rows

@@ -97,10 +97,11 @@ def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Grap
 def _intersection_graph(n: int, k: int, meet: int) -> Graph:
     """k-subsets of an n-set in lexicographic order, adjacent iff they share `meet` elements.
 
-    Every pair of subsets is tested, so the pair count is checked against the
-    bound first.
+    The n-set is built whatever k is, so n is checked against the bound
+    first; every pair of subsets is tested, so the pair count is checked next.
     """
     what = f"the graph on the {k}-subsets of a {n}-set"
+    _check_edges(n, what, "elements in its ground set")
     if 0 < k < n:  # at least n subsets: a large n is rejected before C(n, k) is computed
         _check_edges(comb(n, 2), what, "or more pairs to test")
     _check_edges(comb(comb(n, k), 2), what, "pairs to test")

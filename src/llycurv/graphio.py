@@ -89,13 +89,20 @@ def to_json(g: Graph) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _json_int(value) -> int:
+    """A JSON integer; floats, strings and booleans (a Python int subclass) are refused."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def from_json(text: str) -> Graph:
     try:
         doc = json.loads(text)
-        n, pairs = int(doc["n"]), doc["edges"]
+        n, pairs = _json_int(doc["n"]), doc["edges"]
         _check_edges(n, "the JSON graph", "vertices")
         _check_edges(len(pairs), "the JSON graph")
-        return Graph(n, [(int(u), int(v)) for u, v in pairs])
+        return Graph(n, [(_json_int(u), _json_int(v)) for u, v in pairs])
     except LlycurvError:
         raise
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import numpy as np
 
 from llycurv.graphs import Graph
+from llycurv.spectral import integral_multiplicities
 
 
 def matrix_power_distances(g: Graph) -> list[list[int | None]]:
@@ -140,3 +142,26 @@ def matrix_srg_identity(g: Graph, params) -> bool:
     ones = np.ones((n, n), dtype=np.int64)
     rhs = params.d * eye + params.alpha * a + params.beta * (ones - eye - a)
     return bool((a @ a == rhs).all())
+
+
+def ndj_scan_tuples(max_n: int) -> list[tuple[int, int, int, int]]:
+    """Feasible (n, d, alpha, beta), n <= max_n, by a search over n, d and j = d - 1 - alpha.
+
+    Independent of the eigenvalue enumeration of `scan_parameters`; rows
+    come out in (n, d, -alpha) order.
+    """
+    rows = []
+    for n in range(3, max_n + 1):
+        for d in range(2, n - 1):
+            m = n - d - 1
+            # d*j = 0 mod m exactly when j is a multiple of m / gcd(d, m).
+            step = m // gcd(d, m)
+            for j in range(step, d, step):
+                beta = d * j // m
+                if not 1 <= beta <= d:
+                    continue
+                alpha = d - 1 - j
+                if integral_multiplicities(n, d, alpha, beta) is None:
+                    continue
+                rows.append((n, d, alpha, beta))
+    return rows

@@ -20,7 +20,7 @@ from llycurv.graphs import SrgParams
 from llycurv.spectral import integral_multiplicities
 from llycurv.transport import curvature_spectrum
 
-from helpers import fraction_obstruction_quadratic
+from helpers import fraction_obstruction_quadratic, ndj_scan_tuples
 
 
 def test_conditions_conference_gamma7():
@@ -266,6 +266,26 @@ def test_scan_80_is_complete_against_brute_force():
     got = [r.params.as_tuple() for r in scan_parameters(80)]
     assert sorted(got) == sorted(expected)
     assert len(got) > 100
+
+
+def test_scan_400_equals_ndj_oracle():
+    # the eigenvalue enumeration gives the search's tuples in the search's order
+    expected = ndj_scan_tuples(400)
+    assert len(expected) == 2864
+    assert [r.params.as_tuple() for r in scan_parameters(400)] == expected
+
+
+def test_scan_400_checks_few_candidates(monkeypatch):
+    # the (n, d, j) search tested 177,274 candidates at max n 400
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return integral_multiplicities(*args)
+
+    monkeypatch.setattr(certify, "integral_multiplicities", counted)
+    assert len(scan_parameters(400)) == 2864
+    assert len(calls) < 10_000
 
 
 def test_scan_evaluates_conditions_once_per_row(monkeypatch):

@@ -162,6 +162,16 @@ def test_scan_csv_roundtrip(tmp_path, capsys):
     )
 
 
+def test_scan_1024_stdout_pinned(capsys):
+    # sha256 of the stdout of `scan --max-n 1024` from the (n, d, j) search
+    code, out, _ = run(capsys, "scan", "--max-n", "1024")
+    assert code == 0
+    assert len(parse_csv(out)) == 8862
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "aa0ed8b487a3a1b08a87c9350bdcf75c3bd3ed783901476b23a0ecd96a2246e0"
+    )
+
+
 def test_spectrum_params_json(capsys):
     code, out, _ = run(capsys, "spectrum", "--params", "9,4,1,2")
     assert code == 0

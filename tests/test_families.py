@@ -114,6 +114,7 @@ _PAST_THE_BOUND = [
     ("cocktail_party", {"k": 10**20}),
     ("johnson", {"n": 10**6, "k": 5 * 10**5}),
     ("rook", {"k": 10**8}),
+    ("johnson", {"n": 30000000, "k": 30000000}),  # one subset, but a 30-million-element set
 ]
 
 
@@ -144,6 +145,7 @@ def test_families_build_at_the_edge_bound():
     assert named_graph("hypercube", m=15).edge_count == 245_760
     for name, params in (("johnson", {"n": 724, "k": 1}), ("complete", {"n": 724})):
         assert named_graph(name, **params).edge_count == 261_726
+    assert named_graph("johnson", n=2**18, k=2**18).n == 1
 
 
 def test_paley_gamma_orders_bounded_up_front(monkeypatch):
@@ -230,7 +232,7 @@ _ORACLES = {
     "shrikhande": ([{}], _shrikhande_oracle),
     "cocktail_party": ([{"k": k} for k in (2, 3, 6)], _cocktail_party_oracle),
     "johnson": (
-        [{"n": 4, "k": 1}, {"n": 5, "k": 2}, {"n": 6, "k": 3}],
+        [{"n": 4, "k": 1}, {"n": 5, "k": 2}, {"n": 6, "k": 3}, {"n": 4, "k": 4}],
         lambda n, k: _subset_oracle(n, k, k - 1),
     ),
     "clebsch": ([{}], _clebsch_oracle),

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llycurv.cli import main
 from llycurv.errors import InvalidParamsError
 from llycurv.families import catalog, cycle_graph, paley_graph, petersen_graph
 from llycurv.graphio import from_graph6, from_json, load_graph, save_graph, to_graph6, to_json
@@ -96,6 +99,28 @@ def test_save_graph_rejects_unknown_format(tmp_path):
     with pytest.raises(InvalidParamsError):
         save_graph(petersen_graph(), tmp_path / "g.json", "dot")
     assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3.9, "edges": [[0.5, 1.7], ["1", 2], [true, 2.2]]}',
+        '{"n": 3.0, "edges": [[0, 1]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[0, 1.0]]}',
+        '{"n": 3, "edges": [["0", 1]]}',
+        '{"n": 3, "edges": [[0, false]]}',
+    ],
+    ids=["mixed", "float-n", "bool-n", "float-endpoint", "string-endpoint", "bool-endpoint"],
+)
+def test_json_accepts_only_integers(tmp_path, capsys, text):
+    with pytest.raises(InvalidParamsError):
+        from_json(text)
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert main(["spectrum", "--graph", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "InvalidParamsError"
 
 
 @settings(max_examples=60, deadline=None)
