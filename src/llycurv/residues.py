@@ -21,8 +21,9 @@ from .families import _check_paley_size, paley_graph, prime_power_decomposition
 from .fields import FieldElement, FiniteField, is_nonzero_square, square_index_set
 from .graphs import Graph, decompose_edge, neighbor_masks
 
-# Exhaustive mode runs at q = 29 (397,594 subsets); q = 37 would need 32 million.
-_EXHAUSTIVE_SUBSET_BOUND = 10**6
+# Subsets tested per run, in either mode.  Exhaustive mode runs at q = 29
+# (397,594 subsets); q = 37 would need 32 million.
+_SUBSET_BOUND = 10**6
 
 
 def find_pattern_witness(
@@ -137,16 +138,20 @@ def verify_corollary(
     sizes = range(subset_threshold(q), q - 1)  # universe is GF(q) minus x, y
     if mode == "exhaustive":
         total = sum(comb(q - 2, s) for s in sizes)
-        if total > _EXHAUSTIVE_SUBSET_BOUND:
+        if total > _SUBSET_BOUND:
             raise TooLargeError(
                 f"exhaustive mode at q = {q} needs {total} subsets, "
-                f"above the bound {_EXHAUSTIVE_SUBSET_BOUND}; use sampled mode"
+                f"above the bound {_SUBSET_BOUND}; use sampled mode"
             )
     elif mode == "sampled":
         if seed is None or trials is None:
             raise InvalidOrderError("sampled mode needs both seed and trials")
         if trials < 1:
             raise InvalidOrderError(f"sampled mode needs trials >= 1, got {trials}")
+        if trials > _SUBSET_BOUND:
+            raise TooLargeError(
+                f"sampled mode allows at most {_SUBSET_BOUND} trials, got {trials}"
+            )
     else:
         raise InvalidOrderError(f"unknown mode {mode!r}")
     g = paley_graph(q)

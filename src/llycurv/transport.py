@@ -469,18 +469,12 @@ def _edge_orbits(
     return roots
 
 
-def curvature_spectrum(
-    g: Graph, processes: int = 1, automorphisms: Sequence[Sequence[int]] = ()
-) -> CurvatureSpectrum:
+def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
     """One curvature report per edge (sorted edge order) plus the minimum.
 
-    automorphisms, vertex permutations each checked against g before use,
-    split the edges into orbits; the first edge of each orbit is solved and
-    its report copied to the others with their own (x, y).  That is sound
-    because every report field is invariant under automorphisms and
-    symmetric in x and y.  The solved edges go to the pool in contiguous
-    chunks, so their reports come back in edge order.  processes is capped
-    at the core count and at the number of edges solved.
+    The edges go to the pool in contiguous chunks, so their reports come
+    back in edge order.  processes is capped at the core count and at the
+    number of edges.
     """
     if not g.is_regular():
         raise NotRegularError("curvature spectrum needs a regular graph")
@@ -489,29 +483,14 @@ def curvature_spectrum(
         raise InvalidParamsError("graph has no edges")
     if not is_connected(g):
         raise DisconnectedError("curvature spectrum needs a connected graph")
-    roots = _edge_orbits(g, edges, automorphisms) if automorphisms else range(len(edges))
-    todo = [e for i, e in enumerate(edges) if roots[i] == i]
-    args = ([g] * len(todo), [x for x, _ in todo], [y for _, y in todo], [False] * len(todo))
-    processes = min(processes, os.cpu_count() or 1, len(todo))
-    if processes <= 1 or len(todo) < 4:
-        solved = list(map(_edge_report, *args))
+    args = ([g] * len(edges), [x for x, _ in edges], [y for _, y in edges], [False] * len(edges))
+    processes = min(processes, os.cpu_count() or 1, len(edges))
+    if processes <= 1 or len(edges) < 4:
+        reports = tuple(map(_edge_report, *args))
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            solved = list(pool.map(_edge_report, *args, chunksize=-(-len(todo) // processes)))
-    min_kappa = min(r.kappa for r in solved)
-    reports: list[CurvatureReport] = []
-    in_order = iter(solved)
-    for i, ((x, y), root) in enumerate(zip(edges, roots)):
-        if root == i:
-            reports.append(next(in_order))
-        else:
-            r = reports[root]
-            reports.append(
-                CurvatureReport(
-                    x, y, r.kappa, r.delta_size, r.upper_bound, r.sharp, r.min_bijection_cost
-                )
-            )
-    return CurvatureSpectrum(reports=tuple(reports), min_kappa=min_kappa)
+            reports = tuple(pool.map(_edge_report, *args, chunksize=-(-len(edges) // processes)))
+    return CurvatureSpectrum(reports=reports, min_kappa=min(r.kappa for r in reports))
 
 
 def idleness_identity_check(g: Graph, x: int, y: int) -> tuple[Fraction, Fraction]:

@@ -1,8 +1,9 @@
 """The benchmark's hooks into llycurv still resolve, and its self-tests pass.
 
-bench/run.py traces llycurv functions by (module, name) and its probes
-import llycurv names directly; a rename or deletion in src/ would break the
-benchmark without failing any other test.
+bench/run.py traces llycurv functions by (module, name), its probes
+import llycurv names directly, and its workloads run CLI command lines; a
+rename or deletion in src/ would break the benchmark without failing any
+other test.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from llycurv.cli import build_parser
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -63,6 +66,23 @@ def test_a_missing_target_is_caught(monkeypatch, module, name):
     monkeypatch.delattr(importlib.import_module(f"llycurv.{module}"), name)
     with pytest.raises(AssertionError):
         test_replay_targets_resolve()
+
+
+def test_bench_command_lines_parse(tmp_path, monkeypatch):
+    # Every batch and query argv the workloads hand to the CLI still parses,
+    # so dropping or renaming an option they pass fails here.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    parser = build_parser()
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        inp = workload.generate(1, workdir)
+        for argv in [*workload.batch(inp), *workload.queries(inp)]:
+            try:
+                parser.parse_args(list(argv))
+            except SystemExit:
+                pytest.fail(f"{name}: `{' '.join(argv)}` does not parse")
 
 
 def test_bench_selftest_passes():

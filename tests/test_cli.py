@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from llycurv import certify
+from llycurv import certify, cli, residues
 from llycurv.cli import main, parse_csv
 from llycurv.graphio import load_graph
-from llycurv.families import paley_graph, rook_graph
+from llycurv.families import paley_automorphisms, paley_graph, rook_graph
 
 
 def run(capsys, *argv):
@@ -172,6 +174,16 @@ def test_scan_1024_stdout_pinned(capsys):
     )
 
 
+def test_verify_conjecture_30_stdout_pinned(capsys):
+    # sha256 of the stdout of `verify-conjecture --gamma-max 30` when every
+    # edge's report was built and compared
+    code, out, _ = run(capsys, "verify-conjecture", "--gamma-max", "30")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "af62afec6054fe36a58a1fbdb4084c19fa03cb22e9e3fe88dd740a4d3fbb96c7"
+    )
+
+
 def test_spectrum_params_json(capsys):
     code, out, _ = run(capsys, "spectrum", "--params", "9,4,1,2")
     assert code == 0
@@ -215,9 +227,21 @@ def test_corollary_command(capsys):
             "InvalidOrderError",
         ),
         (("--q", "37", "--mode", "exhaustive"), "TooLargeError"),
+        (
+            ("--q", "13", "--mode", "sampled", "--seed", "1", "--trials", "1000000000000"),
+            "TooLargeError",
+        ),
+        (
+            ("--q", "13", "--mode", "sampled", "--seed", "1", "--trials", "1000001"),
+            "TooLargeError",
+        ),
     ],
 )
-def test_corollary_unbounded_inputs_exit_2(capsys, args, error):
+def test_corollary_unbounded_inputs_exit_2(capsys, monkeypatch, args, error):
+    def no_graph(q):
+        raise AssertionError("P(q) built before the inputs were checked")
+
+    monkeypatch.setattr(residues, "paley_graph", no_graph)
     code, out, err = run(capsys, "corollary", *args)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == error
@@ -229,6 +253,37 @@ def test_verify_conjecture_small(capsys):
     assert code == 0
     assert doc["gammas"] == [2, 3, 4]
     assert doc["ok"] is True
+
+
+def test_verify_conjecture_lists_every_edge_of_a_wrong_orbit(capsys, monkeypatch):
+    # The translations alone split P(13) into three orbits of 13 edges,
+    # first edges (0, 1), (0, 3) and (0, 4).  A wrong kappa on the root
+    # (0, 3) must fail exactly the translates of (0, 3), in edge order.
+    solved = []
+    real = cli.lly_curvature
+
+    def wrong_at_0_3(g, x, y):
+        report = real(g, x, y)
+        if g.n == 13:
+            solved.append((x, y))
+            if (x, y) == (0, 3):
+                return dataclasses.replace(report, kappa=F(1))
+        return report
+
+    monkeypatch.setattr(cli, "paley_automorphisms", lambda q: paley_automorphisms(q)[:-1])
+    monkeypatch.setattr(cli, "lly_curvature", wrong_at_0_3)
+    code, out, _ = run(capsys, "verify-conjecture", "--gamma-max", "3")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert solved == [(0, 1), (0, 3), (0, 4)]
+    p9, p13 = doc["results"]
+    assert p9["all_match"] is True and p9["mismatches"] == []
+    orbit = sorted({tuple(sorted((k % 13, (k + 3) % 13))) for k in range(13)})
+    assert p13["edges"] == 39 and p13["all_match"] is False
+    assert p13["mismatches"] == [
+        {"edge": list(e), "kappa": {"num": "1", "den": "1"}} for e in orbit
+    ]
+    assert len(p13["mismatches"]) == 13
 
 
 @pytest.mark.parametrize(

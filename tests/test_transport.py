@@ -352,7 +352,7 @@ def test_curvature_spectrum_caps_processes(monkeypatch):
             return False
 
         def map(self, fn, *columns, chunksize):
-            # one contiguous chunk of the edges to solve per worker
+            # one contiguous chunk of the edges per worker
             assert -(-len(columns[0]) // chunksize) == seen[-1]
             return map(fn, *columns)
 
@@ -361,16 +361,17 @@ def test_curvature_spectrum_caps_processes(monkeypatch):
     seq = curvature_spectrum(g, processes=1)
     monkeypatch.setattr(transport.os, "cpu_count", lambda: 64)
     assert curvature_spectrum(g, processes=8) == seq
-    # Swapping vertices 0 and 1 leaves 4 edge classes to solve.
-    assert curvature_spectrum(g, processes=8, automorphisms=[(1, 0, 2, 3)]) == seq
-    # Every edge of a Paley graph is in one orbit: one edge, no pool.
-    p13 = paley_graph(13)
-    assert curvature_spectrum(
-        p13, processes=8, automorphisms=paley_automorphisms(13)
-    ) == curvature_spectrum(p13)
     monkeypatch.setattr(transport.os, "cpu_count", lambda: 3)
     assert curvature_spectrum(g, processes=8) == seq
-    assert seen == [6, 4, 3]
+    assert seen == [6, 3]
+
+
+def _assert_orbits_share_kappa(g, maps):
+    # Every edge has the kappa of the first edge of its orbit, each solved on its own.
+    reports = curvature_spectrum(g).reports
+    roots = transport._edge_orbits(g, [(r.x, r.y) for r in reports], maps)
+    assert [r.kappa for r in reports] == [reports[root].kappa for root in roots]
+    return roots
 
 
 PALEY_ORDERS_TO_101 = [q for q in range(5, 102, 4) if prime_power_decomposition(q)]
@@ -378,8 +379,7 @@ PALEY_ORDERS_TO_101 = [q for q in range(5, 102, 4) if prime_power_decomposition(
 
 @pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
 def test_curvature_spectrum_paley_orbits_match_every_edge(q):
-    g = paley_graph(q)
-    assert curvature_spectrum(g, automorphisms=paley_automorphisms(q)) == curvature_spectrum(g)
+    _assert_orbits_share_kappa(paley_graph(q), paley_automorphisms(q))
 
 
 def _torus_3x5():
@@ -403,12 +403,9 @@ def test_curvature_spectrum_partial_orbits_match_every_edge():
     # (j, i), and the translations of the C3 x C5 torus.
     transpose = tuple(4 * (v % 4) + v // 4 for v in range(16))
     torus, shifts = _torus_3x5()
-    # rook(4) runs a second time through a real pool (two workers on two or more cores).
-    cases = ((rook_graph(4), [transpose], 1), (torus, shifts, 1), (rook_graph(4), [transpose], 2))
-    for g, maps, processes in cases:
-        roots = transport._edge_orbits(g, list(g.edges()), maps)
+    for g, maps in ((rook_graph(4), [transpose]), (torus, shifts)):
+        roots = _assert_orbits_share_kappa(g, maps)
         assert 1 < len(set(roots)) < g.edge_count
-        assert curvature_spectrum(g, processes, maps) == curvature_spectrum(g)
     assert len({r.kappa for r in curvature_spectrum(torus).reports}) == 2
 
 
@@ -421,17 +418,19 @@ def test_curvature_spectrum_partial_orbits_match_every_edge():
     ],
 )
 def test_curvature_spectrum_rejects_non_permutation(sigma):
+    g = paley_graph(13)
     with pytest.raises(InvalidParamsError, match="permutation"):
-        curvature_spectrum(paley_graph(13), automorphisms=[sigma])
+        transport._edge_orbits(g, list(g.edges()), [sigma])
 
 
 def test_curvature_spectrum_rejects_non_automorphism():
     # Swapping 0 and 1 is a permutation, but 0 and 1 do not share all other
     # neighbors in P(13).  It fails even behind a valid generator.
     swap = (1, 0) + tuple(range(2, 13))
+    g = paley_graph(13)
     for maps in ([swap], [*paley_automorphisms(13), swap]):
         with pytest.raises(InvalidParamsError, match="neighbors"):
-            curvature_spectrum(paley_graph(13), automorphisms=maps)
+            transport._edge_orbits(g, list(g.edges()), maps)
 
 
 def test_curvature_spectrum_deterministic_and_parallel_equal():
