@@ -110,13 +110,15 @@ def _hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int
     return match_left, match_right
 
 
-def _hall_violator(
+def _alternating_reach(
     adj: Sequence[Sequence[int]], match_left: list[int], match_right: list[int]
-) -> tuple[int, ...]:
-    """Alternating reachability from unmatched left vertices.
+) -> tuple[set[int], set[int]]:
+    """Left and right vertices reached by alternating paths from unmatched left ones.
 
-    The reached left set Z satisfies |N(Z)| = |Z| - (number of unmatched
-    left vertices) < |Z|, the standard deficiency certificate.
+    With the matching maximum, the reached left set Z satisfies
+    |N(Z)| = |Z| - (number of unmatched left vertices), the Hall deficiency
+    certificate, and (left not reached) + (right reached) is a minimum
+    vertex cover (Koenig's theorem).
     """
     queue = deque(u for u in range(len(adj)) if match_left[u] == -1)
     seen_left = set(queue)
@@ -131,7 +133,7 @@ def _hall_violator(
             if w != -1 and w not in seen_left:
                 seen_left.add(w)
                 queue.append(w)
-    return tuple(sorted(seen_left))
+    return seen_left, seen_right
 
 
 def max_matching(instance: BipartiteInstance) -> MatchingResult:
@@ -142,7 +144,7 @@ def max_matching(instance: BipartiteInstance) -> MatchingResult:
     perfect = len(pairs) == len(instance.left) == len(instance.right)
     violator = None
     if len(pairs) < len(instance.left):
-        violator = _hall_violator(adj, match_left, match_right)
+        violator = tuple(sorted(_alternating_reach(adj, match_left, match_right)[0]))
     return MatchingResult(pairs=pairs, perfect=perfect, violator=violator)
 
 

@@ -2,11 +2,16 @@
 
 Everything is rational: Wasserstein distances come from an integer min-cost
 flow after clearing denominators, and the curvature of an edge of a
-d-regular graph comes from an integer assignment problem between the
-punctured neighborhoods N_x and N_y, decided outright whenever N_x and N_y
-have a perfect matching.  The two routes are deliberately
-independent so they can cross-check each other through the identity
-kappa = (d+1)/d * kappa_{1/(d+1)}.
+d-regular graph comes from the minimum-cost bijection between the punctured
+neighborhoods N_x and N_y under costs in {1, 2, 3}.  That bijection is
+decided by unweighted maximum matchings: a perfect matching of the
+distance-1 pairs H1 decides the edge outright, and otherwise the
+decomposition theorem of Kao, Lam, Sung and Ting gives the cost as
+3m - nu(H1) - nu(H_delta).  The two routes are deliberately independent so
+they can cross-check each other through the identity
+kappa = (d+1)/d * kappa_{1/(d+1)}.  The O(m^3) Hungarian assignment
+(`hungarian`, `lex_smallest_optimal_assignment`) is kept as an independent
+reference for any integer matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -27,10 +32,7 @@ from .errors import (
     NotRegularError,
 )
 from .graphs import Graph, bfs_distances, decompose_edge, is_connected, neighbor_masks
-from .matching import _hopcroft_karp, _local_adjacency
-
-# Assignment costs are capped here: v-x-y-u is always a path of length 3.
-_COST_CAP = 3
+from .matching import _alternating_reach, _hopcroft_karp, _local_adjacency
 
 
 @dataclass(frozen=True)
@@ -101,15 +103,11 @@ class CurvatureSpectrum:
     min_kappa: Fraction
 
 
-def _assignment(
-    cost: list[list[int]], match_left: list[int] | None = None
-) -> tuple[int, list[int], list[int], list[int]]:
+def _assignment(cost: list[list[int]]) -> tuple[int, list[int], list[int], list[int]]:
     """Potential-based O(m^3) assignment on a square integer matrix.
 
     The duals start at the row minima (u_i = min_j cost[i][j], v = 0), which
-    are feasible for any matrix.  A warm start match_left (column of each
-    row, -1 if none) may only pair a row with one of its row-minimum
-    columns, so that its pairs are tight; each unmatched row then costs one
+    are feasible for any matrix, and each row costs one
     shortest-augmenting-path phase.  Returns (total cost, column of each
     row, row duals u, column duals v); every reduced cost
     cost[i][j] - u[i] - v[j] ends >= 0 and is 0 on the chosen pairs, so
@@ -132,14 +130,7 @@ def _assignment(
     big = (m + 1) * spread + 1
     v = [0] * (m + 1)
     match = [0] * (m + 1)  # match[j] = row occupying column j (1-based)
-    if match_left is None:
-        match_left = [-1] * m
-    for i, j in enumerate(match_left):
-        if j != -1:
-            match[j + 1] = i + 1
     for i in range(1, m + 1):
-        if match_left[i - 1] != -1:
-            continue
         match[0] = i
         j0 = 0
         minv = [big] * (m + 1)
@@ -180,20 +171,18 @@ def _assignment(
     return total, row_to_col, u[1:], v[1:]
 
 
-def _lex_first_tight_assignment(
-    cost: list[list[int]], cols: list[int], u: list[int], v: list[int]
-) -> list[int]:
-    """Lexicographically first perfect matching of the equality subgraph.
+def _lex_first_tight_assignment(tight: list[list[int]], cols: list[int]) -> list[int]:
+    """Lexicographically first perfect matching of the tight pairs.
 
-    (u, v) must be an optimal dual and cols an assignment tight under it.
-    The optimal assignments are then exactly the perfect matchings on the
-    tight pairs cost[i][j] == u[i] + v[j].  Rows are fixed in order: row i
-    takes the smallest tight column j for which an alternating path through
-    the unfixed rows leads from j's current row to row i's current column,
-    and the matching is rotated along that path.
+    tight[i] lists, in increasing order, the columns j with (i, j) tight
+    under an optimal dual, and cols is a perfect matching of those pairs.
+    The optimal assignments are then exactly the perfect matchings of the
+    tight pairs, whichever optimal dual was used.  Rows are fixed in order:
+    row i takes the smallest tight column j for which an alternating path
+    through the unfixed rows leads from j's current row to row i's current
+    column, and the matching is rotated along that path.
     """
-    m = len(cost)
-    tight = [[j for j in range(m) if cost[i][j] == u[i] + v[j]] for i in range(m)]
+    m = len(tight)
     cols = list(cols)
     row_of = [0] * m
     for i, j in enumerate(cols):
@@ -251,7 +240,8 @@ def lex_smallest_optimal_assignment(cost: list[list[int]]) -> tuple[int, list[in
     optimal assignment is tight under any optimal dual.
     """
     total, cols, u, v = _assignment(cost)
-    return total, _lex_first_tight_assignment(cost, cols, u, v)
+    tight = [[j for j, c in enumerate(row) if c == u[i] + v[j]] for i, row in enumerate(cost)]
+    return total, _lex_first_tight_assignment(tight, cols)
 
 
 def _transportation(
@@ -378,6 +368,56 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> Fraction:
     return 1 - w1
 
 
+def _two_matching_assignment(
+    h1: list[list[int]], near: Callable[[int], list[int]], want_witness: bool
+) -> tuple[int, list[int] | None]:
+    """Minimum cost of a bijection whose costs lie in {1, 2, 3}, and its witness.
+
+    h1[i] lists, in increasing order, the columns j with cost 1 (the pairs
+    at distance 1, H1), and near(i) those with cost at most 2.  With
+    weights w = 3 - cost in {0, 1, 2}, the decomposition theorem of Kao,
+    Lam, Sung and Ting (SIAM J. Comput. 31, 2001) gives the maximum weight
+    from two unweighted maximum matchings: let C1 be a minimum vertex cover
+    of H1 and keep in H_delta the pairs with w - [i in C1] - [j in C1] >= 1;
+    then the least cost is 3m - nu(H1) - nu(H_delta).  When H1 has a
+    perfect matching this is m and H1 holds every optimal bijection.
+
+    Otherwise, with C2 a minimum vertex cover of H_delta, the dual
+    y = 1_C1 + 1_C2 is feasible (w <= y_i + y_j) and sums to the optimum,
+    so the optimal bijections are the perfect matchings of the tight pairs
+    w = y_i + y_j.  The witness, when requested, is the lexicographically
+    first of them.
+    """
+    m = len(h1)
+    match, match_right = _hopcroft_karp(h1, m)
+    if -1 not in match:
+        return m, _lex_first_tight_assignment(h1, match) if want_witness else None
+    # Koenig: C1 is the rows not reached plus the columns reached.
+    reached, cover = _alternating_reach(h1, match, match_right)
+    # A reached row has all of its H1 columns in C1, so the columns of
+    # near(i) outside C1 are at cost 2; a row in C1 keeps only its H1
+    # pairs whose column is outside C1.
+    h_delta = [
+        h1[i] + [j for j in near(i) if j not in cover]
+        if i in reached
+        else [j for j in h1[i] if j not in cover]
+        for i in range(m)
+    ]
+    match_delta, match_delta_right = _hopcroft_karp(h_delta, m)
+    cost = 3 * m - (m - match.count(-1)) - (m - match_delta.count(-1))
+    if not want_witness:
+        return cost, None
+    reached_delta, cover_delta = _alternating_reach(h_delta, match_delta, match_delta_right)
+    y_col = [(j in cover) + (j in cover_delta) for j in range(m)]
+    tight = []
+    for i in range(m):
+        y_i = (i not in reached) + (i not in reached_delta)
+        near_i, h1_i = set(near(i)), set(h1[i])  # w(i, j) = [j in near_i] + [j in h1_i]
+        tight.append([j for j in range(m) if (j in near_i) + (j in h1_i) == y_i + y_col[j]])
+    cols, _ = _hopcroft_karp(tight, m)
+    return cost, _lex_first_tight_assignment(tight, cols)
+
+
 def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureReport:
     """lly_curvature on a graph already known to be regular."""
     parts = decompose_edge(g, x, y)
@@ -386,26 +426,17 @@ def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureRepor
     if len(nx) != len(ny):
         raise NotRegularError("exclusive neighborhoods differ in size")
     masks = neighbor_masks(g)
-    match, _ = _hopcroft_karp(_local_adjacency(masks, nx, ny), len(ny))
-    if -1 not in match and not want_witness:
-        # A perfect matching on the distance-1 pairs costs |N_x|, the least
-        # any bijection can: the edge is sharp.
-        min_cost = len(nx)
-    else:
-        # Distances v -> u between N_x and N_y, capped at 3 (v-x-y-u): 1 when
-        # adjacent, 2 when they share a neighbor, else 3.  Every cost is
-        # >= 1, so each matched pair is a row minimum and the matching
-        # warm-starts the assignment.
-        cost = [
-            [1 if r >> u & 1 else 2 if r & masks[u] else _COST_CAP for u in ny]
-            for r in (masks[v] for v in nx)
-        ]
-        min_cost, match, *duals = _assignment(cost, match)
-        if want_witness:
-            match = _lex_first_tight_assignment(cost, match, *duals)
+
+    def near(i: int) -> list[int]:
+        # v -> u costs 1 when adjacent, 2 when they share a neighbor, else 3
+        # (the path v-x-y-u).
+        r = masks[nx[i]]
+        return [j for j, u in enumerate(ny) if r >> u & 1 or r & masks[u]]
+
+    min_cost, cols = _two_matching_assignment(_local_adjacency(masks, nx, ny), near, want_witness)
     kappa = Fraction(d + 1 - min_cost, d)
     upper = Fraction(2 + len(parts.delta), d)
-    witness = tuple((nx[i], ny[match[i]]) for i in range(len(nx))) if want_witness else None
+    witness = tuple(zip(nx, (ny[j] for j in cols))) if cols is not None else None
     return CurvatureReport(
         x=x,
         y=y,
@@ -423,10 +454,10 @@ def lly_curvature(g: Graph, x: int, y: int, want_witness: bool = False) -> Curva
 
     kappa = (d + 1 - C)/d where C is the minimum cost of a bijection
     N_x -> N_y under graph distance (entries lie in {1, 2, 3}).  A perfect
-    matching of N_x and N_y decides C = |N_x| outright; otherwise that
-    matching warm-starts the assignment.  When a witness is requested it
-    is the lexicographically smallest optimal bijection, listed in N_x
-    order.
+    matching of N_x and N_y decides C = |N_x| outright; otherwise
+    C = 3m - nu(H1) - nu(H_delta) from a second maximum matching
+    (_two_matching_assignment).  When a witness is requested it is the
+    lexicographically smallest optimal bijection, listed in N_x order.
     """
     if not g.is_regular():
         raise NotRegularError("Lin-Lu-Yau curvature is only computed for regular graphs")

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from llycurv import certify, cli, residues
 from llycurv.cli import main, parse_csv
 from llycurv.graphio import load_graph
 from llycurv.families import paley_automorphisms, paley_graph, rook_graph
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -76,6 +79,49 @@ def test_curvature_reads_a_60_vertex_graph6_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["edges"]) == 60 and doc["min_kappa"] == {"num": "0", "den": "1"}
+
+
+# tests/data/rrg40_8.g6 is random_regular_graph(40, 8, seed=3), stored so the
+# pins below do not depend on the generator.  None of its 160 edges has a
+# perfect local matching, so every kappa comes from the non-sharp path.  The
+# hashes are of the stdout the Hungarian-assignment engine printed; the
+# commands run from tests/data so the echoed config holds a fixed path.
+_RRG40 = "rrg40_8.g6"
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (("curvature",), "15bc06ce7d4dc63f73b9529dc49dca8a6a86aba599d008b69f5c60c4e31cd9cd"),
+        (
+            ("curvature", "--format", "csv"),
+            "98164d6052d49ab72f9a584c4bbf9ac9b8212401681fc9508833adcfe3bbb698",
+        ),
+        (("sharpness",), "fe5397efddc9e6f29472484db36ebb26ffa81c4464bd0a83c57e57a75f8313f1"),
+    ],
+)
+def test_non_sharp_graph_stdout_pinned(capsys, monkeypatch, argv, sha256):
+    monkeypatch.chdir(DATA)
+    code, out, _ = run(capsys, argv[0], "--graph", _RRG40, *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_non_sharp_edge_witnesses_pinned(capsys, monkeypatch):
+    monkeypatch.chdir(DATA)
+    g = load_graph(_RRG40)
+    outs = []
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            code, out, _ = run(capsys, "curvature", "--graph", _RRG40, "--edge", f"{a},{b}")
+            assert code == 0
+            outs.append(out)
+    docs = [json.loads(out) for out in outs]
+    assert len(docs) == 320 and not any(doc["sharp"] for doc in docs)
+    assert min(F(int(doc["kappa"]["num"]), int(doc["kappa"]["den"])) for doc in docs) == F(-1, 4)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "65f3c49c9a78506ecc3a5ae150b2dfc9615ded6f112686536879b610fed2532d"
+    )
 
 
 def test_match_witness_output(tmp_path, capsys):

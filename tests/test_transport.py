@@ -23,6 +23,7 @@ from llycurv.families import (
     cocktail_party_graph,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     paley_automorphisms,
     paley_graph,
     petersen_graph,
@@ -117,6 +118,71 @@ def test_lex_smallest_optimal_assignment():
         total, cols = lex_smallest_optimal_assignment(cost)
         assert total == brute_force_assignment(cost)
         assert tuple(cols) == min(all_optimal_assignments(cost))
+
+
+# ------------------------------------------------- two-matching {1,2,3} costs
+
+def two_matching(cost, want_witness=True):
+    """transport._two_matching_assignment on an explicit {1, 2, 3} matrix."""
+    h1 = [[j for j, c in enumerate(row) if c == 1] for row in cost]
+    return transport._two_matching_assignment(
+        h1, lambda i: [j for j, c in enumerate(cost[i]) if c <= 2], want_witness
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(1, 3), min_size=m, max_size=m),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+def test_two_matching_cost_matches_brute_force_hypothesis(cost):
+    total, cols = two_matching(cost)
+    assert total == brute_force_assignment(cost)
+    assert two_matching(cost, want_witness=False) == (total, None)
+    assert tuple(cols) == min(all_optimal_assignments(cost))
+
+
+def test_two_matching_needs_the_cover_adjustment():
+    # H1 = {(0,0)} and the cost <= 2 pairs {(0,0), (0,1), (1,0)} both have
+    # matchings, of sizes 1 and 2, so 3m - nu(H1) - nu(cost <= 2) = 3; but
+    # both bijections cost 4.  Row 0 is the cover C1 of H1, so H_delta
+    # keeps (0,0) and (1,0) only, and nu(H_delta) = 1.
+    cost = [[1, 2], [2, 3]]
+    assert brute_force_assignment(cost) == 4
+    assert two_matching(cost) == (4, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "g, non_sharp_expected",
+    [
+        (random_regular_graph(40, 8, seed=3), 320),
+        (random_regular_graph(30, 6, seed=5), 178),
+        (petersen_graph(), 30),
+        (hypercube_graph(4), 0),
+    ],
+    ids=["rrg40_8", "rrg30_6", "petersen", "hypercube4"],
+)
+def test_two_matching_matches_hungarian_on_every_edge(g, non_sharp_expected):
+    from llycurv.graphs import bfs_distances, decompose_edge
+
+    dist = [bfs_distances(g, v) for v in range(g.n)]
+    non_sharp = 0
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            parts = decompose_edge(g, a, b)
+            cost = [[min(dist[v][u], 3) for u in parts.ny] for v in parts.nx]
+            total, cols = lex_smallest_optimal_assignment(cost)
+            assert hungarian(cost)[0] == total
+            r = lly_curvature(g, a, b, want_witness=True)
+            assert r.min_bijection_cost == total
+            assert r.witness == tuple((parts.nx[i], parts.ny[j]) for i, j in enumerate(cols))
+            non_sharp += not r.sharp
+    assert non_sharp == non_sharp_expected  # of the directed edges
 
 
 # ------------------------------------------------------------------- W1 flow
@@ -291,7 +357,7 @@ def test_lly_bijection_costs_capped_at_three():
 def test_lly_witness_is_lex_smallest_optimal():
     # Every rook(4) edge has a perfect local matching; on petersen, C7 and
     # the small random regular graphs some edges do not, so their witness
-    # comes from the duals of the warm-started assignment.
+    # comes from the pairs tight under the two-matching dual.
     from llycurv.graphs import bfs_distances, decompose_edge
 
     graphs = [rook_graph(4), petersen_graph(), cycle_graph(7)] + [
