@@ -47,7 +47,7 @@ print(f"{len(rows)} feasible tuples; those certified sharp:")
 for row in rows:
     if row.certified_kappa is not None:
         how = row.conditions.first_satisfied() or "sweep"
-        mark = " (conference)" if row.conference else ""
+        mark = " (conference)" if row.params.is_conference else ""
         print(f"  {row.params.as_tuple()}  kappa {row.certified_kappa} via {how}{mark}")
 
 print()

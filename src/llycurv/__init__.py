@@ -12,7 +12,6 @@ from .certify import (
     Certificate,
     ConditionReport,
     ObstructionQuadratic,
-    ScanRow,
     certify_curvature,
     evaluate_conditions,
     obstruction_quadratic,

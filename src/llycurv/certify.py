@@ -318,19 +318,6 @@ def certify_curvature(params: SrgParams) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One feasible parameter tuple of the scanner with its certificates."""
-
-    params: SrgParams
-    multiplicities_integral: bool
-    identity_holds: bool
-    conditions: ConditionReport
-    sweep_sharp: bool
-    conference: bool
-    certified_kappa: Fraction | None
-
-
 def _divisors(factors: tuple[int, ...]) -> list[int]:
     """Every divisor of the product of factors, from the primes dividing each factor."""
     product = prod(factors)
@@ -378,34 +365,21 @@ def _candidate_tuples(max_n: int) -> set[tuple[int, int, int, int]]:
     return found
 
 
-def scan_parameters(max_n: int) -> list[ScanRow]:
-    """All feasible SRG parameter tuples with n <= max_n, certified.
+def scan_parameters(max_n: int) -> list[Certificate]:
+    """The certificate of every feasible SRG parameter tuple with n <= max_n.
 
     Feasible means the counting identity d(d-alpha-1) = (n-d-1) beta holds
     and both nontrivial eigenvalue multiplicities are positive integers.
     The candidates come from the eigenvalue equations (`_candidate_tuples`);
-    rows are in (n, d, -alpha) order.
-    Graph existence is NOT decided; rows are parameter-level objects.
+    certificates are in (n, d, -alpha) order.
+    Graph existence is NOT decided; these are parameter-level objects.
     """
     if max_n > _SCAN_CAP:
         raise TooLargeError(f"scan capped at max_n = {_SCAN_CAP}")
-    rows: list[ScanRow] = []
-    for n, d, alpha, beta in sorted(_candidate_tuples(max_n), key=lambda p: (p[0], p[1], -p[2])):
-        if d * (d - alpha - 1) != (n - d - 1) * beta:
-            continue
-        if integral_multiplicities(n, d, alpha, beta) is None:
-            continue
-        params = SrgParams(n, d, alpha, beta)
-        cert = certify_curvature(params)
-        rows.append(
-            ScanRow(
-                params=params,
-                multiplicities_integral=True,
-                identity_holds=True,
-                conditions=cert.conditions,
-                sweep_sharp=cert.outcome == "sharp_by_sweep",
-                conference=params.is_conference,
-                certified_kappa=cert.certified_kappa,
-            )
-        )
-    return rows
+    candidates = sorted(_candidate_tuples(max_n), key=lambda p: (p[0], p[1], -p[2]))
+    return [
+        certify_curvature(SrgParams(n, d, alpha, beta))
+        for n, d, alpha, beta in candidates
+        if d * (d - alpha - 1) == (n - d - 1) * beta
+        and integral_multiplicities(n, d, alpha, beta) is not None
+    ]

@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Machine output is deterministic: exact fractions are serialized as decimal
-strings, JSON keys are sorted, and every emission opens with the resolved
-run configuration.  Exit status 0 means all assertions passed, 1 means a
-mathematical assertion failed (with a machine-readable record), 2 means a
-configuration or I/O problem.
+Each command returns its document and writes nothing: either a payload
+dict, which `main` emits as one JSON line with the resolved run
+configuration under "config", or finished text (a graph file, or a CSV
+whose `# config:` line echoes the configuration).  `main` alone writes to
+stdout or --out and picks the exit status.  Output is deterministic: exact
+fractions are serialized as decimal strings and JSON keys are sorted.  Exit
+status 0 means success, 1 means the document's "ok" is false (a
+mathematical assertion failed; only `corollary` and `verify-conjecture`
+carry "ok"), 2 means a configuration or I/O problem.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import graphio
-from .certify import certify_curvature, scan_parameters
+from .certify import Certificate, certify_curvature, scan_parameters
 from .errors import LlycurvError
 from .families import (
     family_names,
@@ -30,7 +34,7 @@ from .graphs import SrgParams, classify_regularity
 from .matching import local_perfect_matching
 from .residues import verify_corollary
 from .spectral import Eigenvalue, lichnerowicz_report, numerical_lambda2, srg_spectrum
-from .transport import _edge_orbits, curvature_spectrum, lly_curvature
+from .transport import CurvatureReport, _edge_orbits, curvature_spectrum, lly_curvature
 
 
 def _frac(value: Fraction) -> dict[str, str]:
@@ -41,102 +45,85 @@ def _eig(value: Eigenvalue) -> dict[str, int]:
     return {"u": value.u, "v": value.v, "w": value.w, "D": value.disc}
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _config_of(args: argparse.Namespace) -> dict[str, Any]:
     skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _json_doc(args: argparse.Namespace, payload: dict[str, Any]) -> str:
-    doc = {"config": _config_of(args)}
-    doc.update(payload)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _csv(args: argparse.Namespace, header: str, rows: Iterable[Iterable[object]]) -> str:
+    """A `# config:` line, the header, then one comma-joined line per row."""
+    lines = ["# config: " + json.dumps(_config_of(args), sort_keys=True), header]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _parse_edge(text: str) -> tuple[int, int]:
+def _edge_doc(r: CurvatureReport) -> dict[str, Any]:
+    return {
+        "edge": [r.x, r.y],
+        "kappa": _frac(r.kappa),
+        "delta_size": r.delta_size,
+        "upper_bound": _frac(r.upper_bound),
+        "sharp": r.sharp,
+    }
+
+
+def _threads(text: str) -> int:
+    """The argparse type of --threads: an integer of at least 1."""
     try:
-        u, v = (int(part) for part in text.split(","))
-    except Exception as exc:
-        raise LlycurvError(f"edge must be 'u,v', got {text!r}") from exc
-    return u, v
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _parse_params(text: str) -> SrgParams:
+def _parse_ints(text: str, what: str, form: str) -> tuple[int, ...]:
+    """The integers of comma-separated text with as many fields as form."""
+    parts = text.split(",")
     try:
-        n, d, a, b = (int(part) for part in text.split(","))
-    except Exception as exc:
-        raise LlycurvError(f"params must be 'n,d,alpha,beta', got {text!r}") from exc
-    return SrgParams(n, d, a, b)
+        if len(parts) == len(form.split(",")):
+            return tuple(int(part) for part in parts)
+    except ValueError:
+        pass
+    raise LlycurvError(f"{what} must be {form!r}, got {text!r}")
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> str:
     params = {}
     for key in ("q", "k", "n", "m"):
         value = getattr(args, key)
         if value is not None:
             params[key] = value
     g = named_graph(args.name, **params)
-    if args.format == "json":
-        text = graphio.to_json(g)
-    else:
-        text = graphio.to_graph6(g) + "\n"
-    _emit(text, args.out)
-    return 0
+    return graphio.to_json(g) if args.format == "json" else graphio.to_graph6(g) + "\n"
 
 
-def _cmd_curvature(args: argparse.Namespace) -> int:
+def _cmd_curvature(args: argparse.Namespace) -> dict[str, Any] | str:
     g = graphio.load_graph(args.graph)
     if args.edge is not None:
-        x, y = _parse_edge(args.edge)
-        report = lly_curvature(g, x, y, want_witness=True)
-        payload = {
-            "edge": [report.x, report.y],
-            "kappa": _frac(report.kappa),
-            "delta_size": report.delta_size,
-            "upper_bound": _frac(report.upper_bound),
-            "sharp": report.sharp,
-            "witness": [list(pair) for pair in report.witness or ()],
-        }
-        _emit(_json_doc(args, payload), args.out)
-        return 0
+        report = lly_curvature(g, *_parse_ints(args.edge, "edge", "u,v"), want_witness=True)
+        return {**_edge_doc(report), "witness": [list(pair) for pair in report.witness or ()]}
     spectrum = curvature_spectrum(g, processes=args.threads)
     if args.format == "csv":
-        lines = ["# config: " + json.dumps(_config_of(args), sort_keys=True)]
-        lines.append("x,y,kappa_num,kappa_den,delta_size,upper_num,upper_den,sharp")
-        for r in spectrum.reports:
-            lines.append(
-                f"{r.x},{r.y},{r.kappa.numerator},{r.kappa.denominator},"
-                f"{r.delta_size},{r.upper_bound.numerator},{r.upper_bound.denominator},"
-                f"{int(r.sharp)}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "min_kappa": _frac(spectrum.min_kappa),
-            "edges": [
-                {
-                    "edge": [r.x, r.y],
-                    "kappa": _frac(r.kappa),
-                    "delta_size": r.delta_size,
-                    "upper_bound": _frac(r.upper_bound),
-                    "sharp": r.sharp,
-                }
+        return _csv(
+            args,
+            "x,y,kappa_num,kappa_den,delta_size,upper_num,upper_den,sharp",
+            (
+                (r.x, r.y, r.kappa.numerator, r.kappa.denominator, r.delta_size,
+                 r.upper_bound.numerator, r.upper_bound.denominator, int(r.sharp))
                 for r in spectrum.reports
-            ],
-        }
-        _emit(_json_doc(args, payload), args.out)
-    return 0
+            ),
+        )
+    return {
+        "min_kappa": _frac(spectrum.min_kappa),
+        "edges": [_edge_doc(r) for r in spectrum.reports],
+    }
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
+def _cmd_match(args: argparse.Namespace) -> dict[str, Any]:
     g = graphio.load_graph(args.graph)
-    x, y = _parse_edge(args.edge)
+    x, y = _parse_ints(args.edge, "edge", "u,v")
     instance, result = local_perfect_matching(g, x, y)
     payload: dict[str, Any] = {
         "edge": [x, y],
@@ -146,17 +133,14 @@ def _cmd_match(args: argparse.Namespace) -> int:
         "matching_size": len(result.pairs),
     }
     if args.witness:
-        payload["pairs"] = [
-            [instance.left[li], instance.right[ri]] for li, ri in result.pairs
-        ]
+        payload["pairs"] = [[instance.left[li], instance.right[ri]] for li, ri in result.pairs]
     if result.violator is not None:
         payload["violator"] = [instance.left[li] for li in result.violator]
-    _emit(_json_doc(args, payload), args.out)
-    return 0
+    return payload
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    params = _parse_params(args.params)
+def _cmd_certify(args: argparse.Namespace) -> dict[str, Any]:
+    params = SrgParams(*_parse_ints(args.params, "params", "n,d,alpha,beta"))
     cert = certify_curvature(params)
     payload: dict[str, Any] = {
         "params": list(params.as_tuple()),
@@ -183,55 +167,39 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             }
             for quad in cert.sweep
         ]
-    _emit(_json_doc(args, payload), args.out)
-    return 0
+    return payload
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    rows = scan_parameters(args.max_n)
-    lines = ["# config: " + json.dumps(_config_of(args), sort_keys=True)]
-    lines.append(
+def _cmd_scan(args: argparse.Namespace) -> str:
+    def row(cert: Certificate) -> list[object]:
+        kappa = cert.certified_kappa
+        return [
+            *cert.params.as_tuple(),
+            *map(int, cert.conditions.flags().values()),
+            int(cert.outcome == "sharp_by_sweep"),
+            int(cert.params.is_conference),
+            *((kappa.numerator, kappa.denominator) if kappa is not None else ("", "")),
+        ]
+
+    return _csv(
+        args,
         "n,d,alpha,beta,cond1,cond2,cond3,cond4,cond5,hlx,ll,sweep,conference,"
-        "kappa_num,kappa_den"
+        "kappa_num,kappa_den",
+        map(row, scan_parameters(args.max_n)),
     )
-    for row in rows:
-        flags = row.conditions.flags()
-        kappa = row.certified_kappa
-        lines.append(
-            ",".join(
-                [
-                    str(row.params.n),
-                    str(row.params.d),
-                    str(row.params.alpha),
-                    str(row.params.beta),
-                ]
-                + [str(int(flags[name])) for name in
-                   ("cond1", "cond2", "cond3", "cond4", "cond5", "hlx", "ll")]
-                + [
-                    str(int(row.sweep_sharp)),
-                    str(int(row.conference)),
-                    str(kappa.numerator) if kappa is not None else "",
-                    str(kappa.denominator) if kappa is not None else "",
-                ]
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> dict[str, Any]:
     if args.params is not None:
-        params = _parse_params(args.params)
+        params = SrgParams(*_parse_ints(args.params, "params", "n,d,alpha,beta"))
         report = srg_spectrum(params)
-        payload = {
+        return {
             "params": list(params.as_tuple()),
             "lambda1": _eig(Eigenvalue(0, 0, 1, 0)),
             "lambda2": _eig(report.lambda2),
             "lambda3": _eig(report.lambda3),
             "multiplicities": [report.m1, report.m2, report.m3],
         }
-        _emit(_json_doc(args, payload), args.out)
-        return 0
     g = graphio.load_graph(args.graph)
     rc = classify_regularity(g)
     payload = {"n": g.n, "lambda2_numerical": numerical_lambda2(g)}
@@ -240,11 +208,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         payload["params"] = list(rc.params.as_tuple())
         payload["lambda2"] = _eig(report.lambda2)
         payload["multiplicities"] = [report.m1, report.m2, report.m3]
-    _emit(_json_doc(args, payload), args.out)
-    return 0
+    return payload
 
 
-def _cmd_sharpness(args: argparse.Namespace) -> int:
+def _cmd_sharpness(args: argparse.Namespace) -> dict[str, Any]:
     g = graphio.load_graph(args.graph)
     report = lichnerowicz_report(g, processes=args.threads)
     payload: dict[str, Any] = {
@@ -256,13 +223,12 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
         payload["lambda2"] = _eig(report.lambda2_exact)
     if report.bound_kappa is not None:
         payload["bound_kappa"] = _frac(report.bound_kappa)
-    _emit(_json_doc(args, payload), args.out)
-    return 0
+    return payload
 
 
-def _cmd_corollary(args: argparse.Namespace) -> int:
+def _cmd_corollary(args: argparse.Namespace) -> dict[str, Any]:
     report = verify_corollary(args.q, mode=args.mode, seed=args.seed, trials=args.trials)
-    payload = {
+    return {
         "q": report.q,
         "pair": list(report.pair),
         "mode": report.mode,
@@ -270,13 +236,10 @@ def _cmd_corollary(args: argparse.Namespace) -> int:
         "failures": [list(f) for f in report.failures],
         "ok": report.ok,
     }
-    _emit(_json_doc(args, payload), args.out)
-    return 0 if report.ok else 1
 
 
-def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
+def _cmd_verify_conjecture(args: argparse.Namespace) -> dict[str, Any]:
     results = []
-    ok = True
     for gamma, q in paley_gamma_orders(args.gamma_max):
         expected = Fraction(1, 2) + Fraction(1, 2 * gamma)
         g = paley_graph(q)
@@ -288,7 +251,6 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
         bad = [
             {"edge": list(e), "kappa": wrong[r]} for e, r in zip(edges, roots) if r in wrong
         ] if wrong else []
-        ok = ok and not bad
         results.append(
             {
                 "gamma": gamma,
@@ -299,9 +261,11 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
                 "mismatches": bad,
             }
         )
-    payload = {"gammas": [r["gamma"] for r in results], "results": results, "ok": ok}
-    _emit(_json_doc(args, payload), args.out)
-    return 0 if ok else 1
+    return {
+        "gammas": [r["gamma"] for r in results],
+        "results": results,
+        "ok": all(r["all_match"] for r in results),
+    }
 
 
 def parse_csv(text: str) -> list[dict[str, int | None]]:
@@ -339,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--edge")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_curvature)
 
@@ -370,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sharpness", help="min curvature vs lambda2")
     p.add_argument("--graph", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sharpness)
 
@@ -387,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check kappa = 1/2 + 1/(2 gamma) on all Paley graphs up to gamma-max",
     )
     p.add_argument("--gamma-max", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_conjecture)
 
@@ -395,18 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        text = doc if isinstance(doc, str) else json.dumps(
+            {"config": _config_of(args), **doc}, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
     except LlycurvError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": "io", "message": str(exc)}) + "\n")
         return 2
+    return 0 if isinstance(doc, str) or doc.get("ok", True) else 1
 
 
 if __name__ == "__main__":

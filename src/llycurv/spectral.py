@@ -21,6 +21,7 @@ from .errors import (
     NotSrgParametersError,
 )
 from .graphs import Graph, SrgParams, classify_regularity, is_connected, neighbor_masks
+from .transport import curvature_spectrum
 
 _EIG_TOL = 1e-9
 
@@ -176,8 +177,6 @@ def lichnerowicz_report(g: Graph, processes: int = 1) -> SharpnessReport:
     curvature can only equal lambda2 when D is a perfect square.  Otherwise
     sharpness falls back to a 1e-9 numerical window.
     """
-    from .transport import curvature_spectrum
-
     spectrum = curvature_spectrum(g, processes=processes)
     min_kappa = spectrum.min_kappa
     rc = classify_regularity(g)

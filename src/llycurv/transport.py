@@ -423,8 +423,6 @@ def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureRepor
     parts = decompose_edge(g, x, y)
     d = g.degree(x)
     nx, ny = parts.nx, parts.ny
-    if len(nx) != len(ny):
-        raise NotRegularError("exclusive neighborhoods differ in size")
     masks = neighbor_masks(g)
 
     def near(i: int) -> list[int]:

@@ -144,7 +144,7 @@ def test_criterion_06_parameter_scan_512():
     rows = scan_parameters(512)
     by_tuple = {r.params.as_tuple(): r for r in rows}
     for row in rows:
-        if row.conference and row.params.gamma > 6:
+        if row.params.is_conference and row.params.gamma > 6:
             assert row.conditions.cond1, row.params
     assert by_tuple[(275, 112, 30, 56)].conditions.cond4
     assert not by_tuple[(16, 6, 2, 2)].conditions.any_holds

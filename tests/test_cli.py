@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,8 +15,8 @@ import pytest
 
 from llycurv import certify, cli, residues
 from llycurv.cli import main, parse_csv
-from llycurv.graphio import load_graph
-from llycurv.families import paley_automorphisms, paley_graph, rook_graph
+from llycurv.graphio import load_graph, to_graph6
+from llycurv.families import paley_automorphisms, paley_graph, petersen_graph, rook_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,6 +125,235 @@ def test_non_sharp_edge_witnesses_pinned(capsys, monkeypatch):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
         "65f3c49c9a78506ecc3a5ae150b2dfc9615ded6f112686536879b610fed2532d"
     )
+
+
+# Every command's (exit code, stdout, stderr), plus the --out file when one
+# is written, hashed as the CLI printed them before `main` became its one
+# writer.  The commands run from a directory holding p13.g6 = P(13) (every
+# edge sharp) and pet.g6 = Petersen (no edge sharp), so the echoed config
+# paths are fixed.  `spectrum --graph` and `sharpness` print numpy's float
+# lambda2, so their pins assume the same numpy/BLAS build as the recording,
+# as the rrg40_8 `sharpness` pin does.
+_PINNED = [
+    (
+        ("gen", "--name", "paley", "--q", "13"),
+        "923cd31a9d05145c51985469a97395e3dc87776f6a04fd50ffb55344efa248f8",
+    ),
+    (
+        ("gen", "--name", "petersen", "--format", "json"),
+        "80af2eec8dcc3e58e389552f6c23b7e4dc54e6691f29d60139ae030b9fa61d90",
+    ),
+    (
+        ("gen", "--name", "nope"),
+        "eae200782161e050e26cd260d7872b363bd243bcad76c837495c6c28843c38b7",
+    ),
+    (
+        ("curvature", "--graph", "p13.g6"),
+        "2abbf661b779c302162aeca3a2b5c1ca9119d31e415c0c55dde956de9354937a",
+    ),
+    (
+        ("curvature", "--graph", "p13.g6", "--format", "csv"),
+        "9141be32560d2cf94cdd23ce1f51ec9013f8e416cb39b250792708e8df07ada5",
+    ),
+    (
+        ("curvature", "--graph", "p13.g6", "--edge", "0,1"),
+        "630f9821fc4b492c05fdb4cd65d1fe835534cdb5a58107873fb4917846ac35e1",
+    ),
+    (
+        ("curvature", "--graph", "p13.g6", "--threads", "2"),
+        "3c1d78caa4e0618a753a44745e259bede0c52eee874e3e3fb49d7614be5b3cdc",
+    ),
+    (
+        ("curvature", "--graph", "pet.g6"),
+        "bd018914c536fad4f089f40e098813cce17debfaae4734140d508bb580795715",
+    ),
+    (
+        ("curvature", "--graph", "pet.g6", "--format", "csv"),
+        "0d725445ee855fc3aaf8c2eb82389a17d10f559e950cec0000508ed286c9672c",
+    ),
+    (
+        ("curvature", "--graph", "pet.g6", "--edge", "7,0"),
+        "18935c93378b1c612207330ed090845e880b3be7e0382dc9b4d5e23d7b1606fb",
+    ),
+    (
+        ("curvature", "--graph", "pet.g6", "--out", "pet.json"),
+        "8810c374282073b47eaa82d2c254f91d4e96f20fcfdda74cc133ea4eac2b53cf",
+    ),
+    (
+        ("match", "--graph", "p13.g6", "--edge", "0,1"),
+        "4c288cf61bf76f64f04eab034b3c59fb4cf14846598e87d4e89606184b772b03",
+    ),
+    (
+        ("match", "--graph", "p13.g6", "--edge", "0,1", "--witness"),
+        "d3fc398be9ccaf8d755386d9face13d4067e1008772ec6b9440ba1848f295a01",
+    ),
+    (
+        ("match", "--graph", "pet.g6", "--edge", "0,7"),
+        "66bbdc8826567f02a7d4657f1b2d8b33174c2619c51ffc09874eba6d82418492",
+    ),
+    (
+        ("match", "--graph", "pet.g6", "--edge", "0,7", "--witness"),
+        "4a9948294bf2b2163a94fda82cb9ac4302881e97e55d99ae7888aadfd4c8adef",
+    ),
+    (
+        ("certify", "--params", "29,14,6,7"),
+        "6fd4da5fde4ba12a572a9672b90cd495672351292721599efaad93787e23ec22",
+    ),
+    (
+        ("certify", "--params", "324,152,70,72"),
+        "acaa77cc5025a014da380dcef08a9988d77d02b3844b76c579a882a6124d4420",
+    ),
+    (
+        ("certify", "--params", "16,6,2,2"),
+        "1e55720a7728d02140a3bb1cd1e62cf5950746c95c6f15e7a3bbf8209f982b74",
+    ),
+    (
+        ("scan", "--max-n", "60"),
+        "e2e3a5e24e0b1ae92998b614973b85b3a528214237b6a6ab35ab8b2939e25be1",
+    ),
+    (
+        ("scan", "--max-n", "60", "--out", "scan.csv"),
+        "7c163ac75f51cf355938c8f9f6a73a15644a49f8db8e249d0623385cc7e48417",
+    ),
+    (
+        ("spectrum", "--params", "9,4,1,2"),
+        "c0722d3dfa3773cf7d29aeb59a3956d5f30a9ca3b2749b0fb3be1b78810cdffa",
+    ),
+    (
+        ("spectrum", "--graph", "pet.g6"),
+        "9d3ecc3a7cbe215ec1f8c139c7d98bf6803d63bc79c45e5acb08b013badcfcd2",
+    ),
+    (
+        ("sharpness", "--graph", "p13.g6"),
+        "46c859e099faee908a25e9482318548f1083d8e877f64d95279285130709a328",
+    ),
+    (
+        ("sharpness", "--graph", "pet.g6"),
+        "3669bd4c02fb46ad4245e5f3085409caa79b063844cac7670c82de1553a5ae68",
+    ),
+    (
+        ("corollary", "--q", "13"),
+        "0e1c36aa2d602301030c4668d45eadaa1d85f051bd685a429508bd2d8602be93",
+    ),
+    (
+        ("corollary", "--q", "29", "--mode", "sampled", "--seed", "1", "--trials", "500"),
+        "81d5834abfcbabac42b2a45021b5e3bc955e27d2d2648cadbe5db8698658ca5a",
+    ),
+    (
+        ("verify-conjecture", "--gamma-max", "12"),
+        "b5231c92fc466f01a5cdb9cd5c24e60dfd3e2415029ffa4e0b23d89020030cdc",
+    ),
+    (
+        ("curvature", "--graph", "pet.g6", "--edge", "0,2"),
+        "5fc81bc4bee84e4a114e34f2c535c0d9ba6519843959b1c1bc0216978246899f",
+    ),
+    (
+        ("match", "--graph", "pet.g6", "--edge", "0,2"),
+        "5fc81bc4bee84e4a114e34f2c535c0d9ba6519843959b1c1bc0216978246899f",
+    ),
+    (
+        ("curvature", "--graph", "pet.g6", "--edge", "0,7,1"),
+        "35844c29851a599c353708f58fead887f56759f3679038ddf7d421fca5811db0",
+    ),
+    (
+        ("match", "--graph", "pet.g6", "--edge", "x"),
+        "0ff7e1d32ed7b20fe2786abe133efd6158fec89101435bc8ba3931a992de195d",
+    ),
+    (
+        ("spectrum", "--params", "9,4,1"),
+        "5f8daf1364b7957f35ff4246b809bdc15f759fcf13cccbae64cb8230dabb7174",
+    ),
+    (
+        ("curvature", "--graph", "pet.g6", "--threads", "x"),
+        "106346b6a3ea2232720705be59e22458619bc95fe2bf44bd7cec841e27a8304c",
+    ),
+    (
+        ("corollary", "--q", "13", "--out", "c.json"),
+        "b31f8fc2d319f8d89f372adbba004cf74c2468cbc247cac40038528636a83ca4",
+    ),
+    (
+        ("certify", "--params", "junk"),
+        "494554414117d8ef27ddea47ab38697092859f13f6d7993f680cbbe734caf00f",
+    ),
+    (
+        ("curvature", "--graph", "missing.g6"),
+        "a0923ffffedd63b9e8c6bf9a81fc1334e0f6c8f6bdb6f243fe642d9fa9ca91e6",
+    ),
+    (
+        ("corollary", "--q", "7"),
+        "69879c812d83982b1d83fc6c39db9dbd3099b427624e6bb6ce23a666ff87cd7b",
+    ),
+    (
+        ("scan", "--max-n", "5000"),
+        "9bcecbe434beee92009255ea14cca11343ce09de4c9658635a05316513fd1f00",
+    ),
+    (
+        ("certify", "--params", "29,14,6,7", "--out", "nodir/c.json"),
+        "2729ee28348cd5b2afc2ba7b540fab50b8de8dc95187ed8601c8dc29e3bd4eeb",
+    ),
+]
+
+
+@pytest.fixture
+def pin_dir(tmp_path, monkeypatch):
+    (tmp_path / "p13.g6").write_text(to_graph6(paley_graph(13)) + "\n")
+    (tmp_path / "pet.g6").write_text(to_graph6(petersen_graph()) + "\n")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _command_bytes(capsys, argv) -> bytes:
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse errors
+        code = exc.code
+    captured = capsys.readouterr()
+    record = [code, captured.out, captured.err]
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1])
+        record.append(out.read_text() if out.exists() else None)
+    return json.dumps(record).encode()
+
+
+@pytest.mark.parametrize("argv, sha256", _PINNED, ids=[" ".join(argv) for argv, _ in _PINNED])
+def test_command_bytes_pinned(pin_dir, capsys, argv, sha256):
+    assert hashlib.sha256(_command_bytes(capsys, argv)).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curvature", "--graph", "pet.g6"),
+        ("sharpness", "--graph", "pet.g6"),
+        ("verify-conjecture", "--gamma-max", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_threads_below_one_exit_2(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument --threads: must be at least 1, got {value}" in captured.err
+
+
+def test_console_entry_matches_main(capsys):
+    # `python -m llycurv.cli` runs the same `main` as the console script.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def entry(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "llycurv.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = entry("certify", "--params", "324,152,70,72")
+    assert done.returncode == 0
+    assert done.stdout == run(capsys, "certify", "--params", "324,152,70,72")[1]
+    failed = entry("corollary", "--q", "7")
+    assert failed.returncode == 2 and failed.stdout == ""
+    assert json.loads(failed.stderr)["error"] == "InvalidOrderError"
 
 
 def test_match_witness_output(tmp_path, capsys):
