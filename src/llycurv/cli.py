@@ -100,6 +100,12 @@ def _cmd_gen(args: argparse.Namespace) -> str:
 
 
 def _cmd_curvature(args: argparse.Namespace) -> dict[str, Any] | str:
+    if args.edge is not None:
+        # one edge is one JSON document solved in this process
+        defaults = (("--format", args.format, "json"), ("--threads", args.threads, 1))
+        for option, value, default in defaults:
+            if value != default:
+                raise LlycurvError(f"--edge takes no {option} other than {default}, got {value}")
     g = graphio.load_graph(args.graph)
     if args.edge is not None:
         report = lly_curvature(g, *_parse_ints(args.edge, "edge", "u,v"), want_witness=True)

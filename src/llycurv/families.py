@@ -79,19 +79,38 @@ def _translation(radices: tuple[int, ...], s: int) -> list[int]:
     return image
 
 
+def _negation(radices: tuple[int, ...], s: int) -> int:
+    """Index of -s in Z_r1 x ... x Z_rk, digit by digit."""
+    neg, weight = 0, 1
+    for r in reversed(radices):
+        s, d = divmod(s, r)
+        neg += -d % r * weight
+        weight *= r
+    return neg
+
+
 def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Graph:
     """Cayley graph of Z_r1 x ... x Z_rk: u ~ u + s for s in the connection set.
 
     The connection set is given by index, must be closed under negation and
-    must not hold 0; each edge is taken at its smaller end.  The n |S| / 2
-    edges are checked against the bound before any is built.
+    must not hold 0 or repeat an element; then row u, the images of u under
+    the translations by S, is symmetric and loop-free, and is taken as it
+    is once sorted.  The n |S| / 2 edges are checked against the bound
+    before anything is built.
     """
     n = prod(radices)
     _check_edges(n * len(connection) // 2, f"a Cayley graph of order {n} and degree {len(connection)}")
-    edges = []
-    for s in connection:
-        edges.extend((u, v) for u, v in enumerate(_translation(radices, s)) if u < v)
-    return Graph(n, edges)
+    members = set(connection)
+    if (
+        len(members) != len(connection)
+        or not all(0 < s < n and _negation(radices, s) in members for s in members)
+    ):
+        raise InvalidParamsError(
+            f"a Cayley connection set needs distinct indices in 1..{n - 1}, closed under negation"
+        )
+    images = [_translation(radices, s) for s in connection]
+    rows = tuple(map(tuple, map(sorted, zip(*images)))) if images else ((),) * n
+    return Graph._from_rows(rows)
 
 
 def _intersection_graph(n: int, k: int, meet: int) -> Graph:

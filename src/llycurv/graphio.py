@@ -53,7 +53,8 @@ def _decode_size(data: bytes) -> tuple[int, int]:
 def to_graph6(g: Graph) -> str:
     """Encode in the standard header-less graph6 format."""
     masks = neighbor_masks(g)
-    bits = "".join("1" if masks[v] >> u & 1 else "0" for v in range(1, g.n) for u in range(v))
+    # Column v is bits 0..v-1 of masks[v], lowest first: the reader's layout.
+    bits = "".join(format(masks[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
     bits += "0" * (-len(bits) % 6)
     body = [int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6)]
     return bytes(_encode_size(g.n) + body).decode("ascii")
@@ -74,14 +75,23 @@ def from_graph6(text: str) -> Graph:
     values = body.translate(_G6_VALUES)
     _check_edges(int.from_bytes(values, "big").bit_count(), "the graph6 graph")
     bits = "".join(map(_SIX_BITS.__getitem__, values))
-    edges = []
+    # Column v lists its neighbours u < v in increasing u, and the columns
+    # come in increasing v, so appending u to row v and v to row u leaves
+    # every row sorted.  Column v read backwards is masks[v] below bit v.
+    rows: list[list[int]] = [[] for _ in range(n)]
+    masks = [0] * n
     for v in range(1, n):
-        row = v * (v - 1) // 2
-        k = bits.find("1", row, row + v)
-        while k != -1:
-            edges.append((k - row, v))
-            k = bits.find("1", k + 1, row + v)
-    return Graph(n, edges)
+        start = v * (v - 1) // 2
+        column = bits[start : start + v]
+        masks[v] = int(column[::-1], 2)
+        row, bit = rows[v], 1 << v
+        u = column.find("1")
+        while u != -1:
+            row.append(u)
+            rows[u].append(v)
+            masks[u] |= bit
+            u = column.find("1", u + 1)
+    return Graph._from_rows(tuple(map(tuple, rows)), tuple(masks))
 
 
 def to_json(g: Graph) -> str:

@@ -1,7 +1,13 @@
 """Immutable simple graphs and their local structure.
 
 The graph type stores one sorted neighbor tuple per vertex; every other
-module reads it and nothing mutates it.  Alongside the type live the
+module reads it and nothing mutates it.  It has two constructors:
+``Graph(n, edges)`` validates every edge (range, no loop; duplicates and
+orientation are absorbed) and is the one for outside input and arbitrary
+callers, while ``Graph._from_rows(rows, masks)`` trusts rows that are
+already sorted, symmetric and loop-free, and is used only where they
+come out that way (the graph6 reader and the Cayley families, each after
+its own checks).  Alongside the type live the
 operations the curvature machinery leans on: neighbor bitmasks (the one
 common-neighbor primitive of the exact code, built once per graph and kept
 by it), breadth-first distances, the four-way decomposition of the vertex
@@ -84,6 +90,22 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
         self._masks: tuple[int, ...] | None = None  # built by neighbor_masks
 
+    @classmethod
+    def _from_rows(
+        cls, rows: tuple[tuple[int, ...], ...], masks: tuple[int, ...] | None = None
+    ) -> Graph:
+        """The graph with these adjacency rows, taken as they are.
+
+        Nothing is checked: each row must be strictly increasing, w must
+        be in row v exactly when v is in row w, no row may hold its own
+        vertex, and masks, when given, must be what neighbor_masks builds.
+        """
+        g = cls.__new__(cls)
+        g.n = len(rows)
+        g._adj = rows
+        g._masks = masks
+        return g
+
     def neighbors(self, v: VertexId) -> tuple[int, ...]:
         self._check_vertex(v)
         return self._adj[v]
@@ -114,8 +136,7 @@ class Graph:
         return tuple(len(row) for row in self._adj)
 
     def is_regular(self) -> bool:
-        degs = self.degree_sequence()
-        return self.n == 0 or all(d == degs[0] for d in degs)
+        return len(set(map(len, self._adj))) <= 1
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -138,7 +159,8 @@ def neighbor_masks(g: Graph) -> tuple[int, ...]:
 
     (masks[u] & masks[v]).bit_count() is the number of common neighbors of
     u and v, and masks[u] >> v & 1 tells whether uv is an edge.  The masks
-    are built on first use and kept by the graph, which never changes.
+    are built on first use, or by the graph6 reader along with the rows, and
+    kept by the graph, which never changes.
     """
     if g._masks is None:
         g._masks = tuple(sum(1 << w for w in row) for row in g._adj)

@@ -338,6 +338,28 @@ def test_threads_below_one_exit_2(capsys, argv, value):
     assert f"argument --threads: must be at least 1, got {value}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "options, conflict",
+    [
+        (("--format", "csv"), "--format"),
+        (("--threads", "2"), "--threads"),
+        (("--format", "csv", "--threads", "3"), "--format"),
+    ],
+    ids=["format", "threads", "both"],
+)
+def test_curvature_edge_refuses_options_it_cannot_honour(pin_dir, capsys, options, conflict):
+    # One edge is answered as one JSON document in this process, so a
+    # non-default --format or --threads is an error, not a silent echo.
+    argv = ["curvature", "--graph", "pet.g6", "--edge", "0,7", *options]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "LlycurvError"
+    assert error["message"].startswith(f"--edge takes no {conflict} ")
+    code, out, _ = run(capsys, *argv[:5], "--format", "json", "--threads", "1")
+    assert code == 0 and json.loads(out)["config"]["threads"] == 1
+
+
 def test_console_entry_matches_main(capsys):
     # `python -m llycurv.cli` runs the same `main` as the console script.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -289,6 +290,41 @@ def test_paley_builds_without_field_addition(monkeypatch, q):
 
     monkeypatch.setattr(FieldElement, "__add__", forbidden)
     assert (paley_graph(q), paley_automorphisms(q)) == expected
+
+
+def _edge_list_cayley(radices, connection):
+    """The Cayley graph through the validating edge-list constructor."""
+    n = prod(radices)
+    translations = [families._translation(radices, s) for s in connection]
+    return Graph(n, [(u, v) for image in translations for u, v in enumerate(image) if u < v])
+
+
+def test_cayley_rows_equal_the_edge_list_build(monkeypatch):
+    # _cayley_graph trusts the rows it sorts; with the edge-list
+    # constructor in its place every catalog entry and P(q), q <= 200,
+    # comes out the same.
+    orders = [q for q in range(5, 201, 4) if prime_power_decomposition(q)]
+    rows_built = [entry.graph for entry in catalog()] + [paley_graph(q) for q in orders]
+    monkeypatch.setattr(families, "_cayley_graph", _edge_list_cayley)
+    assert rows_built == [entry.graph for entry in catalog()] + [paley_graph(q) for q in orders]
+    assert len(orders) == 28
+
+
+@pytest.mark.parametrize(
+    "radices, connection",
+    [
+        ((5,), [1]),  # -1 = 4 missing
+        ((5,), [0, 1, 4]),  # holds 0
+        ((4, 4), [1, 3, 4]),  # (1, 0) without (3, 0)
+        ((5,), [1, 4, 1]),  # 1 twice
+        ((5,), [1, 4, 6]),  # 6 is no index of Z_5
+    ],
+    ids=["not-closed", "zero", "not-closed-2d", "repeat", "out-of-range"],
+)
+def test_cayley_rejects_a_bad_connection_set(monkeypatch, radices, connection):
+    monkeypatch.setattr(families, "_translation", _forbidden)
+    with pytest.raises(InvalidParamsError):
+        families._cayley_graph(radices, connection)
 
 
 def test_named_graph_dispatch():

@@ -245,3 +245,27 @@ def test_graph_adjacency_sorted_and_symmetric():
         assert list(row) == sorted(row)
         for w in row:
             assert g.has_edge(w, v)
+
+
+def test_is_regular_matches_the_degree_sequence():
+    graphs = [
+        Graph(0, []),
+        Graph(1, []),
+        Graph(4, []),
+        Graph(3, [(0, 1)]),
+        Graph(4, [(0, 1), (1, 2), (2, 3)]),
+        Graph(4, [(0, 1), (2, 3)]),
+        *(entry.graph for entry in catalog()),
+    ]
+    for g in graphs:
+        degrees = g.degree_sequence()
+        assert g.is_regular() == all(d == degrees[0] for d in degrees), g
+
+
+def test_from_rows_keeps_its_rows_and_masks():
+    ref = Graph(13, paley_graph(13).edges())
+    masks = neighbor_masks(ref)
+    g = Graph._from_rows(ref._adj, masks)
+    assert g == ref and hash(g) == hash(ref) and g.n == 13
+    assert neighbor_masks(g) is masks
+    assert neighbor_masks(Graph._from_rows(ref._adj)) == masks
