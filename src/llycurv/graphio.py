@@ -7,8 +7,10 @@ count against the families' edge bound before they build anything.
 
 from __future__ import annotations
 
+import base64
 import json
 import re
+import string
 from pathlib import Path
 
 from .errors import InvalidParamsError, LlycurvError, TooLargeError
@@ -19,6 +21,11 @@ _G6_MAX = 2**36 - 1
 _GRAPH6 = re.compile("[?-~]*")  # characters 63..126
 _G6_VALUES = bytes((b - 63) % 256 for b in range(256))
 _SIX_BITS = tuple(format(v, "06b") for v in range(64))
+# base64 writes six bits of value v as letter v of its alphabet; graph6 writes byte 63 + v.
+_B64_TO_G6 = bytes.maketrans(
+    (string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/").encode(),
+    bytes(range(63, 127)),
+)
 
 
 def _encode_size(n: int) -> list[int]:
@@ -55,9 +62,12 @@ def to_graph6(g: Graph) -> str:
     masks = neighbor_masks(g)
     # Column v is bits 0..v-1 of masks[v], lowest first: the reader's layout.
     bits = "".join(format(masks[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
-    bits += "0" * (-len(bits) % 6)
-    body = [int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6)]
-    return bytes(_encode_size(g.n) + body).decode("ascii")
+    # Padded to whole 24-bit groups, the bits base64-encode with no "=";
+    # keep one letter per six bits, the last group padded with zeros.
+    pad = "0" * (-len(bits) % 24)
+    raw = int("0" + bits + pad, 2).to_bytes((len(bits) + len(pad)) // 8, "big")
+    body = base64.b64encode(raw)[: -(-len(bits) // 6)].translate(_B64_TO_G6)
+    return (bytes(_encode_size(g.n)) + body).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

@@ -1,9 +1,15 @@
 """Bipartite matching with Hall certificates, and the sharpness equivalence.
 
-A maximum matching is computed by Hopcroft-Karp; when a balanced instance
-has no perfect matching the alternating-reachability set is turned into an
-explicit Hall violator, so callers get a checkable certificate instead of
-a bare boolean.
+Two engines share the alternating-path idea.  `match` and `max_matching`
+run Hopcroft-Karp on index lists; when a balanced instance has no perfect
+matching the alternating-reachability set is turned into an explicit Hall
+violator, so callers get a checkable certificate instead of a bare
+boolean.  The per-edge curvature engine works on bit rows instead: row i
+of H(x, y) is the integer `masks[nx[i]] & ymask`, whose set bits are the
+columns, and `_bit_matching` / `_bit_reach` find a maximum matching and
+its Koenig cover with one integer operation per row visited (bit-parallel
+matching after Cheriyan and Mehlhorn, Algorithmica 15, 1996).
+`_local_adjacency` reads the index lists of H(x, y) off the same bit rows.
 """
 
 from __future__ import annotations
@@ -58,11 +64,116 @@ class MatchingResult:
     violator: tuple[int, ...] | None
 
 
+def _bit_indices(row: int, index: dict[int, int]) -> list[int]:
+    """The column indices of a bit row, in increasing bit order; index maps bit -> column."""
+    out = []
+    while row:
+        b = row & -row
+        out.append(index[b])
+        row ^= b
+    return out
+
+
 def _local_adjacency(
     masks: Sequence[int], nx: Sequence[int], ny: Sequence[int]
 ) -> list[list[int]]:
-    """Hopcroft-Karp adjacency of H(x, y): row i lists the j with nx[i] ~ ny[j]."""
-    return [[j for j, u in enumerate(ny) if masks[v] >> u & 1] for v in nx]
+    """Hopcroft-Karp adjacency of H(x, y): row i lists the j with nx[i] ~ ny[j].
+
+    Row i is read off the bit row masks[nx[i]] & ymask; ny is sorted, so
+    bit order is column order.
+    """
+    index = {1 << u: j for j, u in enumerate(ny)}
+    ymask = sum(index)
+    return [_bit_indices(masks[v] & ymask, index) for v in nx]
+
+
+def _bit_matching(rows: Sequence[int], match: list[int] | None = None) -> list[int]:
+    """Maximum matching of bit rows: the column bit of each row, 0 when it is free.
+
+    Without a starting matching each row first takes its lowest free bit.
+    Then every free row gets one alternating breadth-first search for a
+    free column (Kuhn: a row with no augmenting path never gains one
+    later), and the path found is flipped.
+    """
+    if match is None:
+        match = []
+        taken = 0
+        for row in rows:
+            b = row & ~taken
+            b &= -b  # the lowest free bit, or 0
+            match.append(b)
+            taken |= b
+    else:
+        taken = sum(match)  # distinct bits
+    if all(match):
+        return match
+    owner = {b: i for i, b in enumerate(match) if b}
+    for root in [i for i, b in enumerate(match) if not b]:
+        found = _augmenting_path(rows, owner, taken, root)
+        if found is None:
+            continue
+        # r takes the free bit b, and each row back up the path takes the
+        # column of the row after it, until the root, which had none.
+        r, b, parent = found
+        taken |= b
+        while True:
+            owner[b] = r
+            match[r], b = b, match[r]
+            if not b:
+                break
+            r = parent[b]
+    return match
+
+
+def _augmenting_path(
+    rows: Sequence[int], owner: dict[int, int], taken: int, root: int
+) -> tuple[int, int, dict[int, int]] | None:
+    """Alternating breadth-first search from a free row for a row that sees a free column.
+
+    Returns that row, the free column's bit and the parent map (column bit
+    -> the row whose search reached it), or None.  The visited columns are
+    one integer, so a row costs one AND whatever its degree, and each row
+    is tested for a free column as soon as it is reached.
+    """
+    parent: dict[int, int] = {}
+    free = rows[root] & ~taken
+    if free:
+        return root, free & -free, parent
+    seen = 0
+    queue = [root]
+    for r in queue:
+        new = rows[r] & ~seen
+        seen |= new
+        while new:
+            b = new & -new
+            new ^= b
+            parent[b] = r
+            w = owner[b]
+            free = rows[w] & ~taken
+            if free:
+                return w, free & -free, parent
+            queue.append(w)
+    return None
+
+
+def _bit_reach(rows: Sequence[int], match: Sequence[int]) -> tuple[set[int], int]:
+    """Rows and column bits reached by alternating paths from the free rows.
+
+    The bit-row form of `_alternating_reach`: with the matching maximum,
+    every column reached is matched, and (rows not reached) + (columns
+    reached) is a minimum vertex cover (Koenig's theorem).
+    """
+    owner = {b: i for i, b in enumerate(match) if b}
+    queue = [i for i, b in enumerate(match) if not b]
+    seen = 0
+    for r in queue:
+        new = rows[r] & ~seen
+        seen |= new
+        while new:
+            b = new & -new
+            new ^= b
+            queue.append(owner[b])
+    return set(queue), seen
 
 
 def _hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int], list[int]]:

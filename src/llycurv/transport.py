@@ -4,10 +4,12 @@ Everything is rational: Wasserstein distances come from an integer min-cost
 flow after clearing denominators, and the curvature of an edge of a
 d-regular graph comes from the minimum-cost bijection between the punctured
 neighborhoods N_x and N_y under costs in {1, 2, 3}.  That bijection is
-decided by unweighted maximum matchings: a perfect matching of the
-distance-1 pairs H1 decides the edge outright, and otherwise the
+decided by unweighted maximum matchings on integer bit rows, row i of H1
+being `masks[nx[i]] & ymask` for the mask ymask of N_y: a perfect matching
+of the distance-1 pairs H1 decides the edge outright, and otherwise the
 decomposition theorem of Kao, Lam, Sung and Ting gives the cost as
-3m - nu(H1) - nu(H_delta).  The two routes are deliberately independent so
+3m - nu(H1) - nu(H_delta), H_delta's rows built from bits against the
+Koenig cover of H1.  The two routes are deliberately independent so
 they can cross-check each other through the identity
 kappa = (d+1)/d * kappa_{1/(d+1)}.  The O(m^3) Hungarian assignment
 (`hungarian`, `lex_smallest_optimal_assignment`) is kept as an independent
@@ -21,6 +23,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Sequence
 
 from .errors import (
@@ -32,7 +36,7 @@ from .errors import (
     NotRegularError,
 )
 from .graphs import Graph, bfs_distances, decompose_edge, is_connected, neighbor_masks
-from .matching import _alternating_reach, _hopcroft_karp, _local_adjacency
+from .matching import _bit_indices, _bit_matching, _bit_reach
 
 
 @dataclass(frozen=True)
@@ -369,53 +373,68 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> Fraction:
 
 
 def _two_matching_assignment(
-    h1: list[list[int]], near: Callable[[int], list[int]], want_witness: bool
+    h1: list[int], near: Callable[[int], int], ymask: int, want_witness: bool
 ) -> tuple[int, list[int] | None]:
     """Minimum cost of a bijection whose costs lie in {1, 2, 3}, and its witness.
 
-    h1[i] lists, in increasing order, the columns j with cost 1 (the pairs
-    at distance 1, H1), and near(i) those with cost at most 2.  With
-    weights w = 3 - cost in {0, 1, 2}, the decomposition theorem of Kao,
-    Lam, Sung and Ting (SIAM J. Comput. 31, 2001) gives the maximum weight
-    from two unweighted maximum matchings: let C1 be a minimum vertex cover
-    of H1 and keep in H_delta the pairs with w - [i in C1] - [j in C1] >= 1;
-    then the least cost is 3m - nu(H1) - nu(H_delta).  When H1 has a
-    perfect matching this is m and H1 holds every optimal bijection.
+    Each row is an integer whose set bits are its columns; the columns are
+    the set bits of ymask, column j being its j-th lowest.  h1[i] holds the
+    columns with cost 1 (the pairs at distance 1, H1), and near(i) those
+    with cost at most 2.  With weights w = 3 - cost in {0, 1, 2}, the
+    decomposition theorem of Kao, Lam, Sung and Ting (SIAM J. Comput. 31,
+    2001) gives the maximum weight from two unweighted maximum matchings:
+    let C1 be a minimum vertex cover of H1 and keep in H_delta the pairs
+    with w - [i in C1] - [j in C1] >= 1; then the least cost is
+    3m - nu(H1) - nu(H_delta).  When H1 has a perfect matching this is m
+    and H1 holds every optimal bijection.
 
     Otherwise, with C2 a minimum vertex cover of H_delta, the dual
     y = 1_C1 + 1_C2 is feasible (w <= y_i + y_j) and sums to the optimum,
     so the optimal bijections are the perfect matchings of the tight pairs
     w = y_i + y_j.  The witness, when requested, is the lexicographically
-    first of them.
+    first of them, as column indices.
     """
     m = len(h1)
-    match, match_right = _hopcroft_karp(h1, m)
-    if -1 not in match:
-        return m, _lex_first_tight_assignment(h1, match) if want_witness else None
-    # Koenig: C1 is the rows not reached plus the columns reached.
-    reached, cover = _alternating_reach(h1, match, match_right)
-    # A reached row has all of its H1 columns in C1, so the columns of
-    # near(i) outside C1 are at cost 2; a row in C1 keeps only its H1
-    # pairs whose column is outside C1.
-    h_delta = [
-        h1[i] + [j for j in near(i) if j not in cover]
-        if i in reached
-        else [j for j in h1[i] if j not in cover]
-        for i in range(m)
-    ]
-    match_delta, match_delta_right = _hopcroft_karp(h_delta, m)
-    cost = 3 * m - (m - match.count(-1)) - (m - match_delta.count(-1))
+    match = _bit_matching(h1)
+    if all(match):
+        return m, _lex_first_witness(h1, match, ymask) if want_witness else None
+    # Koenig: C1 is the rows not reached plus the columns reached (R).
+    reached, cover = _bit_reach(h1, match)
+    # A reached row has all of its H1 columns in R, so the columns of
+    # near(i) outside R are at cost 2; a row in C1 keeps only its H1 pairs
+    # whose column is outside R.  H1's matching lies in H_delta: a reached
+    # row keeps its H1 row, and the column matched to an unreached row is
+    # not reached.
+    h_delta = [h1[i] | (near(i) & ~cover) if i in reached else h1[i] & ~cover for i in range(m)]
+    match_delta = _bit_matching(h_delta, list(match))
+    cost = 3 * m - (m - match.count(0)) - (m - match_delta.count(0))
     if not want_witness:
         return cost, None
-    reached_delta, cover_delta = _alternating_reach(h_delta, match_delta, match_delta_right)
-    y_col = [(j in cover) + (j in cover_delta) for j in range(m)]
+    reached_delta, cover_delta = _bit_reach(h_delta, match_delta)
+    # Column bits by their dual 0, 1 or 2, and each row's pairs by their
+    # weight: w(i, j) = [j in near(i)] + [j in h1[i]].
+    y_col = (ymask & ~(cover | cover_delta), cover ^ cover_delta, cover & cover_delta)
     tight = []
     for i in range(m):
         y_i = (i not in reached) + (i not in reached_delta)
-        near_i, h1_i = set(near(i)), set(h1[i])  # w(i, j) = [j in near_i] + [j in h1_i]
-        tight.append([j for j in range(m) if (j in near_i) + (j in h1_i) == y_i + y_col[j]])
-    cols, _ = _hopcroft_karp(tight, m)
-    return cost, _lex_first_tight_assignment(tight, cols)
+        near_i = near(i)
+        w = (ymask & ~near_i, near_i & ~h1[i], h1[i])
+        row = 0
+        for k in range(y_i, 3):
+            row |= w[k] & y_col[k - y_i]
+        tight.append(row)
+    return cost, _lex_first_witness(tight, _bit_matching(tight), ymask)
+
+
+def _lex_first_witness(tight: list[int], match: list[int], ymask: int) -> list[int]:
+    """_lex_first_tight_assignment on bit rows, with a perfect matching of them."""
+    index = {}
+    while ymask:
+        b = ymask & -ymask
+        index[b] = len(index)
+        ymask ^= b
+    rows = [_bit_indices(row, index) for row in tight]
+    return _lex_first_tight_assignment(rows, [index[b] for b in match])
 
 
 def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureReport:
@@ -424,14 +443,16 @@ def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureRepor
     d = g.degree(x)
     nx, ny = parts.nx, parts.ny
     masks = neighbor_masks(g)
+    # The mask of N_y: y's neighbours less delta (x's neighbours) and x.
+    ymask = masks[y] & ~masks[x] & ~(1 << x)
 
-    def near(i: int) -> list[int]:
+    def near(i: int) -> int:
         # v -> u costs 1 when adjacent, 2 when they share a neighbor, else 3
         # (the path v-x-y-u).
-        r = masks[nx[i]]
-        return [j for j, u in enumerate(ny) if r >> u & 1 or r & masks[u]]
+        v = nx[i]
+        return reduce(or_, map(masks.__getitem__, g.neighbors(v)), masks[v]) & ymask
 
-    min_cost, cols = _two_matching_assignment(_local_adjacency(masks, nx, ny), near, want_witness)
+    min_cost, cols = _two_matching_assignment([masks[v] & ymask for v in nx], near, ymask, want_witness)
     kappa = Fraction(d + 1 - min_cost, d)
     upper = Fraction(2 + len(parts.delta), d)
     witness = tuple(zip(nx, (ny[j] for j in cols))) if cols is not None else None

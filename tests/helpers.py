@@ -15,7 +15,9 @@ from math import gcd
 import numpy as np
 
 from llycurv.graphs import Graph
+from llycurv.matching import _alternating_reach, _hopcroft_karp
 from llycurv.spectral import integral_multiplicities
+from llycurv.transport import _lex_first_tight_assignment
 
 
 def matrix_power_distances(g: Graph) -> list[list[int | None]]:
@@ -165,3 +167,39 @@ def ndj_scan_tuples(max_n: int) -> list[tuple[int, int, int, int]]:
                     continue
                 rows.append((n, d, alpha, beta))
     return rows
+
+
+def list_two_matching_assignment(h1, near, want_witness):
+    """The two-matching {1, 2, 3} assignment on index lists, by Hopcroft-Karp.
+
+    h1[i] lists, in increasing order, the columns j with cost 1 and near(i)
+    those with cost at most 2.  The cost is 3m - nu(H1) - nu(H_delta) (Kao,
+    Lam, Sung and Ting); the witness is the lex-first perfect matching of
+    the pairs tight under the dual 1_C1 + 1_C2 of the two Koenig covers.
+    This is the list engine the bit-row `transport._two_matching_assignment`
+    replaced, kept as its reference.
+    """
+    m = len(h1)
+    match, match_right = _hopcroft_karp(h1, m)
+    if -1 not in match:
+        return m, _lex_first_tight_assignment(h1, match) if want_witness else None
+    reached, cover = _alternating_reach(h1, match, match_right)
+    h_delta = [
+        h1[i] + [j for j in near(i) if j not in cover]
+        if i in reached
+        else [j for j in h1[i] if j not in cover]
+        for i in range(m)
+    ]
+    match_delta, match_delta_right = _hopcroft_karp(h_delta, m)
+    cost = 3 * m - (m - match.count(-1)) - (m - match_delta.count(-1))
+    if not want_witness:
+        return cost, None
+    reached_delta, cover_delta = _alternating_reach(h_delta, match_delta, match_delta_right)
+    y_col = [(j in cover) + (j in cover_delta) for j in range(m)]
+    tight = []
+    for i in range(m):
+        y_i = (i not in reached) + (i not in reached_delta)
+        near_i, h1_i = set(near(i)), set(h1[i])
+        tight.append([j for j in range(m) if (j in near_i) + (j in h1_i) == y_i + y_col[j]])
+    cols, _ = _hopcroft_karp(tight, m)
+    return cost, _lex_first_tight_assignment(tight, cols)

@@ -1,0 +1,167 @@
+"""The bit-row engine of the per-edge curvature against the list engine it replaced.
+
+`transport._two_matching_assignment` matches on integer bit rows
+(`matching._bit_matching`, `matching._bit_reach`).  Its reference is
+`helpers.list_two_matching_assignment`, the Hopcroft-Karp engine on index
+lists, fed rows built here from adjacency sets, with no mask.  Both must
+give the same minimum bijection cost and the same lex-first witness in both
+orientations of every edge.
+"""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from llycurv.families import catalog, paley_graph, prime_power_decomposition, random_regular_graph
+from llycurv.graphio import load_graph
+from llycurv.graphs import decompose_edge, neighbor_masks
+from llycurv.matching import _bit_matching, _bit_reach
+from llycurv.transport import _two_matching_assignment, lly_curvature
+from helpers import augmenting_path_matching_size, list_two_matching_assignment
+
+DATA = Path(__file__).parent / "data"
+PALEY_ORDERS = [q for q in range(5, 201, 4) if prime_power_decomposition(q)]
+
+
+def _list_rows(g, x, y):
+    """N_x, N_y and the index lists of H1 and of the cost <= 2 pairs, from adjacency sets."""
+    parts = decompose_edge(g, x, y)
+    nbrs = {v: set(g.neighbors(v)) for v in (*parts.nx, *parts.ny)}
+    h1 = [[j for j, u in enumerate(parts.ny) if u in nbrs[v]] for v in parts.nx]
+    near = [
+        [j for j, u in enumerate(parts.ny) if u in nbrs[v] or nbrs[v] & nbrs[u]]
+        for v in parts.nx
+    ]
+    return parts, h1, near
+
+
+def _assert_engines_agree(g, x, y, want_witness=True):
+    parts, h1, near = _list_rows(g, x, y)
+    cost, cols = list_two_matching_assignment(h1, near.__getitem__, want_witness)
+    report = lly_curvature(g, x, y, want_witness=want_witness)
+    assert report.min_bijection_cost == cost, (x, y)
+    assert report.delta_size == len(parts.delta)
+    if want_witness:
+        assert report.witness == tuple((v, parts.ny[j]) for v, j in zip(parts.nx, cols)), (x, y)
+    return report
+
+
+def _assert_every_edge(g, edges=None):
+    for x, y in g.edges() if edges is None else edges:
+        for a, b in ((x, y), (y, x)):
+            _assert_engines_agree(g, a, b)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_bit_engine_equals_list_engine_on_the_catalog(entry):
+    _assert_every_edge(entry.graph)
+
+
+def test_bit_engine_equals_list_engine_on_rrg40_8():
+    _assert_every_edge(load_graph(DATA / "rrg40_8.g6"))
+
+
+@pytest.mark.parametrize("q", PALEY_ORDERS)
+def test_bit_engine_equals_list_engine_on_paley(q):
+    # Every edge up to q = 61.  Above that the list engine's O(m^2) rows
+    # and its witness cost about a millisecond an edge, which over every
+    # edge of every P(q) up to 200 would take minutes, so 24 seeded edges
+    # of each graph are compared, in both orientations.
+    g = paley_graph(q)
+    _assert_every_edge(g, None if q <= 61 else random.Random(q).sample(list(g.edges()), 24))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(6, 26).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(2, min(n - 2, 9)).filter(lambda d: n * d % 2 == 0),
+            st.integers(0, 10**6),
+        )
+    )
+)
+def test_bit_engine_equals_list_engine_on_random_regular_graphs(nds):
+    n, d, seed = nds
+    _assert_every_edge(random_regular_graph(n, d, seed))
+
+
+def test_bit_engine_equals_list_engine_on_sparse_random_costs():
+    # With one pair in six at cost 1, H1 is sparse enough that rows outside
+    # the cover C1 keep H1 pairs into covered columns, which H_delta must
+    # drop; graphs rarely produce that.
+    rng = random.Random(2)
+    for _ in range(2000):
+        m = rng.randint(1, 10)
+        cost = [[rng.choice((1, 2, 2, 3, 3, 3)) for _ in range(m)] for _ in range(m)]
+        h1 = [[j for j, c in enumerate(row) if c == 1] for row in cost]
+        near = [[j for j, c in enumerate(row) if c <= 2] for row in cost]
+        expected = list_two_matching_assignment(h1, near.__getitem__, True)
+        h1_bits = [sum(1 << j for j in row) for row in h1]
+        near_bits = [sum(1 << j for j in row) for row in near]
+        got = _two_matching_assignment(h1_bits, near_bits.__getitem__, (1 << m) - 1, True)
+        assert got == expected, cost
+
+
+def _h1_bit_rows(g, x, y):
+    masks = neighbor_masks(g)
+    parts = decompose_edge(g, x, y)
+    ymask = sum(1 << u for u in parts.ny)
+    return [masks[v] & ymask for v in parts.nx], ymask
+
+
+def _bits(row):
+    return [b for b in (1 << k for k in range(row.bit_length())) if row & b]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [load_graph(DATA / "rrg40_8.g6"), random_regular_graph(30, 6, seed=5), paley_graph(29)]
+    + [entry.graph for entry in catalog()],
+    ids=lambda g: repr(g),
+)
+def test_bit_matching_is_maximum_and_its_reach_is_a_koenig_cover(g):
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            rows, ymask = _h1_bit_rows(g, a, b)
+            match = _bit_matching(rows)
+            matched = [c for c in match if c]
+            # a matching of the rows: every bit is in its row, no bit twice
+            assert all(c == 0 or (c & rows[i] and c.bit_count() == 1) for i, c in enumerate(match))
+            assert len(set(matched)) == len(matched)
+            nu = len(matched)
+            edges = [(i, c.bit_length() - 1) for i, row in enumerate(rows) for c in _bits(row)]
+            assert nu == augmenting_path_matching_size(len(rows), ymask.bit_length(), edges)
+            reached, cover = _bit_reach(rows, match)
+            # Koenig: |C1| = nu(H1), and C1 covers every H1 pair
+            assert len(rows) - len(reached) + cover.bit_count() == nu
+            assert cover & ~ymask == 0
+            assert all(i not in reached or row & ~cover == 0 for i, row in enumerate(rows))
+
+
+def test_bit_matching_augments_a_starting_matching():
+    # Row 2 sees only column 0, which the start gives to row 0, so the one
+    # augmenting path runs 2 -> col 0 -> 0 -> col 1 -> 1 -> col 2 (free).
+    assert _bit_matching([0b011, 0b110, 0b001], [0b001, 0b010, 0]) == [0b010, 0b100, 0b001]
+    # The greedy pass takes each row's lowest free bit and leaves row 2 free.
+    assert _bit_matching([0b011, 0b110, 0b001]) == [0b010, 0b100, 0b001]
+    assert _bit_matching([0b01, 0b01]).count(0) == 1
+
+
+def test_two_matching_assignment_on_bit_rows_above_bit_zero():
+    # the columns are the set bits of ymask, column j its j-th lowest bit
+    cost = [[1, 3, 2], [2, 1, 3], [3, 2, 3]]
+    ymask = 0b10110  # columns at bits 1, 2 and 4
+    bits = _bits(ymask)
+    h1 = [sum(b for b, c in zip(bits, row) if c == 1) for row in cost]
+    near = [sum(b for b, c in zip(bits, row) if c <= 2) for row in cost]
+    h1_lists = [[j for j, c in enumerate(row) if c == 1] for row in cost]
+    near_lists = [[j for j, c in enumerate(row) if c <= 2] for row in cost]
+    expected = list_two_matching_assignment(h1_lists, near_lists.__getitem__, True)
+    assert _two_matching_assignment(h1, near.__getitem__, ymask, True) == expected
+    assert _two_matching_assignment(h1, near.__getitem__, ymask, False) == (expected[0], None)

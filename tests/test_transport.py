@@ -123,10 +123,13 @@ def test_lex_smallest_optimal_assignment():
 # ------------------------------------------------- two-matching {1,2,3} costs
 
 def two_matching(cost, want_witness=True):
-    """transport._two_matching_assignment on an explicit {1, 2, 3} matrix."""
-    h1 = [[j for j, c in enumerate(row) if c == 1] for row in cost]
+    """transport._two_matching_assignment on an explicit {1, 2, 3} matrix, column j as bit j."""
+    h1 = [sum(1 << j for j, c in enumerate(row) if c == 1) for row in cost]
     return transport._two_matching_assignment(
-        h1, lambda i: [j for j, c in enumerate(cost[i]) if c <= 2], want_witness
+        h1,
+        lambda i: sum(1 << j for j, c in enumerate(cost[i]) if c <= 2),
+        (1 << len(cost)) - 1,
+        want_witness,
     )
 
 
