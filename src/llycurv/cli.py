@@ -78,6 +78,18 @@ def _threads(text: str) -> int:
     return value
 
 
+def _refuse_unused(context: str, *options: tuple[str, object, object]) -> None:
+    """Refuse an option the run would accept and echo in config but never use.
+
+    Each option is (name, value, default); a value other than its default
+    is an error (exit 2), so the echoed config never misstates the run.
+    """
+    for option, value, default in options:
+        if value != default:
+            other = "" if default is None else f" other than {default}"
+            raise LlycurvError(f"{context} takes no {option}{other}, got {value}")
+
+
 def _parse_ints(text: str, what: str, form: str) -> tuple[int, ...]:
     """The integers of comma-separated text with as many fields as form."""
     parts = text.split(",")
@@ -102,10 +114,7 @@ def _cmd_gen(args: argparse.Namespace) -> str:
 def _cmd_curvature(args: argparse.Namespace) -> dict[str, Any] | str:
     if args.edge is not None:
         # one edge is one JSON document solved in this process
-        defaults = (("--format", args.format, "json"), ("--threads", args.threads, 1))
-        for option, value, default in defaults:
-            if value != default:
-                raise LlycurvError(f"--edge takes no {option} other than {default}, got {value}")
+        _refuse_unused("--edge", ("--format", args.format, "json"), ("--threads", args.threads, 1))
     g = graphio.load_graph(args.graph)
     if args.edge is not None:
         report = lly_curvature(g, *_parse_ints(args.edge, "edge", "u,v"), want_witness=True)
@@ -233,6 +242,8 @@ def _cmd_sharpness(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_corollary(args: argparse.Namespace) -> dict[str, Any]:
+    if args.mode == "exhaustive":
+        _refuse_unused("--mode exhaustive", ("--seed", args.seed, None), ("--trials", args.trials, None))
     report = verify_corollary(args.q, mode=args.mode, seed=args.seed, trials=args.trials)
     return {
         "q": report.q,
@@ -245,6 +256,8 @@ def _cmd_corollary(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_verify_conjecture(args: argparse.Namespace) -> dict[str, Any]:
+    # one edge orbit per Paley graph leaves nothing to split across workers
+    _refuse_unused("verify-conjecture", ("--threads", args.threads, 1))
     results = []
     for gamma, q in paley_gamma_orders(args.gamma_max):
         expected = Fraction(1, 2) + Fraction(1, 2 * gamma)

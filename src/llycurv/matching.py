@@ -9,6 +9,9 @@ of H(x, y) is the integer `masks[nx[i]] & ymask`, whose set bits are the
 columns, and `_bit_matching` / `_bit_reach` find a maximum matching and
 its Koenig cover with one integer operation per row visited (bit-parallel
 matching after Cheriyan and Mehlhorn, Algorithmica 15, 1996).
+`_lex_first_matching` turns a perfect matching of bit rows into the
+lexicographically first one; it and `_bit_matching` share one alternating
+search, `_augmenting_path`, and one path flip, `_flip`.
 `_local_adjacency` reads the index lists of H(x, y) off the same bit rows.
 """
 
@@ -110,36 +113,59 @@ def _bit_matching(rows: Sequence[int], match: list[int] | None = None) -> list[i
     owner = {b: i for i, b in enumerate(match) if b}
     for root in [i for i, b in enumerate(match) if not b]:
         found = _augmenting_path(rows, owner, taken, root)
-        if found is None:
-            continue
-        # r takes the free bit b, and each row back up the path takes the
-        # column of the row after it, until the root, which had none.
-        r, b, parent = found
-        taken |= b
-        while True:
-            owner[b] = r
-            match[r], b = b, match[r]
-            if not b:
+        if found is not None:
+            taken |= found[1]
+            _flip(match, owner, root, *found)
+    return match
+
+
+def _lex_first_matching(rows: Sequence[int], match: Sequence[int]) -> list[int]:
+    """The lexicographically first perfect matching of bit rows, from any perfect one.
+
+    Rows are fixed in order.  Row i, holding column c, tries each bit b of
+    its row below c that no fixed row holds, lowest first: it can take b
+    when an alternating path through the unfixed rows other than i leads
+    from b's row to a row that sees c.  That is `_augmenting_path` with c
+    the only free column and the fixed columns and b seen from the start
+    (the search never enters c: a row that sees it ends the search); the
+    first path found is flipped and row i takes b.  The result does not
+    depend on the starting matching.
+    """
+    match = list(match)
+    owner = {b: i for i, b in enumerate(match)}
+    fixed = 0
+    for i, row in enumerate(rows):
+        c = match[i]
+        lower = row & (c - 1) & ~fixed
+        while lower:
+            b = lower & -lower
+            lower ^= b
+            root = owner[b]
+            found = _augmenting_path(rows, owner, ~c, root, fixed | b)
+            if found is not None:
+                _flip(match, owner, root, *found)
+                match[i], owner[b], c = b, i, b
                 break
-            r = parent[b]
+        fixed |= c
     return match
 
 
 def _augmenting_path(
-    rows: Sequence[int], owner: dict[int, int], taken: int, root: int
+    rows: Sequence[int], owner: dict[int, int], taken: int, root: int, seen: int = 0
 ) -> tuple[int, int, dict[int, int]] | None:
-    """Alternating breadth-first search from a free row for a row that sees a free column.
+    """Alternating breadth-first search from a row for a row that sees a free column.
 
-    Returns that row, the free column's bit and the parent map (column bit
-    -> the row whose search reached it), or None.  The visited columns are
-    one integer, so a row costs one AND whatever its degree, and each row
-    is tested for a free column as soon as it is reached.
+    A column is free when its bit is not in taken; the search never enters
+    the columns already in seen.  Returns that row, the free column's bit
+    and the parent map (column bit -> the row whose search reached it), or
+    None.  The visited columns are one integer, so a row costs one AND
+    whatever its degree, and each row is tested for a free column as soon
+    as it is reached.
     """
     parent: dict[int, int] = {}
     free = rows[root] & ~taken
     if free:
         return root, free & -free, parent
-    seen = 0
     queue = [root]
     for r in queue:
         new = rows[r] & ~seen
@@ -154,6 +180,22 @@ def _augmenting_path(
                 return w, free & -free, parent
             queue.append(w)
     return None
+
+
+def _flip(
+    match: list[int], owner: dict[int, int], root: int, r: int, b: int, parent: dict[int, int]
+) -> None:
+    """Flip the augmenting path from root to row r and its free bit b.
+
+    r takes b, and each row back up the path takes the column of the row
+    after it, until the root.
+    """
+    while True:
+        owner[b] = r
+        match[r], b = b, match[r]
+        if r == root:
+            return
+        r = parent[b]
 
 
 def _bit_reach(rows: Sequence[int], match: Sequence[int]) -> tuple[set[int], int]:

@@ -9,11 +9,10 @@ being `masks[nx[i]] & ymask` for the mask ymask of N_y: a perfect matching
 of the distance-1 pairs H1 decides the edge outright, and otherwise the
 decomposition theorem of Kao, Lam, Sung and Ting gives the cost as
 3m - nu(H1) - nu(H_delta), H_delta's rows built from bits against the
-Koenig cover of H1.  The two routes are deliberately independent so
-they can cross-check each other through the identity
-kappa = (d+1)/d * kappa_{1/(d+1)}.  The O(m^3) Hungarian assignment
-(`hungarian`, `lex_smallest_optimal_assignment`) is kept as an independent
-reference for any integer matrix.
+Koenig cover of H1.  The witness, the lexicographically first optimal
+bijection, is found on the same bit rows (`matching._lex_first_matching`).
+The two routes are deliberately independent so they can cross-check each
+other through the identity kappa = (d+1)/d * kappa_{1/(d+1)}.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (
     NotRegularError,
 )
 from .graphs import Graph, bfs_distances, decompose_edge, is_connected, neighbor_masks
-from .matching import _bit_indices, _bit_matching, _bit_reach
+from .matching import _bit_matching, _bit_reach, _lex_first_matching
 
 
 @dataclass(frozen=True)
@@ -105,147 +104,6 @@ class CurvatureReport:
 class CurvatureSpectrum:
     reports: tuple[CurvatureReport, ...]
     min_kappa: Fraction
-
-
-def _assignment(cost: list[list[int]]) -> tuple[int, list[int], list[int], list[int]]:
-    """Potential-based O(m^3) assignment on a square integer matrix.
-
-    The duals start at the row minima (u_i = min_j cost[i][j], v = 0), which
-    are feasible for any matrix, and each row costs one
-    shortest-augmenting-path phase.  Returns (total cost, column of each
-    row, row duals u, column duals v); every reduced cost
-    cost[i][j] - u[i] - v[j] ends >= 0 and is 0 on the chosen pairs, so
-    (u, v) is an optimal dual.
-    """
-    m = len(cost)
-    if m == 0:
-        return 0, [], [], []
-    if any(len(row) != m for row in cost):
-        raise InvalidParamsError("cost matrix must be square")
-    u = [0] + [min(row) for row in cost]  # 1-based, slot 0 unused
-    # An "infinity" above every reduced cost of any integer matrix.  With
-    # spread = max - min entry, a phase's augmenting path costs at most
-    # spread (the direct edge from the new row, whose dual is still its row
-    # minimum, to a free column, whose dual is still 0), so a column dual
-    # falls by at most spread per phase and by at most m * spread overall.
-    # A row's dual equals its matched cost minus that column's dual, so
-    # every reduced cost c - u - v is at most (m + 1) * spread.
-    spread = max(map(max, cost)) - min(u[1:])
-    big = (m + 1) * spread + 1
-    v = [0] * (m + 1)
-    match = [0] * (m + 1)  # match[j] = row occupying column j (1-based)
-    for i in range(1, m + 1):
-        match[0] = i
-        j0 = 0
-        minv = [big] * (m + 1)
-        used = [False] * (m + 1)
-        way = [0] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = big
-            j1 = 0
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    row_to_col = [0] * m
-    for j in range(1, m + 1):
-        row_to_col[match[j] - 1] = j - 1
-    total = sum(cost[i][row_to_col[i]] for i in range(m))
-    return total, row_to_col, u[1:], v[1:]
-
-
-def _lex_first_tight_assignment(tight: list[list[int]], cols: list[int]) -> list[int]:
-    """Lexicographically first perfect matching of the tight pairs.
-
-    tight[i] lists, in increasing order, the columns j with (i, j) tight
-    under an optimal dual, and cols is a perfect matching of those pairs.
-    The optimal assignments are then exactly the perfect matchings of the
-    tight pairs, whichever optimal dual was used.  Rows are fixed in order:
-    row i takes the smallest tight column j for which an alternating path
-    through the unfixed rows leads from j's current row to row i's current
-    column, and the matching is rotated along that path.
-    """
-    m = len(tight)
-    cols = list(cols)
-    row_of = [0] * m
-    for i, j in enumerate(cols):
-        row_of[j] = i
-    for i in range(m):
-        target = cols[i]
-        for j in tight[i]:
-            if j == target:
-                break
-            start = row_of[j]
-            if start < i:  # column taken by a fixed row
-                continue
-            parent = {start: -1}
-            queue = [start]
-            end = -1
-            for r in queue:
-                if target in tight[r]:
-                    end = r
-                    break
-                for c in tight[r]:
-                    owner = row_of[c]
-                    if owner > i and owner not in parent:
-                        parent[owner] = r
-                        queue.append(owner)
-            if end == -1:
-                continue
-            # Rotate: end takes target, each row on the path takes the
-            # column of the row after it, and row i takes j.
-            take = target
-            r = end
-            while r != -1:
-                cols[r], take = take, cols[r]
-                row_of[cols[r]] = r
-                r = parent[r]
-            cols[i] = j
-            row_of[j] = i
-            break
-    return cols
-
-
-def hungarian(cost: list[list[int]]) -> tuple[int, list[int]]:
-    """Minimum-cost perfect assignment on a square integer matrix.
-
-    Potential-based O(m^3) method; all arithmetic stays integral, so the
-    optimum is exact.  Returns (total cost, column chosen for each row).
-    """
-    total, cols, _, _ = _assignment(cost)
-    return total, cols
-
-
-def lex_smallest_optimal_assignment(cost: list[list[int]]) -> tuple[int, list[int]]:
-    """Among all minimum-cost assignments, the lexicographically first one.
-
-    Read off the equality subgraph of the solver's optimal duals: every
-    optimal assignment is tight under any optimal dual.
-    """
-    total, cols, u, v = _assignment(cost)
-    tight = [[j for j, c in enumerate(row) if c == u[i] + v[j]] for i, row in enumerate(cost)]
-    return total, _lex_first_tight_assignment(tight, cols)
 
 
 def _transportation(
@@ -397,7 +255,7 @@ def _two_matching_assignment(
     m = len(h1)
     match = _bit_matching(h1)
     if all(match):
-        return m, _lex_first_witness(h1, match, ymask) if want_witness else None
+        return m, _columns(_lex_first_matching(h1, match), ymask) if want_witness else None
     # Koenig: C1 is the rows not reached plus the columns reached (R).
     reached, cover = _bit_reach(h1, match)
     # A reached row has all of its H1 columns in R, so the columns of
@@ -423,18 +281,12 @@ def _two_matching_assignment(
         for k in range(y_i, 3):
             row |= w[k] & y_col[k - y_i]
         tight.append(row)
-    return cost, _lex_first_witness(tight, _bit_matching(tight), ymask)
+    return cost, _columns(_lex_first_matching(tight, _bit_matching(tight)), ymask)
 
 
-def _lex_first_witness(tight: list[int], match: list[int], ymask: int) -> list[int]:
-    """_lex_first_tight_assignment on bit rows, with a perfect matching of them."""
-    index = {}
-    while ymask:
-        b = ymask & -ymask
-        index[b] = len(index)
-        ymask ^= b
-    rows = [_bit_indices(row, index) for row in tight]
-    return _lex_first_tight_assignment(rows, [index[b] for b in match])
+def _columns(match: list[int], ymask: int) -> list[int]:
+    """The column index of each bit: the number of ymask's bits below it."""
+    return [(ymask & (b - 1)).bit_count() for b in match]
 
 
 def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureReport:

@@ -3,7 +3,10 @@
 Everything here deliberately re-derives results by the dumbest correct
 method available (matrix powers, permutation enumeration, single
 augmenting paths) so it cannot share a bug with the production code paths
-it checks.
+it checks.  The O(m^3) Hungarian assignment (`hungarian`,
+`lex_smallest_optimal_assignment`) and the list-based lex-first pass
+(`_lex_first_tight_assignment`) are the references of the per-edge
+bit-row engine; no code in `src/` calls them.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from math import gcd
 
 import numpy as np
 
+from llycurv.errors import InvalidParamsError
 from llycurv.graphs import Graph
 from llycurv.matching import _alternating_reach, _hopcroft_karp
 from llycurv.spectral import integral_multiplicities
-from llycurv.transport import _lex_first_tight_assignment
 
 
 def matrix_power_distances(g: Graph) -> list[list[int | None]]:
@@ -167,6 +170,147 @@ def ndj_scan_tuples(max_n: int) -> list[tuple[int, int, int, int]]:
                     continue
                 rows.append((n, d, alpha, beta))
     return rows
+
+
+def _assignment(cost: list[list[int]]) -> tuple[int, list[int], list[int], list[int]]:
+    """Potential-based O(m^3) assignment on a square integer matrix.
+
+    The duals start at the row minima (u_i = min_j cost[i][j], v = 0), which
+    are feasible for any matrix, and each row costs one
+    shortest-augmenting-path phase.  Returns (total cost, column of each
+    row, row duals u, column duals v); every reduced cost
+    cost[i][j] - u[i] - v[j] ends >= 0 and is 0 on the chosen pairs, so
+    (u, v) is an optimal dual.
+    """
+    m = len(cost)
+    if m == 0:
+        return 0, [], [], []
+    if any(len(row) != m for row in cost):
+        raise InvalidParamsError("cost matrix must be square")
+    u = [0] + [min(row) for row in cost]  # 1-based, slot 0 unused
+    # An "infinity" above every reduced cost of any integer matrix.  With
+    # spread = max - min entry, a phase's augmenting path costs at most
+    # spread (the direct edge from the new row, whose dual is still its row
+    # minimum, to a free column, whose dual is still 0), so a column dual
+    # falls by at most spread per phase and by at most m * spread overall.
+    # A row's dual equals its matched cost minus that column's dual, so
+    # every reduced cost c - u - v is at most (m + 1) * spread.
+    spread = max(map(max, cost)) - min(u[1:])
+    big = (m + 1) * spread + 1
+    v = [0] * (m + 1)
+    match = [0] * (m + 1)  # match[j] = row occupying column j (1-based)
+    for i in range(1, m + 1):
+        match[0] = i
+        j0 = 0
+        minv = [big] * (m + 1)
+        used = [False] * (m + 1)
+        way = [0] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = big
+            j1 = 0
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    row_to_col = [0] * m
+    for j in range(1, m + 1):
+        row_to_col[match[j] - 1] = j - 1
+    total = sum(cost[i][row_to_col[i]] for i in range(m))
+    return total, row_to_col, u[1:], v[1:]
+
+
+def _lex_first_tight_assignment(tight: list[list[int]], cols: list[int]) -> list[int]:
+    """Lexicographically first perfect matching of the tight pairs.
+
+    tight[i] lists, in increasing order, the columns j with (i, j) tight
+    under an optimal dual, and cols is a perfect matching of those pairs.
+    The optimal assignments are then exactly the perfect matchings of the
+    tight pairs, whichever optimal dual was used.  Rows are fixed in order:
+    row i takes the smallest tight column j for which an alternating path
+    through the unfixed rows leads from j's current row to row i's current
+    column, and the matching is rotated along that path.
+    """
+    m = len(tight)
+    cols = list(cols)
+    row_of = [0] * m
+    for i, j in enumerate(cols):
+        row_of[j] = i
+    for i in range(m):
+        target = cols[i]
+        for j in tight[i]:
+            if j == target:
+                break
+            start = row_of[j]
+            if start < i:  # column taken by a fixed row
+                continue
+            parent = {start: -1}
+            queue = [start]
+            end = -1
+            for r in queue:
+                if target in tight[r]:
+                    end = r
+                    break
+                for c in tight[r]:
+                    owner = row_of[c]
+                    if owner > i and owner not in parent:
+                        parent[owner] = r
+                        queue.append(owner)
+            if end == -1:
+                continue
+            # Rotate: end takes target, each row on the path takes the
+            # column of the row after it, and row i takes j.
+            take = target
+            r = end
+            while r != -1:
+                cols[r], take = take, cols[r]
+                row_of[cols[r]] = r
+                r = parent[r]
+            cols[i] = j
+            row_of[j] = i
+            break
+    return cols
+
+
+def hungarian(cost: list[list[int]]) -> tuple[int, list[int]]:
+    """Minimum-cost perfect assignment on a square integer matrix.
+
+    Potential-based O(m^3) method; all arithmetic stays integral, so the
+    optimum is exact.  Returns (total cost, column chosen for each row).
+    """
+    total, cols, _, _ = _assignment(cost)
+    return total, cols
+
+
+def lex_smallest_optimal_assignment(cost: list[list[int]]) -> tuple[int, list[int]]:
+    """Among all minimum-cost assignments, the lexicographically first one.
+
+    Read off the equality subgraph of the solver's optimal duals: every
+    optimal assignment is tight under any optimal dual.
+    """
+    total, cols, u, v = _assignment(cost)
+    tight = [[j for j, c in enumerate(row) if c == u[i] + v[j]] for i, row in enumerate(cost)]
+    return total, _lex_first_tight_assignment(tight, cols)
 
 
 def list_two_matching_assignment(h1, near, want_witness):

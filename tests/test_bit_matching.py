@@ -20,9 +20,14 @@ from hypothesis import strategies as st
 from llycurv.families import catalog, paley_graph, prime_power_decomposition, random_regular_graph
 from llycurv.graphio import load_graph
 from llycurv.graphs import decompose_edge, neighbor_masks
-from llycurv.matching import _bit_matching, _bit_reach
+from llycurv.matching import _bit_matching, _bit_reach, _lex_first_matching
 from llycurv.transport import _two_matching_assignment, lly_curvature
-from helpers import augmenting_path_matching_size, list_two_matching_assignment
+from helpers import (
+    _lex_first_tight_assignment,
+    all_optimal_assignments,
+    augmenting_path_matching_size,
+    list_two_matching_assignment,
+)
 
 DATA = Path(__file__).parent / "data"
 PALEY_ORDERS = [q for q in range(5, 201, 4) if prime_power_decomposition(q)]
@@ -165,3 +170,31 @@ def test_two_matching_assignment_on_bit_rows_above_bit_zero():
     expected = list_two_matching_assignment(h1_lists, near_lists.__getitem__, True)
     assert _two_matching_assignment(h1, near.__getitem__, ymask, True) == expected
     assert _two_matching_assignment(h1, near.__getitem__, ymask, False) == (expected[0], None)
+
+
+def test_lex_first_matching_ignores_its_start_and_equals_the_list_pass():
+    # Each instance plants two perfect matchings, so it has at least two
+    # (different once m >= 2); the routine must give the same matching from
+    # both and from `_bit_matching`'s, equal to the list-based pass and,
+    # for small m, to the first perfect matching found by enumeration.
+    rng = random.Random(17)
+    for trial in range(400):
+        m = trial % 10  # m = 0 and m = 1 included
+        bits = [1 << k for k in sorted(rng.sample(range(1, 3 * m + 2), m))]  # above bit 0
+        index = {b: j for j, b in enumerate(bits)}
+        first = rng.sample(bits, m)
+        second = rng.sample(bits, m)
+        while m >= 2 and second == first:
+            second = rng.sample(bits, m)
+        rows = [a | b for a, b in zip(first, second)]
+        rows = [row | sum(b for b in bits if rng.random() < 0.3) for row in rows]
+        starts = [first, second, _bit_matching(rows)]
+        assert all(0 not in start for start in starts)
+        results = [_lex_first_matching(rows, start) for start in starts]
+        assert results[0] == results[1] == results[2], rows
+        tight = [[index[b] for b in bits if row & b] for row in rows]
+        expected = _lex_first_tight_assignment(tight, [index[b] for b in first])
+        assert [index[b] for b in results[0]] == expected, rows
+        if m <= 6:
+            cost = [[0 if j in row else 1 for j in range(m)] for row in tight]
+            assert tuple(expected) == min(all_optimal_assignments(cost))

@@ -127,6 +127,26 @@ def test_non_sharp_edge_witnesses_pinned(capsys, monkeypatch):
     )
 
 
+def test_sharp_edge_witnesses_pinned(tmp_path, capsys, monkeypatch):
+    # Every edge of P(29) is sharp, and on 148 of its 406 directed edges
+    # the lex-first witness differs from the greedy perfect matching of H1
+    # (on P(13) it differs on none of 78), so this pins the lex-first pass.  The
+    # hash is of the stdout the list-based `_lex_first_tight_assignment`
+    # printed.
+    (tmp_path / "p29.g6").write_text(to_graph6(paley_graph(29)) + "\n")
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for x, y in paley_graph(29).edges():
+        for a, b in ((x, y), (y, x)):
+            code, out, _ = run(capsys, "curvature", "--graph", "p29.g6", "--edge", f"{a},{b}")
+            assert code == 0
+            outs.append(out)
+    assert len(outs) == 406 and all(json.loads(out)["sharp"] for out in outs)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "3d6da071f890b85a78f2313c8f12e5a6550eea2801691b0964d82525a4198470"
+    )
+
+
 # Every command's (exit code, stdout, stderr), plus the --out file when one
 # is written, hashed as the CLI printed them before `main` became its one
 # writer.  The commands run from a directory holding p13.g6 = P(13) (every
@@ -358,6 +378,43 @@ def test_curvature_edge_refuses_options_it_cannot_honour(pin_dir, capsys, option
     assert error["message"].startswith(f"--edge takes no {conflict} ")
     code, out, _ = run(capsys, *argv[:5], "--format", "json", "--threads", "1")
     assert code == 0 and json.loads(out)["config"]["threads"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("corollary", "--q", "13", "--seed", "1"),
+            "--mode exhaustive takes no --seed, got 1",
+        ),
+        (
+            ("corollary", "--q", "13", "--mode", "exhaustive", "--trials", "5"),
+            "--mode exhaustive takes no --trials, got 5",
+        ),
+        (
+            ("verify-conjecture", "--gamma-max", "4", "--threads", "2"),
+            "verify-conjecture takes no --threads other than 1, got 2",
+        ),
+    ],
+    ids=["corollary-seed", "corollary-trials", "verify-conjecture-threads"],
+)
+def test_options_a_run_never_uses_exit_2(capsys, monkeypatch, argv, message):
+    # Exhaustive mode draws no sample and verify-conjecture solves one edge
+    # orbit per graph, so these options would be echoed in config unused.
+    def no_graph(q):
+        raise AssertionError("P(q) built before the options were checked")
+
+    monkeypatch.setattr(residues, "paley_graph", no_graph)
+    monkeypatch.setattr(cli, "paley_graph", no_graph)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "LlycurvError", "message": message}
+
+
+def test_verify_conjecture_threads_1_is_the_default_run(capsys):
+    code, out, _ = run(capsys, "verify-conjecture", "--gamma-max", "4", "--threads", "1")
+    assert code == 0 and json.loads(out)["config"]["threads"] == 1
+    assert run(capsys, "verify-conjecture", "--gamma-max", "4") == (code, out, "")
 
 
 def test_console_entry_matches_main(capsys):

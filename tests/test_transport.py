@@ -37,9 +37,7 @@ from llycurv.transport import (
     ProbabilityMeasure,
     idleness_identity_check,
     curvature_spectrum,
-    hungarian,
     lazy_walk_measure,
-    lex_smallest_optimal_assignment,
     lly_curvature,
     ollivier_kappa_p,
     wasserstein_w1,
@@ -47,6 +45,8 @@ from llycurv.transport import (
 from helpers import (
     all_optimal_assignments,
     brute_force_assignment,
+    hungarian,
+    lex_smallest_optimal_assignment,
     uniform_measure_w1_oracle,
 )
 
