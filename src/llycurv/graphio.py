@@ -1,8 +1,10 @@
 """Graph serialization: header-less graph6 and a JSON adjacency document.
 
 Both writers are byte-deterministic; edges in the JSON form are sorted
-lexicographically with u < v.  Both readers check the vertex and the edge
-count against the families' edge bound before they build anything.
+lexicographically with u < v.  Both readers check the edge count against
+the families' edge bound, and the JSON reader its vertex count, before
+they build anything.  graph6 spends one bit on every vertex pair, so its
+writer and its reader first check n(n-1)/2 against their own bound.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from .errors import InvalidParamsError, LlycurvError, TooLargeError
 from .families import _check_edges
 from .graphs import Graph, neighbor_masks
 
-_G6_MAX = 2**36 - 1
+# The writer and the reader each hold a string of one character per vertex
+# pair, so graph6 stops at 2^27 pairs (n <= 16384).
+_G6_PAIRS = 2**27
 _GRAPH6 = re.compile("[?-~]*")  # characters 63..126
 _G6_VALUES = bytes((b - 63) % 256 for b in range(256))
 _SIX_BITS = tuple(format(v, "06b") for v in range(64))
@@ -28,14 +32,19 @@ _B64_TO_G6 = bytes.maketrans(
 )
 
 
+def _check_pairs(n: int) -> None:
+    pairs = n * (n - 1) // 2
+    if pairs > _G6_PAIRS:
+        raise TooLargeError(
+            f"graph6 on {n} vertices needs {pairs} pair bits, above the bound {_G6_PAIRS}"
+        )
+
+
 def _encode_size(n: int) -> list[int]:
+    """The size field of n <= 16384 (`_check_pairs`), which needs at most four bytes."""
     if n <= 62:
         return [n + 63]
-    if n <= 258047:
-        return [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    if n <= _G6_MAX:
-        return [126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
-    raise TooLargeError(f"graph6 cannot encode n={n}")
+    return [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
 
 
 def _decode_size(data: bytes) -> tuple[int, int]:
@@ -59,6 +68,7 @@ def _decode_size(data: bytes) -> tuple[int, int]:
 
 def to_graph6(g: Graph) -> str:
     """Encode in the standard header-less graph6 format."""
+    _check_pairs(g.n)
     masks = neighbor_masks(g)
     # Column v is bits 0..v-1 of masks[v], lowest first: the reader's layout.
     bits = "".join(format(masks[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
@@ -76,7 +86,7 @@ def from_graph6(text: str) -> Graph:
         raise InvalidParamsError("graph6 bytes out of range")
     data = text.encode("ascii")
     n, off = _decode_size(data)
-    _check_edges(n, "the graph6 graph", "vertices")
+    _check_pairs(n)
     need = (n * (n - 1) // 2 + 5) // 6
     body = data[off:]
     if len(body) != need:

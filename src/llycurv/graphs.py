@@ -11,8 +11,9 @@ its own checks).  Alongside the type live the
 operations the curvature machinery leans on: neighbor bitmasks (the one
 common-neighbor primitive of the exact code, built once per graph and kept
 by it), breadth-first distances, the four-way decomposition of the vertex
-set around an edge, regularity classification, and the per-vertex
-neighbor profile of amply regular graphs.
+set around an edge together with its local matching graph H(x, y) as bit
+rows, regularity classification, and the per-vertex neighbor profile of
+amply regular graphs.
 """
 
 from __future__ import annotations
@@ -205,7 +206,9 @@ class EdgeNeighborhood:
     delta holds the common neighbors, nx/ny the exclusive neighbors of x/y,
     and pxy everything adjacent to neither endpoint.  pxy is computed on
     demand from the vertex count n: it is O(n), and the curvature paths
-    never read it.
+    never read it.  ny_mask is the neighbor-mask form of ny, and rows is
+    the local matching graph H(x, y): rows[i] = masks[nx[i]] & ny_mask, the
+    N_y neighbors of nx[i] as bits.
     """
 
     x: VertexId
@@ -214,6 +217,8 @@ class EdgeNeighborhood:
     nx: tuple[int, ...]
     ny: tuple[int, ...]
     n: int
+    ny_mask: int
+    rows: tuple[int, ...]
 
     @property
     def pxy(self) -> tuple[int, ...]:
@@ -222,9 +227,10 @@ class EdgeNeighborhood:
 
 
 def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
-    """Split the vertex set into the four classes around the edge xy."""
+    """Split the vertex set into the four classes around the edge xy, with H(x, y)."""
     if not g.has_edge(x, y):
         raise NotAnEdgeError(f"({x},{y}) is not an edge")
+    masks = neighbor_masks(g)
     gx = g.neighbors(x)
     gy = g.neighbors(y)
     gy_set = set(gy)
@@ -232,7 +238,12 @@ def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
     delta_set = set(delta)
     nx = tuple(v for v in gx if v not in delta_set and v != y)
     ny = tuple(v for v in gy if v not in delta_set and v != x)
-    return EdgeNeighborhood(x=x, y=y, delta=delta, nx=nx, ny=ny, n=g.n)
+    # N_y is y's neighbours less delta (x's neighbours) and less x.
+    ny_mask = masks[y] & ~masks[x] & ~(1 << x)
+    rows = tuple([masks[v] & ny_mask for v in nx])
+    return EdgeNeighborhood(
+        x=x, y=y, delta=delta, nx=nx, ny=ny, n=g.n, ny_mask=ny_mask, rows=rows
+    )
 
 
 class RegularityKind(Enum):
@@ -324,8 +335,8 @@ def neighbor_profile(
 
     With ell = |G(v) n N_y| the parameters force beta-1-ell neighbors in
     delta, alpha-beta+1+ell in N_x and d-alpha-1-ell in P_xy.  The counts
-    are recomputed from the adjacency and any disagreement raises, which is
-    exactly the signal that the graph is not amply regular.
+    are recounted from the neighbor masks and any disagreement raises,
+    which is exactly the signal that the graph is not amply regular.
     """
     if params is None:
         rc = classify_regularity(g)
@@ -335,8 +346,9 @@ def neighbor_profile(
     parts = decompose_edge(g, x, y)
     if v not in parts.nx:
         raise InvalidVertexError(f"vertex {v} is not in N_x of edge ({x},{y})")
-    gv = set(g.neighbors(v))
-    ell = len(gv.intersection(parts.ny))
+    masks = neighbor_masks(g)
+    gv, gx, gy = masks[v], masks[x], masks[y]
+    ell = (gv & parts.ny_mask).bit_count()
     expected = NeighborProfile(
         ell=ell,
         in_delta=params.beta - 1 - ell,
@@ -345,9 +357,10 @@ def neighbor_profile(
     )
     actual = NeighborProfile(
         ell=ell,
-        in_delta=len(gv.intersection(parts.delta)),
-        in_nx=len(gv.intersection(parts.nx)),
-        in_pxy=len(gv.intersection(parts.pxy)),
+        in_delta=(gv & gx & gy).bit_count(),
+        in_nx=(gv & gx & ~gy & ~(1 << y)).bit_count(),
+        # x and y lie in gx | gy, so P_xy is everything outside it
+        in_pxy=(gv & ~(gx | gy)).bit_count(),
     )
     if expected != actual:
         raise NotAmplyRegularError(

@@ -1,18 +1,19 @@
 """Bipartite matching with Hall certificates, and the sharpness equivalence.
 
-Two engines share the alternating-path idea.  `match` and `max_matching`
-run Hopcroft-Karp on index lists; when a balanced instance has no perfect
-matching the alternating-reachability set is turned into an explicit Hall
-violator, so callers get a checkable certificate instead of a bare
-boolean.  The per-edge curvature engine works on bit rows instead: row i
-of H(x, y) is the integer `masks[nx[i]] & ymask`, whose set bits are the
-columns, and `_bit_matching` / `_bit_reach` find a maximum matching and
-its Koenig cover with one integer operation per row visited (bit-parallel
-matching after Cheriyan and Mehlhorn, Algorithmica 15, 1996).
-`_lex_first_matching` turns a perfect matching of bit rows into the
-lexicographically first one; it and `_bit_matching` share one alternating
-search, `_augmenting_path`, and one path flip, `_flip`.
-`_local_adjacency` reads the index lists of H(x, y) off the same bit rows.
+A bipartite graph is matched on bit rows: row i is an integer whose set
+bits are the columns of left vertex i.  The per-edge curvature engine
+takes its rows straight from `graphs.decompose_edge`, which builds
+H(x, y) as rows[i] = masks[nx[i]] & ny_mask, and `_bit_matching` /
+`_bit_reach` find a maximum matching and its Koenig cover with one
+integer operation per row visited (bit-parallel matching after Cheriyan
+and Mehlhorn, Algorithmica 15, 1996).  `_lex_first_matching` turns a
+perfect matching of bit rows into the lexicographically first one; it and
+`_bit_matching` share one alternating search, `_augmenting_path`, and one
+path flip, `_flip`.  `match` and `max_matching` keep Hopcroft-Karp on
+index lists, listed off the same rows, because `match --witness` prints
+its pairs; when the left side is deficient, `_bit_reach` on the
+instance's rows turns that matching into an explicit Hall violator, so
+callers get a checkable certificate instead of a bare boolean.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     TooLargeError,
     UnbalancedSidesError,
 )
-from .graphs import Graph, decompose_edge, neighbor_masks
+from .graphs import Graph, decompose_edge
 
 _HALL_EXHAUSTIVE_CAP = 14
 
@@ -57,6 +58,13 @@ class BipartiteInstance:
             row.sort()
         return adj
 
+    def rows(self) -> list[int]:
+        """Bit rows: bit ri of row li is set iff (li, ri) is an edge."""
+        rows = [0] * len(self.left)
+        for li, ri in self.edges:
+            rows[li] |= 1 << ri
+        return rows
+
 
 @dataclass(frozen=True)
 class MatchingResult:
@@ -75,19 +83,6 @@ def _bit_indices(row: int, index: dict[int, int]) -> list[int]:
         out.append(index[b])
         row ^= b
     return out
-
-
-def _local_adjacency(
-    masks: Sequence[int], nx: Sequence[int], ny: Sequence[int]
-) -> list[list[int]]:
-    """Hopcroft-Karp adjacency of H(x, y): row i lists the j with nx[i] ~ ny[j].
-
-    Row i is read off the bit row masks[nx[i]] & ymask; ny is sorted, so
-    bit order is column order.
-    """
-    index = {1 << u: j for j, u in enumerate(ny)}
-    ymask = sum(index)
-    return [_bit_indices(masks[v] & ymask, index) for v in nx]
 
 
 def _bit_matching(rows: Sequence[int], match: list[int] | None = None) -> list[int]:
@@ -201,8 +196,9 @@ def _flip(
 def _bit_reach(rows: Sequence[int], match: Sequence[int]) -> tuple[set[int], int]:
     """Rows and column bits reached by alternating paths from the free rows.
 
-    The bit-row form of `_alternating_reach`: with the matching maximum,
-    every column reached is matched, and (rows not reached) + (columns
+    With the matching maximum, every column reached is matched, the
+    reached rows Z have exactly |Z| - (number of free rows) columns, the
+    Hall deficiency certificate, and (rows not reached) + (columns
     reached) is a minimum vertex cover (Koenig's theorem).
     """
     owner = {b: i for i, b in enumerate(match) if b}
@@ -263,41 +259,16 @@ def _hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int
     return match_left, match_right
 
 
-def _alternating_reach(
-    adj: Sequence[Sequence[int]], match_left: list[int], match_right: list[int]
-) -> tuple[set[int], set[int]]:
-    """Left and right vertices reached by alternating paths from unmatched left ones.
-
-    With the matching maximum, the reached left set Z satisfies
-    |N(Z)| = |Z| - (number of unmatched left vertices), the Hall deficiency
-    certificate, and (left not reached) + (right reached) is a minimum
-    vertex cover (Koenig's theorem).
-    """
-    queue = deque(u for u in range(len(adj)) if match_left[u] == -1)
-    seen_left = set(queue)
-    seen_right: set[int] = set()
-    while queue:
-        u = queue.popleft()
-        for r in adj[u]:
-            if r in seen_right:
-                continue
-            seen_right.add(r)
-            w = match_right[r]
-            if w != -1 and w not in seen_left:
-                seen_left.add(w)
-                queue.append(w)
-    return seen_left, seen_right
-
-
 def max_matching(instance: BipartiteInstance) -> MatchingResult:
     """Maximum matching; on a deficient left side, also a Hall violator."""
     adj = instance.adjacency()
-    match_left, match_right = _hopcroft_karp(adj, len(instance.right))
+    match_left, _ = _hopcroft_karp(adj, len(instance.right))
     pairs = tuple((u, match_left[u]) for u in range(len(adj)) if match_left[u] != -1)
     perfect = len(pairs) == len(instance.left) == len(instance.right)
     violator = None
     if len(pairs) < len(instance.left):
-        violator = tuple(sorted(_alternating_reach(adj, match_left, match_right)[0]))
+        match = [1 << r if r != -1 else 0 for r in match_left]
+        violator = tuple(sorted(_bit_reach(instance.rows(), match)[0]))
     return MatchingResult(pairs=pairs, perfect=perfect, violator=violator)
 
 
@@ -306,8 +277,9 @@ def local_perfect_matching(g: Graph, x: int, y: int) -> tuple[BipartiteInstance,
     if not g.is_regular():
         raise NotRegularError("local matching is stated for regular graphs")
     parts = decompose_edge(g, x, y)
-    adj = _local_adjacency(neighbor_masks(g), parts.nx, parts.ny)
-    edges = tuple((i, j) for i, row in enumerate(adj) for j in row)
+    # N_y is sorted, so bit order is column order.
+    index = {1 << u: j for j, u in enumerate(parts.ny)}
+    edges = tuple((i, j) for i, row in enumerate(parts.rows) for j in _bit_indices(row, index))
     instance = BipartiteInstance(left=parts.nx, right=parts.ny, edges=edges)
     return instance, max_matching(instance)
 
@@ -331,10 +303,9 @@ def hall_reduction_check(instance: BipartiteInstance) -> HallReduction:
         raise UnbalancedSidesError("sides must have equal size")
     if m > _HALL_EXHAUSTIVE_CAP:
         raise TooLargeError(f"subset enumeration capped at m = {_HALL_EXHAUSTIVE_CAP}")
-    left_mask = [0] * m
+    left_mask = instance.rows()
     right_mask = [0] * m
     for li, ri in instance.edges:
-        left_mask[li] |= 1 << ri
         right_mask[ri] |= 1 << li
     half = (m + 1) // 2  # |S| <= (m+1)/2 for integer sizes
 

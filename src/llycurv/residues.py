@@ -19,7 +19,7 @@ from typing import Callable, Collection, Iterable
 from .errors import InvalidOrderError, InvalidPairError, TooLargeError
 from .families import _check_paley_size, paley_graph, prime_power_decomposition
 from .fields import FieldElement, FiniteField, is_nonzero_square, square_index_set
-from .graphs import Graph, decompose_edge, neighbor_masks
+from .graphs import Graph, decompose_edge
 
 # Subsets tested per run, in either mode.  Exhaustive mode runs at q = 29
 # (397,594 subsets); q = 37 would need 32 million.
@@ -65,13 +65,11 @@ def pattern_free_kernel(g: Graph, x: int, y: int) -> Callable[[Collection[int]],
     The returned test is True iff no edge of g joins N_x to N_y inside the
     subset, i.e. on the Paley graph iff find_pattern_witness finds nothing.
     """
-    adj = neighbor_masks(g)
     parts = decompose_edge(g, x, y)
-    side_y = sum(1 << z for z in parts.ny)
-    # reach[w]: the N_y neighbors of w when w is in N_x, else nothing.
+    # reach[w]: the N_y neighbors of w when w is in N_x (its row of H(x, y)), else nothing.
     reach = [0] * g.n
-    for w in parts.nx:
-        reach[w] = adj[w] & side_y
+    for w, row in zip(parts.nx, parts.rows):
+        reach[w] = row
 
     def pattern_free(subset: Collection[int]) -> bool:
         s = sum(1 << v for v in subset)

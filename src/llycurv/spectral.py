@@ -5,7 +5,8 @@ Eigenvalues of strongly regular graphs are quadratic irrationalities
 appear where a graph has no closed form, and equality with a rational
 curvature is always decided exactly.  numerical_lambda2, the one
 floating-point computation, imports its eigensolver inside the function,
-so importing this module loads no linear-algebra library.
+so importing this module loads no linear-algebra library, and refuses a
+graph above `_DENSE_VERTICES` before it does.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from .errors import (
     InfeasibleParametersError,
     InvalidParamsError,
     NotSrgParametersError,
+    TooLargeError,
 )
 from .graphs import Graph, SrgParams, classify_regularity, is_connected, neighbor_masks
 from .transport import curvature_spectrum
 
 _EIG_TOL = 1e-9
+# numerical_lambda2 holds several dense n x n float64 matrices at once, 8n^2
+# bytes each (128 MiB at the bound).
+_DENSE_VERTICES = 2**12
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,11 @@ def verify_srg_identity(g: Graph, params: SrgParams) -> bool:
 
 def numerical_lambda2(g: Graph) -> float:
     """Smallest nonzero eigenvalue of the normalized Laplacian, to < 1e-9."""
+    if g.n > _DENSE_VERTICES:
+        raise TooLargeError(
+            f"numerical lambda2 on {g.n} vertices needs dense {g.n} x {g.n} matrices; "
+            f"the bound is {_DENSE_VERTICES} vertices"
+        )
     if g.n < 2:
         raise InvalidParamsError("need at least two vertices")
     if not is_connected(g):

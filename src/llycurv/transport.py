@@ -4,8 +4,8 @@ Everything is rational: Wasserstein distances come from an integer min-cost
 flow after clearing denominators, and the curvature of an edge of a
 d-regular graph comes from the minimum-cost bijection between the punctured
 neighborhoods N_x and N_y under costs in {1, 2, 3}.  That bijection is
-decided by unweighted maximum matchings on integer bit rows, row i of H1
-being `masks[nx[i]] & ymask` for the mask ymask of N_y: a perfect matching
+decided by unweighted maximum matchings on integer bit rows, H1 being the
+rows of H(x, y) that `graphs.decompose_edge` builds: a perfect matching
 of the distance-1 pairs H1 decides the edge outright, and otherwise the
 decomposition theorem of Kao, Lam, Sung and Ting gives the cost as
 3m - nu(H1) - nu(H_delta), H_delta's rows built from bits against the
@@ -231,7 +231,7 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> Fraction:
 
 
 def _two_matching_assignment(
-    h1: list[int], near: Callable[[int], int], ymask: int, want_witness: bool
+    h1: Sequence[int], near: Callable[[int], int], ymask: int, want_witness: bool
 ) -> tuple[int, list[int] | None]:
     """Minimum cost of a bijection whose costs lie in {1, 2, 3}, and its witness.
 
@@ -293,10 +293,8 @@ def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureRepor
     """lly_curvature on a graph already known to be regular."""
     parts = decompose_edge(g, x, y)
     d = g.degree(x)
-    nx, ny = parts.nx, parts.ny
+    nx, ny, ymask = parts.nx, parts.ny, parts.ny_mask
     masks = neighbor_masks(g)
-    # The mask of N_y: y's neighbours less delta (x's neighbours) and x.
-    ymask = masks[y] & ~masks[x] & ~(1 << x)
 
     def near(i: int) -> int:
         # v -> u costs 1 when adjacent, 2 when they share a neighbor, else 3
@@ -304,7 +302,7 @@ def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureRepor
         v = nx[i]
         return reduce(or_, map(masks.__getitem__, g.neighbors(v)), masks[v]) & ymask
 
-    min_cost, cols = _two_matching_assignment([masks[v] & ymask for v in nx], near, ymask, want_witness)
+    min_cost, cols = _two_matching_assignment(parts.rows, near, ymask, want_witness)
     kappa = Fraction(d + 1 - min_cost, d)
     upper = Fraction(2 + len(parts.delta), d)
     witness = tuple(zip(nx, (ny[j] for j in cols))) if cols is not None else None

@@ -4,22 +4,25 @@ Everything here deliberately re-derives results by the dumbest correct
 method available (matrix powers, permutation enumeration, single
 augmenting paths) so it cannot share a bug with the production code paths
 it checks.  The O(m^3) Hungarian assignment (`hungarian`,
-`lex_smallest_optimal_assignment`) and the list-based lex-first pass
-(`_lex_first_tight_assignment`) are the references of the per-edge
-bit-row engine; no code in `src/` calls them.
+`lex_smallest_optimal_assignment`), the list-based lex-first pass
+(`_lex_first_tight_assignment`) and the list-based Koenig reach
+(`_alternating_reach`) are the references of the bit-row engine; no code
+in `src/` calls them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from typing import Sequence
 
 import numpy as np
 
 from llycurv.errors import InvalidParamsError
 from llycurv.graphs import Graph
-from llycurv.matching import _alternating_reach, _hopcroft_karp
+from llycurv.matching import _hopcroft_karp
 from llycurv.spectral import integral_multiplicities
 
 
@@ -311,6 +314,32 @@ def lex_smallest_optimal_assignment(cost: list[list[int]]) -> tuple[int, list[in
     total, cols, u, v = _assignment(cost)
     tight = [[j for j, c in enumerate(row) if c == u[i] + v[j]] for i, row in enumerate(cost)]
     return total, _lex_first_tight_assignment(tight, cols)
+
+
+def _alternating_reach(
+    adj: Sequence[Sequence[int]], match_left: list[int], match_right: list[int]
+) -> tuple[set[int], set[int]]:
+    """Left and right vertices reached by alternating paths from unmatched left ones.
+
+    With the matching maximum, the reached left set Z satisfies
+    |N(Z)| = |Z| - (number of unmatched left vertices), the Hall deficiency
+    certificate, and (left not reached) + (right reached) is a minimum
+    vertex cover (Koenig's theorem).
+    """
+    queue = deque(u for u in range(len(adj)) if match_left[u] == -1)
+    seen_left = set(queue)
+    seen_right: set[int] = set()
+    while queue:
+        u = queue.popleft()
+        for r in adj[u]:
+            if r in seen_right:
+                continue
+            seen_right.add(r)
+            w = match_right[r]
+            if w != -1 and w not in seen_left:
+                seen_left.add(w)
+                queue.append(w)
+    return seen_left, seen_right
 
 
 def list_two_matching_assignment(h1, near, want_witness):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from llycurv.families import catalog, paley_graph, prime_power_decomposition, random_regular_graph
 from llycurv.graphio import load_graph
-from llycurv.graphs import decompose_edge, neighbor_masks
+from llycurv.graphs import decompose_edge
 from llycurv.matching import _bit_matching, _bit_reach, _lex_first_matching
 from llycurv.transport import _two_matching_assignment, lly_curvature
 from helpers import (
@@ -113,11 +113,28 @@ def test_bit_engine_equals_list_engine_on_sparse_random_costs():
         assert got == expected, cost
 
 
-def _h1_bit_rows(g, x, y):
-    masks = neighbor_masks(g)
-    parts = decompose_edge(g, x, y)
-    ymask = sum(1 << u for u in parts.ny)
-    return [masks[v] & ymask for v in parts.nx], ymask
+def _h_by_sets(g, x, y):
+    """N_x, N_y and H(x, y) from adjacency sets: row i lists the N_y neighbours of nx[i]."""
+    gx, gy = set(g.neighbors(x)), set(g.neighbors(y))
+    nx, ny = sorted(gx - gy - {y}), sorted(gy - gx - {x})
+    return nx, ny, [[u for u in ny if u in set(g.neighbors(v))] for v in nx]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [entry.graph for entry in catalog()]
+    + [load_graph(DATA / "rrg40_8.g6")]
+    + [paley_graph(q) for q in PALEY_ORDERS if q <= 61],
+    ids=lambda g: repr(g),
+)
+def test_decompose_edge_rows_are_the_set_built_local_matching_graph(g):
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            nx, ny, h = _h_by_sets(g, a, b)
+            parts = decompose_edge(g, a, b)
+            assert (parts.nx, parts.ny) == (tuple(nx), tuple(ny))
+            assert parts.ny_mask == sum(1 << u for u in ny), (a, b)
+            assert parts.rows == tuple(sum(1 << u for u in row) for row in h), (a, b)
 
 
 def _bits(row):
@@ -133,7 +150,8 @@ def _bits(row):
 def test_bit_matching_is_maximum_and_its_reach_is_a_koenig_cover(g):
     for x, y in g.edges():
         for a, b in ((x, y), (y, x)):
-            rows, ymask = _h1_bit_rows(g, a, b)
+            parts = decompose_edge(g, a, b)
+            rows, ymask = parts.rows, parts.ny_mask
             match = _bit_matching(rows)
             matched = [c for c in match if c]
             # a matching of the rows: every bit is in its row, no bit twice

@@ -13,10 +13,17 @@ from pathlib import Path
 
 import pytest
 
-from llycurv import certify, cli, residues
+from llycurv import certify, cli, graphio, residues, spectral
 from llycurv.cli import main, parse_csv
-from llycurv.graphio import load_graph, to_graph6
-from llycurv.families import paley_automorphisms, paley_graph, petersen_graph, rook_graph
+from llycurv.graphio import load_graph, to_graph6, to_json
+from llycurv.families import (
+    cycle_graph,
+    paley_automorphisms,
+    paley_graph,
+    petersen_graph,
+    rook_graph,
+    shrikhande_graph,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,6 +152,42 @@ def test_sharp_edge_witnesses_pinned(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
         "3d6da071f890b85a78f2313c8f12e5a6550eea2801691b0964d82525a4198470"
     )
+
+
+# No directed edge of these graphs has a perfect local matching, so every
+# `match` document carries a Hall violator.  The hashes are of the stdout
+# printed when the violator came from the list-based alternating reach.
+_MATCH_GRAPHS = {
+    "rrg40_8.g6": lambda: load_graph(DATA / _RRG40),
+    "pet.g6": petersen_graph,
+    "shri.g6": shrikhande_graph,
+}
+
+
+@pytest.mark.parametrize(
+    "name, witness, sha256",
+    [
+        ("rrg40_8.g6", False, "5070b6c0c94adae249143edf772e20e9467b7fd110ebae18a1207e83a19d61c4"),
+        ("rrg40_8.g6", True, "86afaf4628a853083cd76149df6017150edbdbae3013ce386879690dab54e110"),
+        ("pet.g6", False, "3fd5842dbb3d3634750aae36d82c66aa93fec93de5336a338cd07b751507449c"),
+        ("pet.g6", True, "9cb2224813694dec4795a0123619be8b6aac5f3855c7d0b8c7baf384de6ceb97"),
+        ("shri.g6", False, "a4f6c7eca5703aa6f7f6f5527ee12708a9c4314d70729e8671d52378ff57840a"),
+        ("shri.g6", True, "6211c1f119343ce5615280cc813eeb3a744f66a4223d4cce43e48089dea69a87"),
+    ],
+)
+def test_deficient_match_stdout_pinned(tmp_path, capsys, monkeypatch, name, witness, sha256):
+    g = _MATCH_GRAPHS[name]()
+    (tmp_path / name).write_text(to_graph6(g) + "\n")
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            argv = ["match", "--graph", name, "--edge", f"{a},{b}"] + ["--witness"] * witness
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            outs.append(out)
+    assert len(outs) == 2 * g.edge_count and all("violator" in json.loads(out) for out in outs)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == sha256
 
 
 # Every command's (exit code, stdout, stderr), plus the --out file when one
@@ -654,6 +697,26 @@ def test_paley_edge_bound_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "TooLargeError"
+
+
+def test_graph6_bound_exits_2_before_building_the_bits(capsys, monkeypatch):
+    # The cycle on 2^18 vertices is inside the edge bound, but its graph6
+    # string would spend a character on each of its 3.4e10 vertex pairs.
+    monkeypatch.setattr(graphio, "neighbor_masks", _fail)
+    code, out, err = run(capsys, "gen", "--name", "cycle", "--n", "262144")
+    assert (code, out, json.loads(err)["error"]) == (2, "", "TooLargeError")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sharpness"])
+def test_numerical_lambda2_bound_exits_2_before_numpy(tmp_path, capsys, monkeypatch, command):
+    # A cycle has no SRG parameters, so both commands need the numerical
+    # lambda2; one vertex past the bound they exit 2, and an import of
+    # numpy (blocked here) would fail the test instead.
+    path = tmp_path / "cycle.json"
+    path.write_text(to_json(cycle_graph(spectral._DENSE_VERTICES + 1)))
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code, out, err = run(capsys, command, "--graph", str(path))
+    assert (code, out, json.loads(err)["error"]) == (2, "", "TooLargeError")
 
 
 def test_config_echoed_in_output(capsys):

@@ -19,11 +19,13 @@ from llycurv.families import (
     hypercube_graph,
     paley_graph,
     petersen_graph,
+    random_regular_graph,
     rook_graph,
     shrikhande_graph,
 )
 from llycurv.graphs import (
     Graph,
+    NeighborProfile,
     RegularityKind,
     SrgParams,
     bfs_distances,
@@ -191,6 +193,44 @@ def test_neighbor_profile_agrees_with_adjacency_everywhere(g, params):
         for v in parts.nx:
             prof = neighbor_profile(g, x, y, v, params=params)
             assert prof.in_delta >= 0 and prof.in_nx >= 0 and prof.in_pxy >= 0
+
+
+def _profile_by_sets(g, x, y, v, params):
+    """The NeighborProfile the parameters force and the one adjacency sets count."""
+    gx, gy, gv = (set(g.neighbors(u)) for u in (x, y, v))
+    ell = len(gv & (gy - gx - {x}))
+    expected = NeighborProfile(
+        ell=ell,
+        in_delta=params.beta - 1 - ell,
+        in_nx=params.alpha - params.beta + 1 + ell,
+        in_pxy=params.d - params.alpha - 1 - ell,
+    )
+    pxy = set(range(g.n)) - gx - gy - {x, y}
+    actual = NeighborProfile(ell, len(gv & gx & gy), len(gv & (gx - gy - {y})), len(gv & pxy))
+    return expected, actual
+
+
+@pytest.mark.parametrize(
+    "g",
+    [entry.graph for entry in catalog()]
+    + [random_regular_graph(14, 3, seed=1), random_regular_graph(16, 5, seed=2)],
+    ids=lambda g: repr(g),
+)
+def test_neighbor_profile_counts_equal_set_counts(g):
+    # Graphs without parameters are given one tuple that fits their degree,
+    # so most of their profiles disagree: the counts then show in the error.
+    rc = classify_regularity(g)
+    params = rc.params or SrgParams(g.n, g.degree(0), 0, 1)
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            for v in decompose_edge(g, a, b).nx:
+                expected, actual = _profile_by_sets(g, a, b, v, params)
+                if expected == actual:
+                    assert neighbor_profile(g, a, b, v, params=params) == actual
+                else:
+                    with pytest.raises(NotAmplyRegularError) as info:
+                        neighbor_profile(g, a, b, v, params=params)
+                    assert str(info.value).endswith(f"adjacency gives {actual}")
 
 
 def test_neighbor_profile_detects_wrong_params():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llycurv import graphio
 from llycurv.cli import main
-from llycurv.errors import InvalidParamsError
+from llycurv.errors import InvalidParamsError, TooLargeError
 from llycurv.families import catalog, cycle_graph, paley_graph, petersen_graph
 from llycurv.graphio import from_graph6, from_json, load_graph, save_graph, to_graph6, to_json
 from llycurv.graphs import Graph, neighbor_masks
@@ -53,6 +54,24 @@ def test_graph6_large_n_size_field():
     text = to_graph6(g)
     assert text.startswith("~")
     assert from_graph6(text) == g
+
+
+def test_graph6_pair_bound(monkeypatch):
+    # 16384 vertices make 134,209,536 pairs, inside the bound of 2^27;
+    # 16385 make 134,225,920.
+    def built(g):
+        raise LookupError("the writer passed its check")
+
+    monkeypatch.setattr(graphio, "neighbor_masks", built)
+    with pytest.raises(LookupError):
+        to_graph6(Graph(16384, []))
+    with pytest.raises(TooLargeError):
+        to_graph6(Graph(16385, []))
+    # the reader checks its size field before it reads the body
+    with pytest.raises(InvalidParamsError, match="body"):
+        from_graph6(bytes(graphio._encode_size(16384)).decode())
+    with pytest.raises(TooLargeError):
+        from_graph6(bytes(graphio._encode_size(16385)).decode())
 
 
 def test_graph6_rejects_garbage():

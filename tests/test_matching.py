@@ -18,12 +18,13 @@ from llycurv.families import (
 )
 from llycurv.matching import (
     BipartiteInstance,
+    _hopcroft_karp,
     hall_reduction_check,
     local_perfect_matching,
     max_matching,
     sharpness_equivalence,
 )
-from helpers import augmenting_path_matching_size
+from helpers import _alternating_reach, augmenting_path_matching_size
 
 
 def _random_instance(rng, max_side=10):
@@ -110,6 +111,36 @@ def test_violator_is_genuine_when_reported():
         }
         assert len(neighborhood) < len(result.violator)
     assert seen > 20  # the sample actually exercised the deficient case
+
+
+def _reference_violator(inst):
+    adj = inst.adjacency()
+    match_left, match_right = _hopcroft_karp(adj, len(inst.right))
+    if match_left.count(-1) == 0:
+        return None
+    return tuple(sorted(_alternating_reach(adj, match_left, match_right)[0]))
+
+
+def test_violator_equals_the_list_reach():
+    # Seeded instances, balanced and unbalanced either way, and empty
+    # sides: the violator is read off bit rows and must be the reached set
+    # of the list-based alternating search on the same matching.
+    rng = random.Random(55)
+    instances = [_random_instance(rng, max_side=9) for _ in range(400)]
+    instances += [
+        BipartiteInstance(left=(), right=(), edges=()),
+        BipartiteInstance(left=(), right=(0, 1), edges=()),
+        BipartiteInstance(left=(0, 1, 2), right=(), edges=()),
+        BipartiteInstance(left=(0, 1), right=(0, 1), edges=()),
+    ]
+    shapes = set()
+    for inst in instances:
+        result = max_matching(inst)
+        expected = _reference_violator(inst)
+        assert result.violator == expected, inst
+        if expected is not None:
+            shapes.add((len(inst.left) > len(inst.right)) - (len(inst.left) < len(inst.right)))
+    assert shapes == {-1, 0, 1}  # deficient instances of every shape were met
 
 
 def test_local_matching_rook_perfect_shrikhande_not():

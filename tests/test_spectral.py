@@ -10,15 +10,18 @@ from pathlib import Path
 
 import pytest
 
+from llycurv import spectral
 from llycurv.errors import (
     DisconnectedError,
     InfeasibleParametersError,
     InvalidParamsError,
     NotSrgParametersError,
+    TooLargeError,
 )
 from llycurv.families import (
     catalog,
     complete_graph,
+    cycle_graph,
     hypercube_graph,
     paley_graph,
     petersen_graph,
@@ -135,6 +138,14 @@ def test_numerical_lambda2_petersen():
 
 def test_numerical_lambda2_paley9():
     assert abs(numerical_lambda2(paley_graph(9)) - 0.75) < 1e-9
+
+
+def test_numerical_lambda2_bound_is_checked_before_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises
+    with pytest.raises(TooLargeError):
+        numerical_lambda2(cycle_graph(spectral._DENSE_VERTICES + 1))
+    with pytest.raises(ImportError):  # at the bound it goes on to numpy
+        numerical_lambda2(cycle_graph(spectral._DENSE_VERTICES))
 
 
 def test_numerical_lambda2_disconnected_raises():
