@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from . import graphio
 from .certify import Certificate, certify_curvature, scan_parameters
@@ -301,14 +301,7 @@ def parse_csv(text: str) -> list[dict[str, int | None]]:
     return rows
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="llycurv",
-        description="Exact curvature, matching certificates and SRG parameter tools",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="construct a named graph family member")
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", required=True, choices=family_names())
     p.add_argument("--q", type=int)
     p.add_argument("--k", type=int)
@@ -316,69 +309,107 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=("graph6", "json"), default="graph6")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("curvature", help="edge curvature(s) of a regular graph")
+
+def _curvature_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--edge")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_curvature)
 
-    p = sub.add_parser("match", help="local perfect matching across an edge")
+
+def _match_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--edge", required=True)
     p.add_argument("--witness", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("certify", help="parameter-only sharpness certificate")
+
+def _certify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", required=True, help="n,d,alpha,beta")
     p.add_argument("--sweep-transcript", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("scan", help="enumerate feasible SRG parameters and certify")
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("spectrum", help="closed-form or numerical Laplacian spectrum")
+
+def _spectrum_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--params", help="n,d,alpha,beta")
     group.add_argument("--graph")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("sharpness", help="min curvature vs lambda2")
+
+def _sharpness_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_sharpness)
 
-    p = sub.add_parser("corollary", help="quadratic-residue pattern verification")
+
+def _corollary_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_corollary)
 
-    p = sub.add_parser(
-        "verify-conjecture",
-        help="check kappa = 1/2 + 1/(2 gamma) on all Paley graphs up to gamma-max",
-    )
+
+def _verify_conjecture_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-max", type=int, required=True)
     p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_conjecture)
 
+
+# Each command once: name -> (help, adds its arguments, handler).
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Callable]] = {
+    "gen": ("construct a named graph family member", _gen_args, _cmd_gen),
+    "curvature": ("edge curvature(s) of a regular graph", _curvature_args, _cmd_curvature),
+    "match": ("local perfect matching across an edge", _match_args, _cmd_match),
+    "certify": ("parameter-only sharpness certificate", _certify_args, _cmd_certify),
+    "scan": ("enumerate feasible SRG parameters and certify", _scan_args, _cmd_scan),
+    "spectrum": ("closed-form or numerical Laplacian spectrum", _spectrum_args, _cmd_spectrum),
+    "sharpness": ("min curvature vs lambda2", _sharpness_args, _cmd_sharpness),
+    "corollary": ("quadratic-residue pattern verification", _corollary_args, _cmd_corollary),
+    "verify-conjecture": (
+        "check kappa = 1/2 + 1/(2 gamma) on all Paley graphs up to gamma-max",
+        _verify_conjecture_args, _cmd_verify_conjecture,
+    ),
+}
+
+
+def _command_parser(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    _, add_arguments, handler = _COMMANDS[name]
+    add_arguments(p)
+    p.set_defaults(func=handler)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="llycurv",
+        description="Exact curvature, matching certificates and SRG parameter tools",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named command's parser is built.  The full parser parses
+    # again only to print the top-level usage: no or an unknown command, a
+    # top-level option, or an argument the command leaves over.
+    args, extra = None, None
+    if argv and argv[0] in _COMMANDS:
+        parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"llycurv {argv[0]}"))
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         doc = args.func(args)
         text = doc if isinstance(doc, str) else json.dumps(

@@ -23,13 +23,10 @@ from .graphs import Graph, neighbor_masks
 # pair, so graph6 stops at 2^27 pairs (n <= 16384).
 _G6_PAIRS = 2**27
 _GRAPH6 = re.compile("[?-~]*")  # characters 63..126
-_G6_VALUES = bytes((b - 63) % 256 for b in range(256))
-_SIX_BITS = tuple(format(v, "06b") for v in range(64))
 # base64 writes six bits of value v as letter v of its alphabet; graph6 writes byte 63 + v.
-_B64_TO_G6 = bytes.maketrans(
-    (string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/").encode(),
-    bytes(range(63, 127)),
-)
+_B64 = (string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/").encode()
+_B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
 
 
 def _check_pairs(n: int) -> None:
@@ -66,6 +63,13 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return n, 8
 
 
+def _body_word(body: bytes) -> int:
+    """All 6 * len(body) bits of a graph6 body as one integer, its first bit highest."""
+    pad = -len(body) % 4  # letters "A" (six zero bits each) to a whole base64 group
+    raw = base64.b64decode(body.translate(_G6_TO_B64) + b"A" * pad)
+    return int.from_bytes(raw, "big") >> 6 * pad
+
+
 def to_graph6(g: Graph) -> str:
     """Encode in the standard header-less graph6 format."""
     _check_pairs(g.n)
@@ -92,16 +96,18 @@ def from_graph6(text: str) -> Graph:
     if len(body) != need:
         raise InvalidParamsError(f"graph6 body has {len(body)} bytes, expected {need}")
     # Byte b carries the six bits of b - 63; bit v(v-1)/2 + u of the body is the pair u < v.
-    values = body.translate(_G6_VALUES)
-    _check_edges(int.from_bytes(values, "big").bit_count(), "the graph6 graph")
-    bits = "".join(map(_SIX_BITS.__getitem__, values))
+    word = _body_word(body)
+    _check_edges(word.bit_count(), "the graph6 graph")
+    # A leading 1 keeps the leading zeros (a zero-padded format would copy the
+    # whole string once more), so bit k of the body is bits[k + 1].
+    bits = format(word | 1 << 6 * len(body), "b")
     # Column v lists its neighbours u < v in increasing u, and the columns
     # come in increasing v, so appending u to row v and v to row u leaves
     # every row sorted.  Column v read backwards is masks[v] below bit v.
     rows: list[list[int]] = [[] for _ in range(n)]
     masks = [0] * n
     for v in range(1, n):
-        start = v * (v - 1) // 2
+        start = v * (v - 1) // 2 + 1
         column = bits[start : start + v]
         masks[v] = int(column[::-1], 2)
         row, bit = rows[v], 1 << v

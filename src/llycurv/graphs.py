@@ -275,8 +275,9 @@ def classify_regularity(g: Graph) -> RegularityClass:
 
     Amply regular means every adjacent pair shares exactly alpha neighbors
     and every distance-2 pair exactly beta; strongly regular additionally
-    needs diameter <= 2 and the graph neither complete nor empty.  All
-    O(n^2) pairs are checked, no sampling.
+    needs diameter <= 2 and the graph neither complete nor empty.  Every
+    pair within distance 2 is checked, no sampling; the diameter is read
+    off the 2-balls, so pairs farther apart are never visited.
     """
     if g.n < 2:
         raise InvalidParamsError("classification needs at least two vertices")
@@ -289,27 +290,30 @@ def classify_regularity(g: Graph) -> RegularityClass:
         return RegularityClass(RegularityKind.REGULAR, degree=d)
 
     masks = neighbor_masks(g)
+    everyone = (1 << g.n) - 1
     alphas: set[int] = set()
     betas: set[int] = set()
-    every_nonadjacent_close = True
+    every_ball_full = True
     for u in range(g.n):
         row = masks[u]
-        for v in range(u + 1, g.n):
-            c = (row & masks[v]).bit_count()
-            if row >> v & 1:
-                alphas.add(c)
-            elif c > 0:
-                # Non-adjacent with a common neighbor is exactly distance 2.
-                betas.add(c)
-            else:
-                every_nonadjacent_close = False
-            if len(alphas) > 1 or len(betas) > 1:
-                return RegularityClass(RegularityKind.REGULAR, degree=d)
+        ball = row | 1 << u
+        for w in g._adj[u]:
+            ball |= masks[w]
+        every_ball_full = every_ball_full and ball == everyone
+        # v > u in the 2-ball is a neighbor or, sharing one, at distance 2.
+        later = ball >> (u + 1) << (u + 1)
+        while later:
+            bit = later & -later
+            later ^= bit
+            c = (row & masks[bit.bit_length() - 1]).bit_count()
+            (alphas if row & bit else betas).add(c)
+        if len(alphas) > 1 or len(betas) > 1:
+            return RegularityClass(RegularityKind.REGULAR, degree=d)
     if not betas:
         # No distance-2 pair at all (disjoint unions of cliques): beta void.
         return RegularityClass(RegularityKind.REGULAR, degree=d)
     params = SrgParams(g.n, d, alphas.pop(), betas.pop())
-    if every_nonadjacent_close:
+    if every_ball_full:
         return RegularityClass(RegularityKind.STRONGLY_REGULAR, degree=d, params=params)
     return RegularityClass(RegularityKind.AMPLY_REGULAR, degree=d, params=params)
 

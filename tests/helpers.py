@@ -6,8 +6,9 @@ augmenting paths) so it cannot share a bug with the production code paths
 it checks.  The O(m^3) Hungarian assignment (`hungarian`,
 `lex_smallest_optimal_assignment`), the list-based lex-first pass
 (`_lex_first_tight_assignment`) and the list-based Koenig reach
-(`_alternating_reach`) are the references of the bit-row engine; no code
-in `src/` calls them.
+(`_alternating_reach`) are the references of the bit-row engine, and the
+all-pairs loop (`all_pairs_classify_regularity`) that of
+`classify_regularity`'s 2-ball walk; no code in `src/` calls them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from llycurv.errors import InvalidParamsError
-from llycurv.graphs import Graph
+from llycurv.graphs import (
+    Graph,
+    RegularityClass,
+    RegularityKind,
+    SrgParams,
+    neighbor_masks,
+)
 from llycurv.matching import _hopcroft_karp
 from llycurv.spectral import integral_multiplicities
 
@@ -376,3 +383,36 @@ def list_two_matching_assignment(h1, near, want_witness):
         tight.append([j for j in range(m) if (j in near_i) + (j in h1_i) == y_i + y_col[j]])
     cols, _ = _hopcroft_karp(tight, m)
     return cost, _lex_first_tight_assignment(tight, cols)
+
+
+def all_pairs_classify_regularity(g: Graph) -> RegularityClass:
+    """`graphs.classify_regularity` by testing all n(n-1)/2 vertex pairs."""
+    if g.n < 2:
+        raise InvalidParamsError("classification needs at least two vertices")
+    degs = g.degree_sequence()
+    d = degs[0]
+    if any(deg != d for deg in degs):
+        return RegularityClass(RegularityKind.IRREGULAR)
+    if d == 0 or d == g.n - 1:
+        return RegularityClass(RegularityKind.REGULAR, degree=d)
+    masks = neighbor_masks(g)
+    alphas: set[int] = set()
+    betas: set[int] = set()
+    every_nonadjacent_close = True
+    for u in range(g.n):
+        row = masks[u]
+        for v in range(u + 1, g.n):
+            c = (row & masks[v]).bit_count()
+            if row >> v & 1:
+                alphas.add(c)
+            elif c > 0:
+                # Non-adjacent with a common neighbor is exactly distance 2.
+                betas.add(c)
+            else:
+                every_nonadjacent_close = False
+    if len(alphas) > 1 or len(betas) > 1 or not betas:
+        return RegularityClass(RegularityKind.REGULAR, degree=d)
+    params = SrgParams(g.n, d, alphas.pop(), betas.pop())
+    if every_nonadjacent_close:
+        return RegularityClass(RegularityKind.STRONGLY_REGULAR, degree=d, params=params)
+    return RegularityClass(RegularityKind.AMPLY_REGULAR, degree=d, params=params)

@@ -354,7 +354,48 @@ _PINNED = [
         ("certify", "--params", "29,14,6,7", "--out", "nodir/c.json"),
         "2729ee28348cd5b2afc2ba7b540fab50b8de8dc95187ed8601c8dc29e3bd4eeb",
     ),
+    # Usage, help and parse errors, recorded while `main` built the full
+    # parser for every argv.
+    ((), "08272e4467e53589feb2587ed1ccecb8b87ab523b7947a2adc0e27cd691c8fda"),
+    (("nope",), "46767e32620c014100f386fd34f28b49949fbadb2a36526421c36c0d2e0730bf"),
+    (("--help",), "fd23173bad871ee6459385464d516e8b612af3a17244c1d1edee10c1b2acadbb"),
+    (
+        ("curvature", "--help"),
+        "a6330ade7c3caef1869e647bf90d7ff34a10f61e1e81baf0c282ee0baff250c2",
+    ),
+    (
+        ("curvature", "--graph", "p13.g6", "--bogus"),
+        "d54437b9fbd10af0949c682d5a8a933fe6652219412e4c2664279e1282146dcb",
+    ),
+    (
+        ("--bogus", "scan", "--max-n", "60"),
+        "d54437b9fbd10af0949c682d5a8a933fe6652219412e4c2664279e1282146dcb",
+    ),
+    (
+        ("match", "--graph", "p13.g6", "--edge", "0,1", "extra"),
+        "a2be4970220eac0547e2d66e0a4b1ea0ab287d973df8fa72673a22dfdf68474c",
+    ),
+    (
+        ("spectrum", "--params", "9,4,1,2", "--graph", "pet.g6"),
+        "3dd197befe47e4f06871e983b528321901066aceda2ff37209df3c7f895c729c",
+    ),
+    (
+        ("scan", "--max", "60"),
+        "e2e3a5e24e0b1ae92998b614973b85b3a528214237b6a6ab35ab8b2939e25be1",
+    ),
 ]
+_PINNED_IDS = [" ".join(argv) or "no args" for argv, _ in _PINNED]
+
+# The pinned argvs that only the full parser answers: no command or an
+# unknown one, a top-level option, or an argument the command leaves over.
+_FULL_PARSER_ARGVS = {
+    (),
+    ("nope",),
+    ("--help",),
+    ("curvature", "--graph", "p13.g6", "--bogus"),
+    ("--bogus", "scan", "--max-n", "60"),
+    ("match", "--graph", "p13.g6", "--edge", "0,1", "extra"),
+}
 
 
 @pytest.fixture
@@ -362,6 +403,8 @@ def pin_dir(tmp_path, monkeypatch):
     (tmp_path / "p13.g6").write_text(to_graph6(paley_graph(13)) + "\n")
     (tmp_path / "pet.g6").write_text(to_graph6(petersen_graph()) + "\n")
     monkeypatch.chdir(tmp_path)
+    # argparse wraps usage and help at $COLUMNS; the pins were recorded at 80.
+    monkeypatch.setenv("COLUMNS", "80")
     return tmp_path
 
 
@@ -378,9 +421,43 @@ def _command_bytes(capsys, argv) -> bytes:
     return json.dumps(record).encode()
 
 
-@pytest.mark.parametrize("argv, sha256", _PINNED, ids=[" ".join(argv) for argv, _ in _PINNED])
+@pytest.mark.parametrize("argv, sha256", _PINNED, ids=_PINNED_IDS)
 def test_command_bytes_pinned(pin_dir, capsys, argv, sha256):
     assert hashlib.sha256(_command_bytes(capsys, argv)).hexdigest() == sha256
+
+
+def test_main_builds_the_full_parser_only_for_the_top_level_answers(pin_dir, capsys, monkeypatch):
+    # Every other pinned argv, success or error, is parsed by its command's
+    # parser alone; build_parser is called only where its usage is printed.
+    calls, real = [], cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv, sha256 in _PINNED:
+        calls.clear()
+        assert hashlib.sha256(_command_bytes(capsys, argv)).hexdigest() == sha256, argv
+        assert len(calls) == (argv in _FULL_PARSER_ARGVS), argv
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_command_help_matches_the_full_parsers(pin_dir, capsys, name):
+    # A command's own parser prints the help of its subparser in build_parser.
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([name, "--help"])
+    full = capsys.readouterr()
+    assert _command_bytes(capsys, (name, "--help")) == json.dumps([0, full.out, full.err]).encode()
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["certify", "--params", "9,4,1,2"]
+    monkeypatch.setattr(sys, "argv", ["llycurv", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == run(capsys, *argv)
+    assert code == 0 and json.loads(captured.out)["params"] == [9, 4, 1, 2]
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

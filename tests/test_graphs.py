@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from llycurv.errors import (
 )
 from llycurv.families import (
     catalog,
+    johnson_graph,
     cocktail_party_graph,
     complete_graph,
     cycle_graph,
@@ -35,7 +37,8 @@ from llycurv.graphs import (
     neighbor_profile,
     parameter_identity_check,
 )
-from helpers import matrix_power_distances
+from llycurv.graphio import load_graph
+from helpers import all_pairs_classify_regularity, matrix_power_distances
 
 
 def test_bfs_cycle_six():
@@ -157,6 +160,40 @@ def test_classify_path_irregular():
 def test_classify_complete_and_empty_are_regular():
     assert classify_regularity(complete_graph(4)).kind is RegularityKind.REGULAR
     assert classify_regularity(Graph(4, [])).kind is RegularityKind.REGULAR
+
+
+def _disjoint_union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def test_classify_two_ball_walk_equals_all_pairs():
+    # The 2-ball walk visits only pairs within distance 2; the all-pairs
+    # loop is the reference.  Disjoint unions and hypercubes are amply but
+    # not strongly regular, and mixed unions have two betas or alphas.
+    rrg40 = load_graph(Path(__file__).parent / "data" / "rrg40_8.g6")
+    graphs = [entry.graph for entry in catalog()] + [rrg40]
+    graphs += [paley_graph(q) for q in (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61)]
+    graphs += [random_regular_graph(n, d, seed) for seed in range(6) for n, d in ((12, 3), (30, 4), (40, 8))]
+    graphs += [cycle_graph(n) for n in (3, 4, 5, 6, 9)] + [hypercube_graph(m) for m in (2, 3, 4)]
+    graphs += [
+        johnson_graph(6, 3),
+        _disjoint_union(petersen_graph(), petersen_graph()),
+        _disjoint_union(complete_graph(3), complete_graph(3)),
+        _disjoint_union(rook_graph(3), paley_graph(9)),
+        _disjoint_union(cycle_graph(4), cocktail_party_graph(2)),
+        _disjoint_union(shrikhande_graph(), rook_graph(4)),
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    ]
+    kinds = set()
+    for g in graphs:
+        rc = classify_regularity(g)
+        assert rc == all_pairs_classify_regularity(g), g
+        kinds.add(rc.kind)
+    assert kinds == set(RegularityKind)
 
 
 def test_classify_catalog_matches_expected_params():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -140,6 +141,18 @@ def test_json_accepts_only_integers(tmp_path, capsys, text):
     assert main(["spectrum", "--graph", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "InvalidParamsError"
+
+
+def test_body_bits_equal_the_six_bit_join():
+    # The reader decodes a body through base64; the reference reads byte b
+    # as the six bits of b - 63.  The lengths cover every partial last
+    # base64 group, and bytes 63 and 126 are the extreme letters.
+    rng = random.Random(19)
+    for length in range(1, 41):
+        for _ in range(25):
+            body = bytes(rng.choice((63, 126, rng.randint(63, 126))) for _ in range(length))
+            reference = "".join(format(b - 63, "06b") for b in body)
+            assert format(graphio._body_word(body), f"0{6 * length}b") == reference
 
 
 @settings(max_examples=80, deadline=None)
