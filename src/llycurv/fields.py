@@ -65,7 +65,7 @@ def _poly_mod(coeffs: list[int], modulus: Poly, p: int) -> Poly:
             coeffs[i] = 0
             for j in range(m):
                 coeffs[i - m + j] = (coeffs[i - m + j] - c * modulus[j]) % p
-    return _trim([c % p for c in coeffs[:m]] if len(coeffs) >= m else [c % p for c in coeffs])
+    return _trim([c % p for c in coeffs[:m]])
 
 
 def _poly_powmod(base: Poly, exp: int, modulus: Poly, p: int) -> Poly:

@@ -78,8 +78,8 @@ def to_graph6(g: Graph) -> str:
     bits = "".join(format(masks[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
     # Padded to whole 24-bit groups, the bits base64-encode with no "=";
     # keep one letter per six bits, the last group padded with zeros.
-    pad = "0" * (-len(bits) % 24)
-    raw = int("0" + bits + pad, 2).to_bytes((len(bits) + len(pad)) // 8, "big")
+    pad = -len(bits) % 24
+    raw = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
     body = base64.b64encode(raw)[: -(-len(bits) // 6)].translate(_B64_TO_G6)
     return (bytes(_encode_size(g.n)) + body).decode("ascii")
 

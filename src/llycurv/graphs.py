@@ -10,10 +10,10 @@ come out that way (the graph6 reader and the Cayley families, each after
 its own checks).  Alongside the type live the
 operations the curvature machinery leans on: neighbor bitmasks (the one
 common-neighbor primitive of the exact code, built once per graph and kept
-by it), breadth-first distances, the four-way decomposition of the vertex
-set around an edge together with its local matching graph H(x, y) as bit
-rows, regularity classification, and the per-vertex neighbor profile of
-amply regular graphs.
+by it), breadth-first distances, the 2-ball of a vertex as a mask, the
+four-way decomposition of the vertex set around an edge together with its
+local matching graph H(x, y) as bit rows, regularity classification, and
+the per-vertex neighbor profile of amply regular graphs.
 """
 
 from __future__ import annotations
@@ -168,6 +168,15 @@ def neighbor_masks(g: Graph) -> tuple[int, ...]:
     return g._masks
 
 
+def _two_ball(g: Graph, v: VertexId) -> int:
+    """The vertices within distance 2 of v as a mask: v, its neighbors and theirs."""
+    masks = neighbor_masks(g)
+    ball = masks[v] | 1 << v
+    for w in g._adj[v]:
+        ball |= masks[w]
+    return ball
+
+
 def bfs_distances(g: Graph, source: VertexId) -> list[int | None]:
     """Distances from source; None marks vertices in other components."""
     if not (0 <= source < g.n):
@@ -296,9 +305,7 @@ def classify_regularity(g: Graph) -> RegularityClass:
     every_ball_full = True
     for u in range(g.n):
         row = masks[u]
-        ball = row | 1 << u
-        for w in g._adj[u]:
-            ball |= masks[w]
+        ball = _two_ball(g, u)
         every_ball_full = every_ball_full and ball == everyone
         # v > u in the 2-ball is a neighbor or, sharing one, at distance 2.
         later = ball >> (u + 1) << (u + 1)
@@ -383,12 +390,12 @@ class IdentityCheck:
     relation: str  # "equal" | "strict" | "violated"
 
 
-def parameter_identity_check(g: Graph, params: SrgParams | None = None) -> IdentityCheck:
-    """Evaluate d(d-alpha-1) vs (n-d-1)beta; equality characterizes SRGs."""
+def parameter_identity_check(g: Graph) -> IdentityCheck:
+    """Evaluate d(d-alpha-1) vs (n-d-1)beta on g's parameters; equality characterizes SRGs."""
     rc = classify_regularity(g)
     if not rc.is_amply_regular or rc.params is None:
         raise NotAmplyRegularError("graph is not amply regular")
-    p = params if params is not None else rc.params
+    p = rc.params
     lhs = p.d * (p.d - p.alpha - 1)
     rhs = (p.n - p.d - 1) * p.beta
     if lhs == rhs:

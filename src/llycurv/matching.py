@@ -75,14 +75,9 @@ class MatchingResult:
     violator: tuple[int, ...] | None
 
 
-def _bit_indices(row: int, index: dict[int, int]) -> list[int]:
-    """The column indices of a bit row, in increasing bit order; index maps bit -> column."""
-    out = []
-    while row:
-        b = row & -row
-        out.append(index[b])
-        row ^= b
-    return out
+def _column(b: int, ymask: int) -> int:
+    """The column of bit b, column j being ymask's j-th lowest bit: ymask's bits below b."""
+    return (ymask & (b - 1)).bit_count()
 
 
 def _bit_matching(rows: Sequence[int], match: list[int] | None = None) -> list[int]:
@@ -277,10 +272,14 @@ def local_perfect_matching(g: Graph, x: int, y: int) -> tuple[BipartiteInstance,
     if not g.is_regular():
         raise NotRegularError("local matching is stated for regular graphs")
     parts = decompose_edge(g, x, y)
-    # N_y is sorted, so bit order is column order.
-    index = {1 << u: j for j, u in enumerate(parts.ny)}
-    edges = tuple((i, j) for i, row in enumerate(parts.rows) for j in _bit_indices(row, index))
-    instance = BipartiteInstance(left=parts.nx, right=parts.ny, edges=edges)
+    # N_y is sorted, so column j of a row is vertex ny[j].
+    edges = []
+    for i, row in enumerate(parts.rows):
+        while row:
+            b = row & -row
+            row ^= b
+            edges.append((i, _column(b, parts.ny_mask)))
+    instance = BipartiteInstance(left=parts.nx, right=parts.ny, edges=tuple(edges))
     return instance, max_matching(instance)
 
 

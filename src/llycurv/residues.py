@@ -11,8 +11,9 @@ the edge xy inside S.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Callable, Collection, Iterable
 
@@ -165,17 +166,12 @@ def verify_corollary(
                 if pattern_free(subset):
                     failures.append(subset)
     else:
-        weights = [comb(len(universe), s) for s in sizes]
-        total_weight = sum(weights)
+        # Size s has weight comb(q - 2, s); a draw below the total lands in its
+        # slot of the running sums.
+        cumulative = list(accumulate(comb(len(universe), s) for s in sizes))
         for counter in range(trials):
             rng = random.Random(f"{seed}:{counter}")
-            r = rng.randrange(total_weight)
-            size = sizes[-1]
-            for s, w in zip(sizes, weights):
-                if r < w:
-                    size = s
-                    break
-                r -= w
+            size = sizes[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
             subset = rng.sample(universe, size)
             tested += 1
             if pattern_free(subset):

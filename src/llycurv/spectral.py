@@ -165,8 +165,12 @@ def numerical_lambda2(g: Graph) -> float:
         a[u, v] = 1.0
         a[v, u] = 1.0
     scale = 1.0 / np.sqrt(np.array(g.degree_sequence(), dtype=float))
-    laplacian = np.eye(g.n) - scale[:, None] * a * scale[None, :]
-    return float(np.linalg.eigvalsh(laplacian)[1])
+    # I - D^-1/2 A D^-1/2 in a's own memory; 0.0 - x, unlike -x, leaves +0.0 at non-edges.
+    a *= scale[:, None]
+    a *= scale[None, :]
+    np.subtract(0.0, a, out=a)
+    a[np.diag_indices(g.n)] += 1.0
+    return float(np.linalg.eigvalsh(a)[1])
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import Callable, Sequence
 
 from .errors import (
@@ -34,8 +32,8 @@ from .errors import (
     NotAnEdgeError,
     NotRegularError,
 )
-from .graphs import Graph, bfs_distances, decompose_edge, is_connected, neighbor_masks
-from .matching import _bit_matching, _bit_reach, _lex_first_matching
+from .graphs import Graph, _two_ball, bfs_distances, decompose_edge, is_connected
+from .matching import _bit_matching, _bit_reach, _column, _lex_first_matching
 
 
 @dataclass(frozen=True)
@@ -197,10 +195,9 @@ def wasserstein_w1(
     for v in s1 + s2:
         if not 0 <= v < g.n:
             raise InvalidParamsError(f"support vertex {v} outside graph")
-    reach = bfs_distances(g, s1[0])
-    if any(reach[v] is None for v in s1 + s2):
-        raise InfiniteDistanceError("measure supports span several components")
     dist_rows = [bfs_distances(g, v) for v in s1]
+    if any(dist_rows[0][v] is None for v in s1 + s2):
+        raise InfiniteDistanceError("measure supports span several components")
     cost = [[dist_rows[i][w] for w in s2] for i in range(len(s1))]
     denom = math.lcm(
         *(mass.denominator for _, mass in mu1.support),
@@ -255,7 +252,9 @@ def _two_matching_assignment(
     m = len(h1)
     match = _bit_matching(h1)
     if all(match):
-        return m, _columns(_lex_first_matching(h1, match), ymask) if want_witness else None
+        if not want_witness:
+            return m, None
+        return m, [_column(b, ymask) for b in _lex_first_matching(h1, match)]
     # Koenig: C1 is the rows not reached plus the columns reached (R).
     reached, cover = _bit_reach(h1, match)
     # A reached row has all of its H1 columns in R, so the columns of
@@ -281,12 +280,7 @@ def _two_matching_assignment(
         for k in range(y_i, 3):
             row |= w[k] & y_col[k - y_i]
         tight.append(row)
-    return cost, _columns(_lex_first_matching(tight, _bit_matching(tight)), ymask)
-
-
-def _columns(match: list[int], ymask: int) -> list[int]:
-    """The column index of each bit: the number of ymask's bits below it."""
-    return [(ymask & (b - 1)).bit_count() for b in match]
+    return cost, [_column(b, ymask) for b in _lex_first_matching(tight, _bit_matching(tight))]
 
 
 def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureReport:
@@ -294,13 +288,11 @@ def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureRepor
     parts = decompose_edge(g, x, y)
     d = g.degree(x)
     nx, ny, ymask = parts.nx, parts.ny, parts.ny_mask
-    masks = neighbor_masks(g)
 
     def near(i: int) -> int:
         # v -> u costs 1 when adjacent, 2 when they share a neighbor, else 3
         # (the path v-x-y-u).
-        v = nx[i]
-        return reduce(or_, map(masks.__getitem__, g.neighbors(v)), masks[v]) & ymask
+        return _two_ball(g, nx[i]) & ymask
 
     min_cost, cols = _two_matching_assignment(parts.rows, near, ymask, want_witness)
     kappa = Fraction(d + 1 - min_cost, d)
@@ -338,19 +330,17 @@ def _edge_orbits(
 ) -> list[int]:
     """For each edge, the index of the first edge of its orbit.
 
-    Each map is checked to be an automorphism of g before it is used: a
-    bijection of range(n) carrying the neighbor mask of every v onto the
-    mask of its image.  From each edge not yet labelled, in edge order, the
-    walk applies every map to every edge it reaches, so it labels exactly
-    the orbit of that edge under the group the maps generate.
+    edges must be list(g.edges()), and each map a permutation of range(n).
+    From each edge not yet labelled, in edge order, the walk applies every
+    map to every edge it reaches, so it labels exactly the orbit of that
+    edge under the group the maps generate.  The walk is also the check
+    that each map is an automorphism of g: it sends every edge through
+    every map, and a permutation that carries every edge onto an edge is
+    an automorphism, so an image that is not an edge raises.
     """
-    masks = neighbor_masks(g)
     for sigma in automorphisms:
         if len(sigma) != g.n or set(sigma) != set(range(g.n)):
             raise InvalidParamsError("an automorphism must be a permutation of range(n)")
-        for v in range(g.n):
-            if sum(1 << sigma[w] for w in g.neighbors(v)) != masks[sigma[v]]:
-                raise InvalidParamsError(f"map does not preserve the neighbors of vertex {v}")
     index = {e: i for i, e in enumerate(edges)}
     roots = [-1] * len(edges)
     for first in range(len(edges)):
@@ -362,7 +352,9 @@ def _edge_orbits(
             x, y = edges[i]
             for sigma in automorphisms:
                 a, b = sigma[x], sigma[y]
-                j = index[(a, b) if a < b else (b, a)]
+                j = index.get((a, b) if a < b else (b, a))
+                if j is None:  # sigma[y] is not a neighbor of sigma[x]
+                    raise InvalidParamsError(f"map does not preserve the neighbors of vertex {x}")
                 if roots[j] == -1:
                     roots[j] = first
                     orbit.append(j)

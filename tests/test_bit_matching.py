@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 from llycurv.families import catalog, paley_graph, prime_power_decomposition, random_regular_graph
 from llycurv.graphio import load_graph
 from llycurv.graphs import decompose_edge
-from llycurv.matching import _bit_matching, _bit_reach, _lex_first_matching
+from llycurv.matching import (
+    _bit_matching,
+    _bit_reach,
+    _lex_first_matching,
+    local_perfect_matching,
+)
 from llycurv.transport import _two_matching_assignment, lly_curvature
 from helpers import (
     _lex_first_tight_assignment,
@@ -135,6 +140,11 @@ def test_decompose_edge_rows_are_the_set_built_local_matching_graph(g):
             assert (parts.nx, parts.ny) == (tuple(nx), tuple(ny))
             assert parts.ny_mask == sum(1 << u for u in ny), (a, b)
             assert parts.rows == tuple(sum(1 << u for u in row) for row in h), (a, b)
+            # `match` lists these rows, a bit's column by the popcount of
+            # N_y's mask below it; the `match` pins never print the pairs.
+            instance, _ = local_perfect_matching(g, a, b)
+            pairs = {(i, ny.index(u)) for i, row in enumerate(h) for u in row}
+            assert instance.edges == tuple(sorted(pairs)), (a, b)
 
 
 def _bits(row):

@@ -426,6 +426,41 @@ def test_command_bytes_pinned(pin_dir, capsys, argv, sha256):
     assert hashlib.sha256(_command_bytes(capsys, argv)).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "q, digests",
+    [
+        (13, (
+            "b7918fa3b0da3f1fbcaf56c79116de4e2502bb0e212cebdd72fc53c93da72f67",
+            "ac3595e55407cb508906d7a50f1d63de705d8ee4b4c725e35caf3fa95ab4cc38",
+            "cad0cbfaf80ceb90c1e23b4844bbbedbe542c90acc4baaaa2fd36dc121a6323f",
+        )),
+        (25, (
+            "3aee836ee2e81d1ec94b0082a96de7f8dbeae5da673ee4c270317c4cf994d363",
+            "93f31eaef21b45e78f570d04586b03bab94fd20a4d6261802cb4423f53dcf2dc",
+            "4b04c9d8db7ccd541da0d2f3e5e49ef6fec68fc532184fb152af662e429a6e1e",
+        )),
+        (37, (
+            "fc5acf0fbed496f6b5478546805a4368af3d90025c912ba6f96051b7f771a104",
+            "5b82818ffbc7cacbf7a3c05d157df1400b76c0869d34b7818ca572d1e29625f6",
+            "cc8ee492b9688e208617b9daedd88e34dc67d044e8e7af288fea98d8a2071279",
+        )),
+        (61, (
+            "dbd865cc735e4a37d37308ab05317f93b3cb7a7046ceb8d2da9628b8f80c0adb",
+            "f0522c4be0b4e43c105d0e2c5cdfcc2eef257d309bf43e3c3b71f3815c674698",
+            "0acd4a8ed87866f3df4f0bf603c77f1de296b653f0c53c89d0faf2d44dfaf1c7",
+        )),
+    ],
+)
+def test_sampled_corollary_stdout_pinned(capsys, q, digests):
+    # Seeds 0, 1 and 2 with 3,000 trials.  The corollary holds, so stdout
+    # lists no subset; tests/test_residues.py pins the draws themselves.
+    for seed, digest in enumerate(digests):
+        argv = ("corollary", "--q", str(q), "--mode", "sampled", "--seed", str(seed))
+        code, out, err = run(capsys, *argv, "--trials", "3000")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
 def test_main_builds_the_full_parser_only_for_the_top_level_answers(pin_dir, capsys, monkeypatch):
     # Every other pinned argv, success or error, is parsed by its command's
     # parser alone; build_parser is called only where its usage is printed.

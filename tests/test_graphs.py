@@ -30,6 +30,7 @@ from llycurv.graphs import (
     NeighborProfile,
     RegularityKind,
     SrgParams,
+    _two_ball,
     bfs_distances,
     classify_regularity,
     decompose_edge,
@@ -172,8 +173,9 @@ def _disjoint_union(*graphs: Graph) -> Graph:
 
 def test_classify_two_ball_walk_equals_all_pairs():
     # The 2-ball walk visits only pairs within distance 2; the all-pairs
-    # loop is the reference.  Disjoint unions and hypercubes are amply but
-    # not strongly regular, and mixed unions have two betas or alphas.
+    # loop is the reference, and BFS distances that of each 2-ball.
+    # Disjoint unions and hypercubes are amply but not strongly regular,
+    # and mixed unions have two betas or alphas.
     rrg40 = load_graph(Path(__file__).parent / "data" / "rrg40_8.g6")
     graphs = [entry.graph for entry in catalog()] + [rrg40]
     graphs += [paley_graph(q) for q in (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61)]
@@ -187,9 +189,13 @@ def test_classify_two_ball_walk_equals_all_pairs():
         _disjoint_union(cycle_graph(4), cocktail_party_graph(2)),
         _disjoint_union(shrikhande_graph(), rook_graph(4)),
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        Graph(4, [(0, 1), (1, 2)]),  # vertex 3 is isolated
     ]
     kinds = set()
     for g in graphs:
+        for v in range(g.n):
+            within = [w for w, d in enumerate(bfs_distances(g, v)) if d is not None and d <= 2]
+            assert _two_ball(g, v) == sum(1 << w for w in within), (g, v)
         rc = classify_regularity(g)
         assert rc == all_pairs_classify_regularity(g), g
         kinds.add(rc.kind)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -256,3 +258,39 @@ def test_affine_symmetry_audit():
         direct = find_pattern_witness(f, x, y, subset)
         transported = find_pattern_witness(f, image_x, image_y, image_subset)
         assert (direct is None) == (transported is None)
+
+
+@pytest.mark.parametrize(
+    "q, digests",
+    [
+        (13, (
+            "411e9f265e70bb5bdeea3f96fa5ffd0a759519317c54c618c166f3c2c4342e65",
+            "41823984f99682602727602bc0ec7f2cd398815c0f3e91303b9c847ea2918d42",
+            "50b2070884f72da71e9f1a841262e40efa8cfa895b59009e557048190f5b96d7",
+        )),
+        (25, (
+            "799f806bab3c4d347da58c0bca4cc3af1cf08d635079b3ec95176d79c8d74434",
+            "32daaab18d30cbafe58f8ad2f820bbf41ed05b77e1c21a949db5484d3917f0c0",
+            "3f0a97364e55f818d9c45cb66b7f0776b4c7e9948e788ad8e55c1bdc8bc616dd",
+        )),
+        (37, (
+            "ac733be5cc03e56cf8011c7a45518e6aba68c1669fffeaab2c82b5b9dc8f5647",
+            "f3043ad4262327a411b39e507574a1fd204bf0d66db0167b8d3ad0daa3dbd7a7",
+            "25517a014355072f6ed44fa62093ff457dd4dbe2dfa1a1ac89e85e68ec0e7e0e",
+        )),
+        (61, (
+            "80d045f891471fff4df6db0d3c2bee7dfcb856e9311b94be4db6ea00bcac87a3",
+            "977b69b5f3409a55613813809204eccb693fba4a87cb8fa1d317a6776b7c7003",
+            "545a913e7394063c50655c438989bffd78225c38e7040b0b16236288a3f59cb5",
+        )),
+    ],
+)
+def test_sampled_corollary_draws_pinned(monkeypatch, q, digests):
+    # A kernel that finds every subset pattern-free makes the report list
+    # every drawn subset, so these digests pin the size and subset draws of
+    # seeds 0, 1 and 2 with 3,000 trials.
+    monkeypatch.setattr(residues, "pattern_free_kernel", lambda g, x, y: lambda subset: True)
+    for seed, digest in enumerate(digests):
+        report = verify_corollary(q, mode="sampled", seed=seed, trials=3000)
+        assert report.subsets_tested == len(report.failures) == 3000
+        assert hashlib.sha256(json.dumps(report.failures).encode()).hexdigest() == digest, seed

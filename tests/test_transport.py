@@ -494,10 +494,17 @@ def test_curvature_spectrum_rejects_non_permutation(sigma):
 
 def test_curvature_spectrum_rejects_non_automorphism():
     # Swapping 0 and 1 is a permutation, but 0 and 1 do not share all other
-    # neighbors in P(13).  It fails even behind a valid generator.
+    # neighbors in P(13).  It fails even behind a valid generator.  Swapping
+    # 11 and 12 fixes every edge of 0 up to (0, 10), each its own orbit; the
+    # walk, the only automorphism check, must not skip the first moved edge,
+    # (0, 12), whose image (0, 11) is not an edge.
     swap = (1, 0) + tuple(range(2, 13))
+    late = tuple(range(11)) + (12, 11)
     g = paley_graph(13)
-    for maps in ([swap], [*paley_automorphisms(13), swap]):
+    edges = list(g.edges())
+    assert edges[5] == (0, 12) and not g.has_edge(0, 11)
+    assert all(late[x] == x and late[y] == y for x, y in edges[:5])
+    for maps in ([swap], [*paley_automorphisms(13), swap], [late]):
         with pytest.raises(InvalidParamsError, match="neighbors"):
             transport._edge_orbits(g, list(g.edges()), maps)
 
