@@ -70,6 +70,7 @@ from .transport import (
     lazy_walk_measure,
     lly_curvature,
     ollivier_kappa_p,
+    paley_kappa,
     wasserstein_w1,
 )
 

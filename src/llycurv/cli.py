@@ -22,19 +22,13 @@ from typing import Any, Callable, Iterable
 
 from . import graphio
 from .certify import Certificate, certify_curvature, scan_parameters
-from .errors import LlycurvError
-from .families import (
-    family_names,
-    named_graph,
-    paley_automorphisms,
-    paley_gamma_orders,
-    paley_graph,
-)
+from .errors import InvalidParamsError, LlycurvError
+from .families import family_names, named_graph, paley_gamma_orders, paley_graph
 from .graphs import SrgParams, classify_regularity
 from .matching import local_perfect_matching
 from .residues import verify_corollary
 from .spectral import Eigenvalue, lichnerowicz_report, numerical_lambda2, srg_spectrum
-from .transport import CurvatureReport, _edge_orbits, curvature_spectrum, lly_curvature
+from .transport import CurvatureReport, curvature_spectrum, lly_curvature, paley_kappa
 
 
 def _frac(value: Fraction) -> dict[str, str]:
@@ -258,23 +252,22 @@ def _cmd_corollary(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_verify_conjecture(args: argparse.Namespace) -> dict[str, Any]:
     # one edge orbit per Paley graph leaves nothing to split across workers
     _refuse_unused("verify-conjecture", ("--threads", args.threads, 1))
+    if args.gamma_max < 2:
+        raise InvalidParamsError(f"--gamma-max must be at least 2, got {args.gamma_max}")
     results = []
     for gamma, q in paley_gamma_orders(args.gamma_max):
         expected = Fraction(1, 2) + Fraction(1, 2 * gamma)
-        g = paley_graph(q)
-        edges = list(g.edges())
-        # One kappa per edge orbit; an orbit's edges are listed only when it is wrong.
-        roots = _edge_orbits(g, edges, paley_automorphisms(q))
-        kappas = {r: lly_curvature(g, *edges[r]).kappa for r in dict.fromkeys(roots)}
-        wrong = {r: _frac(k) for r, k in kappas.items() if k != expected}
-        bad = [
-            {"edge": list(e), "kappa": wrong[r]} for e, r in zip(edges, roots) if r in wrong
-        ] if wrong else []
+        # The edges of P(q) are one orbit, so one kappa is every edge's; the
+        # graph is built to list them only when it is wrong.
+        kappa = paley_kappa(q)
+        bad = [] if kappa == expected else [
+            {"edge": list(e), "kappa": _frac(kappa)} for e in paley_graph(q).edges()
+        ]
         results.append(
             {
                 "gamma": gamma,
                 "q": q,
-                "edges": len(edges),
+                "edges": q * (q - 1) // 4,
                 "expected_kappa": _frac(expected),
                 "all_match": not bad,
                 "mismatches": bad,

@@ -20,7 +20,7 @@ from .errors import (
     TooLargeError,
     UnknownFamilyError,
 )
-from .fields import FiniteField, _prime_divisors, is_prime, make_field, square_index_set
+from .fields import FieldElement, FiniteField, _prime_divisors, is_prime, make_field, square_index_set
 from .graphs import Graph, SrgParams, is_connected
 
 # A family's build costs time and memory in proportion to its edges (or, for
@@ -73,7 +73,7 @@ def _translation(radices: tuple[int, ...], s: int) -> list[int]:
     image, weight = [0], 1
     for r in reversed(radices):  # least significant digit first
         s, d = divmod(s, r)
-        highs = [(e + d) % r * weight for e in range(r)]
+        highs = [*range(d * weight, r * weight, weight), *range(0, d * weight, weight)]
         image = highs if weight == 1 else [high + low for high in highs for low in image]
         weight *= r
     return image
@@ -144,6 +144,18 @@ def paley_graph(q: int) -> Graph:
     return _cayley_graph((field.p,) * field.m, square_index_set(field))
 
 
+def _square_generator(field: FiniteField) -> FieldElement:
+    """g^2 for the first primitive element g of the field in index order."""
+    q, one = field.q, field.one
+    # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1.
+    g = next(
+        e
+        for e in field.elements()
+        if not e.is_zero and all(e ** ((q - 1) // r) != one for r in _prime_divisors(q - 1))
+    )
+    return g * g
+
+
 def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
     """Generators of the affine maps t -> a t + b, a a nonzero square, of P(q).
 
@@ -155,18 +167,42 @@ def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
     """
     field = _paley_field(q)
     p, m = field.p, field.m
-    one = field.one
-    # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1.
-    g = next(
-        e
-        for e in field.elements()
-        if not e.is_zero and all(e ** ((q - 1) // r) != one for r in _prime_divisors(q - 1))
-    )
     # t^k has the index p^(m-1-k): the constant term is the leading digit.
     maps = [tuple(_translation((p,) * m, p ** (m - 1 - k))) for k in range(m)]
-    square = g * g
+    square = _square_generator(field)
     maps.append(tuple((square * e).index for e in field.elements()))
     return tuple(maps)
+
+
+def _paley_root_rows(q: int) -> tuple[int, tuple[int, ...]]:
+    """ny_mask and H1's rows of the edge (0, c) of P(q), c the least square, from S alone.
+
+    They equal decompose_edge(paley_graph(q), 0, c)'s, and the edge decides
+    all of P(q): translations and the multipliers in S put every edge in
+    one orbit.  That rests on two O(q) checks, which raise when they fail:
+    S is closed under negation, and the orbit of 1 under g^2 is S, so
+    g^2 S = S and the multipliers g^2 ... g^(q-1) are all of S.
+    """
+    field = _paley_field(q)
+    radices, squares = (field.p,) * field.m, square_index_set(field)
+    h, e, orbit = _square_generator(field), field.one, set()
+    for _ in range((q - 1) // 2):
+        orbit.add(e.index)
+        e = e * h
+    if e != field.one or orbit != squares or len(orbit) != (q - 1) // 2 or any(
+        _negation(radices, s) not in squares for s in squares
+    ):
+        raise InvalidParamsError(f"the nonzero squares of GF({q}) do not give one edge orbit")
+
+    def mask(v: int) -> int:  # the neighbours v + S of v
+        t = _translation(radices, v)
+        return sum(1 << t[s] for s in squares)
+
+    c = min(squares)
+    x_mask, y_mask = mask(0), mask(c)
+    ny_mask = y_mask & ~x_mask & ~1
+    nx = sorted(s for s in squares if not y_mask >> s & 1 and s != c)
+    return ny_mask, tuple(mask(v) & ny_mask for v in nx)
 
 
 def rook_graph(k: int) -> Graph:

@@ -32,6 +32,7 @@ from .errors import (
     NotAnEdgeError,
     NotRegularError,
 )
+from .families import _paley_root_rows
 from .graphs import Graph, _two_ball, bfs_distances, decompose_edge, is_connected
 from .matching import _bit_matching, _bit_reach, _column, _lex_first_matching
 
@@ -325,40 +326,17 @@ def lly_curvature(g: Graph, x: int, y: int, want_witness: bool = False) -> Curva
     return _edge_report(g, x, y, want_witness)
 
 
-def _edge_orbits(
-    g: Graph, edges: list[tuple[int, int]], automorphisms: Sequence[Sequence[int]]
-) -> list[int]:
-    """For each edge, the index of the first edge of its orbit.
+def paley_kappa(q: int) -> Fraction:
+    """kappa of every edge of P(q), solved on the edge (0, c) with no graph.
 
-    edges must be list(g.edges()), and each map a permutation of range(n).
-    From each edge not yet labelled, in edge order, the walk applies every
-    map to every edge it reaches, so it labels exactly the orbit of that
-    edge under the group the maps generate.  The walk is also the check
-    that each map is an automorphism of g: it sends every edge through
-    every map, and a permutation that carries every edge onto an edge is
-    an automorphism, so an image that is not an edge raises.
+    families._paley_root_rows checks that the edges of P(q) form one orbit
+    and builds H1 of (0, c) from the squares S.  P(q) has diameter 2, so
+    every pair of N_x and N_y costs at most 2 and near(i) is all of N_y.
     """
-    for sigma in automorphisms:
-        if len(sigma) != g.n or set(sigma) != set(range(g.n)):
-            raise InvalidParamsError("an automorphism must be a permutation of range(n)")
-    index = {e: i for i, e in enumerate(edges)}
-    roots = [-1] * len(edges)
-    for first in range(len(edges)):
-        if roots[first] != -1:
-            continue
-        roots[first] = first
-        orbit = [first]
-        for i in orbit:
-            x, y = edges[i]
-            for sigma in automorphisms:
-                a, b = sigma[x], sigma[y]
-                j = index.get((a, b) if a < b else (b, a))
-                if j is None:  # sigma[y] is not a neighbor of sigma[x]
-                    raise InvalidParamsError(f"map does not preserve the neighbors of vertex {x}")
-                if roots[j] == -1:
-                    roots[j] = first
-                    orbit.append(j)
-    return roots
+    ny_mask, rows = _paley_root_rows(q)
+    d = (q - 1) // 2
+    min_cost, _ = _two_matching_assignment(rows, lambda i: ny_mask, ny_mask, False)
+    return Fraction(d + 1 - min_cost, d)
 
 
 def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:

@@ -8,7 +8,9 @@ it checks.  The O(m^3) Hungarian assignment (`hungarian`,
 (`_lex_first_tight_assignment`) and the list-based Koenig reach
 (`_alternating_reach`) are the references of the bit-row engine, and the
 all-pairs loop (`all_pairs_classify_regularity`) that of
-`classify_regularity`'s 2-ball walk; no code in `src/` calls them.
+`classify_regularity`'s 2-ball walk, and the edge walk (`_edge_orbits`)
+that of the one-orbit check behind `transport.paley_kappa`; no code in
+`src/` calls them.
 """
 
 from __future__ import annotations
@@ -416,3 +418,39 @@ def all_pairs_classify_regularity(g: Graph) -> RegularityClass:
     if every_nonadjacent_close:
         return RegularityClass(RegularityKind.STRONGLY_REGULAR, degree=d, params=params)
     return RegularityClass(RegularityKind.AMPLY_REGULAR, degree=d, params=params)
+
+
+def _edge_orbits(
+    g: Graph, edges: list[tuple[int, int]], automorphisms: Sequence[Sequence[int]]
+) -> list[int]:
+    """For each edge, the index of the first edge of its orbit.
+
+    edges must be list(g.edges()), and each map a permutation of range(n).
+    From each edge not yet labelled, in edge order, the walk applies every
+    map to every edge it reaches, so it labels exactly the orbit of that
+    edge under the group the maps generate.  The walk is also the check
+    that each map is an automorphism of g: it sends every edge through
+    every map, and a permutation that carries every edge onto an edge is
+    an automorphism, so an image that is not an edge raises.
+    """
+    for sigma in automorphisms:
+        if len(sigma) != g.n or set(sigma) != set(range(g.n)):
+            raise InvalidParamsError("an automorphism must be a permutation of range(n)")
+    index = {e: i for i, e in enumerate(edges)}
+    roots = [-1] * len(edges)
+    for first in range(len(edges)):
+        if roots[first] != -1:
+            continue
+        roots[first] = first
+        orbit = [first]
+        for i in orbit:
+            x, y = edges[i]
+            for sigma in automorphisms:
+                a, b = sigma[x], sigma[y]
+                j = index.get((a, b) if a < b else (b, a))
+                if j is None:  # sigma[y] is not a neighbor of sigma[x]
+                    raise InvalidParamsError(f"map does not preserve the neighbors of vertex {x}")
+                if roots[j] == -1:
+                    roots[j] = first
+                    orbit.append(j)
+    return roots

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -13,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from llycurv import certify, cli, graphio, residues, spectral
+from llycurv import certify, cli, families, graphio, residues, spectral
 from llycurv.cli import main, parse_csv
 from llycurv.graphio import load_graph, to_graph6, to_json
+from llycurv.graphs import Graph
 from llycurv.families import (
     cycle_graph,
-    paley_automorphisms,
     paley_graph,
     petersen_graph,
     rook_graph,
@@ -354,6 +353,20 @@ _PINNED = [
         ("certify", "--params", "29,14,6,7", "--out", "nodir/c.json"),
         "2729ee28348cd5b2afc2ba7b540fab50b8de8dc95187ed8601c8dc29e3bd4eeb",
     ),
+    # No Paley graph has gamma below 2: recorded when such a run, which
+    # verified nothing, became an error.
+    (
+        ("verify-conjecture", "--gamma-max", "1"),
+        "90f0c4d0ac531973c493031253d8f5458767a51703b548a907eea5639170cf30",
+    ),
+    (
+        ("verify-conjecture", "--gamma-max", "0"),
+        "d4e712839140c25e3fd23371d23625d8b303ce9236b236dd4b345fc2d9f5ef01",
+    ),
+    (
+        ("verify-conjecture", "--gamma-max", "-5"),
+        "375c4b78188db7212e430e49c1a25efc671c5599e1bb8bc3c000b45457c1c34a",
+    ),
     # Usage, help and parse errors, recorded while `main` built the full
     # parser for every argv.
     ((), "08272e4467e53589feb2587ed1ccecb8b87ab523b7947a2adc0e27cd691c8fda"),
@@ -686,14 +699,15 @@ def test_scan_1024_stdout_pinned(capsys):
     )
 
 
+# sha256 of the stdout of `verify-conjecture --gamma-max 30` when every
+# edge's report was built and compared
+_VERIFY_CONJECTURE_30_SHA256 = "af62afec6054fe36a58a1fbdb4084c19fa03cb22e9e3fe88dd740a4d3fbb96c7"
+
+
 def test_verify_conjecture_30_stdout_pinned(capsys):
-    # sha256 of the stdout of `verify-conjecture --gamma-max 30` when every
-    # edge's report was built and compared
     code, out, _ = run(capsys, "verify-conjecture", "--gamma-max", "30")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "af62afec6054fe36a58a1fbdb4084c19fa03cb22e9e3fe88dd740a4d3fbb96c7"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_CONJECTURE_30_SHA256
 
 
 def test_spectrum_params_json(capsys):
@@ -768,34 +782,60 @@ def test_verify_conjecture_small(capsys):
 
 
 def test_verify_conjecture_lists_every_edge_of_a_wrong_orbit(capsys, monkeypatch):
-    # The translations alone split P(13) into three orbits of 13 edges,
-    # first edges (0, 1), (0, 3) and (0, 4).  A wrong kappa on the root
-    # (0, 3) must fail exactly the translates of (0, 3), in edge order.
-    solved = []
-    real = cli.lly_curvature
-
-    def wrong_at_0_3(g, x, y):
-        report = real(g, x, y)
-        if g.n == 13:
-            solved.append((x, y))
-            if (x, y) == (0, 3):
-                return dataclasses.replace(report, kappa=F(1))
-        return report
-
-    monkeypatch.setattr(cli, "paley_automorphisms", lambda q: paley_automorphisms(q)[:-1])
-    monkeypatch.setattr(cli, "lly_curvature", wrong_at_0_3)
+    # The edges of P(13) are one orbit, so a wrong kappa on its root edge
+    # fails every edge, listed in edge order with that kappa; P(9) is
+    # untouched.
+    real = cli.paley_kappa
+    monkeypatch.setattr(cli, "paley_kappa", lambda q: F(1) if q == 13 else real(q))
     code, out, _ = run(capsys, "verify-conjecture", "--gamma-max", "3")
     doc = json.loads(out)
     assert code == 1 and doc["ok"] is False
-    assert solved == [(0, 1), (0, 3), (0, 4)]
     p9, p13 = doc["results"]
     assert p9["all_match"] is True and p9["mismatches"] == []
-    orbit = sorted({tuple(sorted((k % 13, (k + 3) % 13))) for k in range(13)})
+    squares = {k * k % 13 for k in range(1, 13)}
+    edges = [[u, v] for u in range(13) for v in range(u + 1, 13) if v - u in squares]
     assert p13["edges"] == 39 and p13["all_match"] is False
-    assert p13["mismatches"] == [
-        {"edge": list(e), "kappa": {"num": "1", "den": "1"}} for e in orbit
-    ]
-    assert len(p13["mismatches"]) == 13
+    assert p13["mismatches"] == [{"edge": e, "kappa": {"num": "1", "den": "1"}} for e in edges]
+    assert len(p13["mismatches"]) == 39
+
+
+def test_verify_conjecture_builds_no_graph(capsys, monkeypatch):
+    # On the success path each order is decided from its squares alone.
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    for module, name in ((families, "_cayley_graph"), (families, "paley_graph"), (cli, "paley_graph")):
+        monkeypatch.setattr(module, name, no_graph)
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    monkeypatch.setattr(Graph, "_from_rows", no_graph)
+    code, out, _ = run(capsys, "verify-conjecture", "--gamma-max", "30")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_CONJECTURE_30_SHA256
+
+
+def test_verify_conjecture_252_stdout_pinned(capsys):
+    # sha256 of the stdout of `verify-conjecture --gamma-max 252` when every
+    # edge was labelled by its orbit under the affine generators
+    code, out, _ = run(capsys, "verify-conjecture", "--gamma-max", "252")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "34c4ed41f34903032e011e9fd360254ca84c8e9ca3e5673cecd8bb3391c7a602"
+    )
+
+
+@pytest.mark.parametrize("gamma_max", ["1", "0", "-5"])
+def test_verify_conjecture_gamma_max_below_2_exits_2_before_any_work(capsys, monkeypatch, gamma_max):
+    # No Paley graph has gamma below 2, so such a run would verify nothing.
+    def no_orders(gamma_max):
+        raise AssertionError("orders listed before --gamma-max was checked")
+
+    monkeypatch.setattr(cli, "paley_gamma_orders", no_orders)
+    code, out, err = run(capsys, "verify-conjecture", "--gamma-max", gamma_max)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "InvalidParamsError",
+        "message": f"--gamma-max must be at least 2, got {gamma_max}",
+    }
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from llycurv import families, fields, residues
+from llycurv import families, fields, residues, transport
 from llycurv.cli import main
 from llycurv.errors import (
     InvalidParamsError,
@@ -82,8 +82,9 @@ def test_paley_edge_bound_rejects_before_field_work(monkeypatch, capsys):
         monkeypatch.setattr(module, "prime_power_decomposition", _forbidden)
     for module in (families, fields):
         monkeypatch.setattr(module, "_prime_divisors", _forbidden)
+    builds = (paley_graph, paley_automorphisms, residues.verify_corollary, transport.paley_kappa)
     for q in (1033, 65521, 998244359987710471):
-        for build in (paley_graph, paley_automorphisms, residues.verify_corollary):
+        for build in builds:
             with pytest.raises(TooLargeError):
                 build(q)
         for argv in (["gen", "--name", "paley", "--q", str(q)], ["corollary", "--q", str(q)]):

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from llycurv import residues, transport
+from llycurv import residues
 from llycurv.errors import InvalidOrderError, InvalidPairError, TooLargeError
 from llycurv.families import paley_automorphisms, paley_graph, prime_power_decomposition
 from llycurv.fields import is_nonzero_square, make_field
@@ -23,6 +23,7 @@ from llycurv.residues import (
     subset_threshold,
     verify_corollary,
 )
+from helpers import _edge_orbits
 
 
 def test_square_index_set_agrees_with_euler_criterion():
@@ -233,10 +234,10 @@ def test_witness_is_uncovered_local_matching_edge():
 @pytest.mark.parametrize("q", [q for q in range(5, 102, 4) if prime_power_decomposition(q)])
 def test_paley_edges_form_one_orbit(q):
     # The affine maps t -> a t + b, a a nonzero square, are transitive on
-    # the edges of P(q); canonical_pair relies on it.  _edge_orbits checks
+    # the edges of P(q); canonical_pair relies on it.  The edge walk checks
     # every generator against the graph before merging classes.
     g = paley_graph(q)
-    assert set(transport._edge_orbits(g, list(g.edges()), paley_automorphisms(q))) == {0}
+    assert set(_edge_orbits(g, list(g.edges()), paley_automorphisms(q))) == {0}
 
 
 def test_affine_symmetry_audit():

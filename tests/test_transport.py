@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llycurv import transport
+from llycurv import families, transport
 from llycurv.errors import (
     DisconnectedError,
     InfiniteDistanceError,
@@ -32,7 +33,8 @@ from llycurv.families import (
     rook_graph,
     shrikhande_graph,
 )
-from llycurv.graphs import Graph
+from llycurv.fields import make_field
+from llycurv.graphs import Graph, decompose_edge
 from llycurv.transport import (
     ProbabilityMeasure,
     idleness_identity_check,
@@ -40,9 +42,11 @@ from llycurv.transport import (
     lazy_walk_measure,
     lly_curvature,
     ollivier_kappa_p,
+    paley_kappa,
     wasserstein_w1,
 )
 from helpers import (
+    _edge_orbits,
     all_optimal_assignments,
     brute_force_assignment,
     hungarian,
@@ -438,7 +442,7 @@ def test_curvature_spectrum_caps_processes(monkeypatch):
 def _assert_orbits_share_kappa(g, maps):
     # Every edge has the kappa of the first edge of its orbit, each solved on its own.
     reports = curvature_spectrum(g).reports
-    roots = transport._edge_orbits(g, [(r.x, r.y) for r in reports], maps)
+    roots = _edge_orbits(g, [(r.x, r.y) for r in reports], maps)
     assert [r.kappa for r in reports] == [reports[root].kappa for root in roots]
     return roots
 
@@ -449,6 +453,67 @@ PALEY_ORDERS_TO_101 = [q for q in range(5, 102, 4) if prime_power_decomposition(
 @pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
 def test_curvature_spectrum_paley_orbits_match_every_edge(q):
     _assert_orbits_share_kappa(paley_graph(q), paley_automorphisms(q))
+
+
+def _root_edge(g):
+    # The first edge of P(q) is (0, c), c the least nonzero square.
+    x, y = next(g.edges())
+    assert (x, y) == (0, min(g.neighbors(0)))
+    return x, y
+
+
+@pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
+def test_paley_root_rows_equal_decompose_edge(q):
+    g = paley_graph(q)
+    parts = decompose_edge(g, *_root_edge(g))
+    assert families._paley_root_rows(q) == (parts.ny_mask, parts.rows)
+
+
+def test_paley_root_rows_catch_a_shifted_translation(monkeypatch):
+    # Each translate v + S built one place off breaks the rows.
+    real = families._translation
+    expected = {q: families._paley_root_rows(q) for q in PALEY_ORDERS_TO_101}
+
+    def shifted(radices, s):
+        return real(radices, (s + 1) % prod(radices))
+
+    monkeypatch.setattr(families, "_translation", shifted)
+    for q, rows in expected.items():
+        assert families._paley_root_rows(q) != rows, q
+
+
+@pytest.mark.parametrize("q", [q for q in range(5, 258, 4) if prime_power_decomposition(q)])
+def test_paley_kappa_equals_lly_curvature(q):
+    g = paley_graph(q)
+    assert paley_kappa(q) == lly_curvature(g, *_root_edge(g)).kappa
+
+
+def _first_primitive(field):
+    # The first element of order q - 1 in index order, by listing its powers.
+    q = field.q
+    return next(
+        e for e in field.elements()
+        if not e.is_zero and len({(e ** k).index for k in range(q - 1)}) == q - 1
+    )
+
+
+@pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
+def test_one_orbit_check_agrees_with_the_edge_walk(monkeypatch, q):
+    # The O(q) check passes where the walk over every edge finds one orbit,
+    # and a primitive g in place of g^2, which maps squares to non-squares,
+    # fails both.
+    g = paley_graph(q)
+    edges = list(g.edges())
+    families._paley_root_rows(q)
+    assert set(_edge_orbits(g, edges, paley_automorphisms(q))) == {0}
+    field = make_field(*prime_power_decomposition(q))
+    primitive = _first_primitive(field)
+    assert families._square_generator(field) == primitive * primitive
+    monkeypatch.setattr(families, "_square_generator", lambda field: primitive)
+    with pytest.raises(InvalidParamsError, match="one edge orbit"):
+        families._paley_root_rows(q)
+    with pytest.raises(InvalidParamsError, match="neighbors"):
+        _edge_orbits(g, edges, paley_automorphisms(q))
 
 
 def _torus_3x5():
@@ -489,7 +554,7 @@ def test_curvature_spectrum_partial_orbits_match_every_edge():
 def test_curvature_spectrum_rejects_non_permutation(sigma):
     g = paley_graph(13)
     with pytest.raises(InvalidParamsError, match="permutation"):
-        transport._edge_orbits(g, list(g.edges()), [sigma])
+        _edge_orbits(g, list(g.edges()), [sigma])
 
 
 def test_curvature_spectrum_rejects_non_automorphism():
@@ -506,7 +571,7 @@ def test_curvature_spectrum_rejects_non_automorphism():
     assert all(late[x] == x and late[y] == y for x, y in edges[:5])
     for maps in ([swap], [*paley_automorphisms(13), swap], [late]):
         with pytest.raises(InvalidParamsError, match="neighbors"):
-            transport._edge_orbits(g, list(g.edges()), maps)
+            _edge_orbits(g, list(g.edges()), maps)
 
 
 def test_curvature_spectrum_deterministic_and_parallel_equal():
