@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -28,9 +29,16 @@ from .errors import (
     InvalidVertexError,
     NotAmplyRegularError,
     NotAnEdgeError,
+    TooLargeError,
 )
 
 VertexId = int
+
+# Vertex v's mask is an integer of max(N(v)) + 1 bits, so a sparse graph's
+# masks grow with n^2: on a JSON cycle of 2^16 vertices they took about
+# 290 MB.  Every graph6 file fits (at most 2^27 vertex pairs, so under 2^28
+# bits).
+_MASK_BITS = 2**28
 
 
 @dataclass(frozen=True)
@@ -161,9 +169,15 @@ def neighbor_masks(g: Graph) -> tuple[int, ...]:
     (masks[u] & masks[v]).bit_count() is the number of common neighbors of
     u and v, and masks[u] >> v & 1 tells whether uv is an edge.  The masks
     are built on first use, or by the graph6 reader along with the rows, and
-    kept by the graph, which never changes.
+    kept by the graph, which never changes.  Masks of more than _MASK_BITS
+    bits in all raise TooLargeError before any is built.
     """
     if g._masks is None:
+        bits = sum(row[-1] + 1 for row in g._adj if row)
+        if bits > _MASK_BITS:
+            raise TooLargeError(
+                f"neighbor masks of this graph need {bits} bits, above the bound {_MASK_BITS}"
+            )
         g._masks = tuple(sum(1 << w for w in row) for row in g._adj)
     return g._masks
 
@@ -208,26 +222,45 @@ def all_pairs_distances(g: Graph) -> list[list[int | None]]:
     return [bfs_distances(g, s) for s in range(g.n)]
 
 
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """The positions of mask's set bits, lowest first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class EdgeNeighborhood:
     """The partition V = {x} + {y} + delta + nx + ny + pxy around an edge xy.
 
     delta holds the common neighbors, nx/ny the exclusive neighbors of x/y,
-    and pxy everything adjacent to neither endpoint.  pxy is computed on
-    demand from the vertex count n: it is O(n), and the curvature paths
-    never read it.  ny_mask is the neighbor-mask form of ny, and rows is
-    the local matching graph H(x, y): rows[i] = masks[nx[i]] & ny_mask, the
-    N_y neighbors of nx[i] as bits.
+    and pxy everything adjacent to neither endpoint.  delta_mask and
+    ny_mask are the neighbor-mask forms of delta and ny, and rows is the
+    local matching graph H(x, y): rows[i] = masks[nx[i]] & ny_mask, the N_y
+    neighbors of nx[i] as bits.  The curvature paths read only nx, the
+    masks and the rows, so the delta and ny tuples are built from their
+    masks on first read, and pxy from the vertex count n on every read (it
+    is O(n)).
     """
 
     x: VertexId
     y: VertexId
-    delta: tuple[int, ...]
     nx: tuple[int, ...]
-    ny: tuple[int, ...]
     n: int
+    delta_mask: int
     ny_mask: int
     rows: tuple[int, ...]
+
+    @cached_property
+    def delta(self) -> tuple[int, ...]:
+        return _set_bits(self.delta_mask)
+
+    @cached_property
+    def ny(self) -> tuple[int, ...]:
+        return _set_bits(self.ny_mask)
 
     @property
     def pxy(self) -> tuple[int, ...]:
@@ -236,22 +269,21 @@ class EdgeNeighborhood:
 
 
 def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
-    """Split the vertex set into the four classes around the edge xy, with H(x, y)."""
+    """Split the vertex set into the four classes around the edge xy, with H(x, y).
+
+    No set is built: N_x is x's row less the neighbours of y and y itself,
+    and delta and N_y are masks.
+    """
     if not g.has_edge(x, y):
         raise NotAnEdgeError(f"({x},{y}) is not an edge")
     masks = neighbor_masks(g)
-    gx = g.neighbors(x)
-    gy = g.neighbors(y)
-    gy_set = set(gy)
-    delta = tuple(v for v in gx if v in gy_set)
-    delta_set = set(delta)
-    nx = tuple(v for v in gx if v not in delta_set and v != y)
-    ny = tuple(v for v in gy if v not in delta_set and v != x)
+    gy = masks[y]
+    nx = tuple([v for v in g._adj[x] if not gy >> v & 1 and v != y])
     # N_y is y's neighbours less delta (x's neighbours) and less x.
-    ny_mask = masks[y] & ~masks[x] & ~(1 << x)
+    ny_mask = gy & ~masks[x] & ~(1 << x)
     rows = tuple([masks[v] & ny_mask for v in nx])
     return EdgeNeighborhood(
-        x=x, y=y, delta=delta, nx=nx, ny=ny, n=g.n, ny_mask=ny_mask, rows=rows
+        x=x, y=y, nx=nx, n=g.n, delta_mask=masks[x] & gy, ny_mask=ny_mask, rows=rows
     )
 
 

@@ -3,17 +3,18 @@
 A bipartite graph is matched on bit rows: row i is an integer whose set
 bits are the columns of left vertex i.  The per-edge curvature engine
 takes its rows straight from `graphs.decompose_edge`, which builds
-H(x, y) as rows[i] = masks[nx[i]] & ny_mask, and `_bit_matching` /
-`_bit_reach` find a maximum matching and its Koenig cover with one
-integer operation per row visited (bit-parallel matching after Cheriyan
-and Mehlhorn, Algorithmica 15, 1996).  `_lex_first_matching` turns a
+H(x, y) as rows[i] = masks[nx[i]] & ny_mask, and `_bit_matching` finds a
+maximum matching with one integer operation per row visited (bit-parallel
+matching after Cheriyan and Mehlhorn, Algorithmica 15, 1996).  Its failed
+searches stay closed, and together they are the Koenig reach, so the same
+call returns the minimum vertex cover.  `_lex_first_matching` turns a
 perfect matching of bit rows into the lexicographically first one; it and
 `_bit_matching` share one alternating search, `_augmenting_path`, and one
 path flip, `_flip`.  `match` and `max_matching` keep Hopcroft-Karp on
 index lists, listed off the same rows, because `match --witness` prints
-its pairs; when the left side is deficient, `_bit_reach` on the
-instance's rows turns that matching into an explicit Hall violator, so
-callers get a checkable certificate instead of a bare boolean.
+its pairs; when the left side is deficient, `_bit_matching` started from
+that matching on the instance's rows gives the reach, an explicit Hall
+violator, so callers get a checkable certificate instead of a bare boolean.
 """
 
 from __future__ import annotations
@@ -80,13 +81,23 @@ def _column(b: int, ymask: int) -> int:
     return (ymask & (b - 1)).bit_count()
 
 
-def _bit_matching(rows: Sequence[int], match: list[int] | None = None) -> list[int]:
-    """Maximum matching of bit rows: the column bit of each row, 0 when it is free.
+def _bit_matching(
+    rows: Sequence[int], match: list[int] | None = None
+) -> tuple[list[int], set[int], int]:
+    """Maximum matching of bit rows, with the rows and column bits of its Koenig reach.
 
+    The matching gives the column bit of each row, 0 when it is free.
     Without a starting matching each row first takes its lowest free bit.
     Then every free row gets one alternating breadth-first search for a
-    free column (Kuhn: a row with no augmenting path never gains one
-    later), and the path found is flipped.
+    free column, and the path found is flipped.  A search that fails
+    reaches only matched columns whose rows see nothing else, and a later
+    flip never enters them, so its columns stay closed: later searches
+    start with them seen, and the row stays free (Kuhn).  The closed
+    columns, and the free rows with the rows matched to those columns, are
+    then what alternating paths from the free rows reach: the reached rows
+    Z have |Z| - (free rows) columns, the Hall deficiency certificate, and
+    (rows not reached) + (columns reached) is a minimum vertex cover
+    (Koenig's theorem).
     """
     if match is None:
         match = []
@@ -99,14 +110,23 @@ def _bit_matching(rows: Sequence[int], match: list[int] | None = None) -> list[i
     else:
         taken = sum(match)  # distinct bits
     if all(match):
-        return match
+        return match, set(), 0
     owner = {b: i for i, b in enumerate(match) if b}
+    closed = 0
     for root in [i for i, b in enumerate(match) if not b]:
-        found = _augmenting_path(rows, owner, taken, root)
-        if found is not None:
-            taken |= found[1]
-            _flip(match, owner, root, *found)
-    return match
+        r, b, parent = _augmenting_path(rows, owner, taken, root, closed)
+        if r is None:
+            closed |= sum(parent)  # distinct bits
+        else:
+            taken |= b
+            _flip(match, owner, root, r, b, parent)
+    reached = {i for i, b in enumerate(match) if not b}
+    cover = closed
+    while closed:
+        b = closed & -closed
+        closed ^= b
+        reached.add(owner[b])
+    return match, reached, cover
 
 
 def _lex_first_matching(rows: Sequence[int], match: Sequence[int]) -> list[int]:
@@ -131,9 +151,9 @@ def _lex_first_matching(rows: Sequence[int], match: Sequence[int]) -> list[int]:
             b = lower & -lower
             lower ^= b
             root = owner[b]
-            found = _augmenting_path(rows, owner, ~c, root, fixed | b)
-            if found is not None:
-                _flip(match, owner, root, *found)
+            r, free, parent = _augmenting_path(rows, owner, ~c, root, fixed | b)
+            if r is not None:
+                _flip(match, owner, root, r, free, parent)
                 match[i], owner[b], c = b, i, b
                 break
         fixed |= c
@@ -142,15 +162,16 @@ def _lex_first_matching(rows: Sequence[int], match: Sequence[int]) -> list[int]:
 
 def _augmenting_path(
     rows: Sequence[int], owner: dict[int, int], taken: int, root: int, seen: int = 0
-) -> tuple[int, int, dict[int, int]] | None:
+) -> tuple[int | None, int, dict[int, int]]:
     """Alternating breadth-first search from a row for a row that sees a free column.
 
     A column is free when its bit is not in taken; the search never enters
     the columns already in seen.  Returns that row, the free column's bit
-    and the parent map (column bit -> the row whose search reached it), or
-    None.  The visited columns are one integer, so a row costs one AND
-    whatever its degree, and each row is tested for a free column as soon
-    as it is reached.
+    and the parent map (column bit -> the row whose search reached it), or,
+    when no row sees a free column, None, 0 and the parent map, whose keys
+    are then every column the search reached.  The visited columns are one
+    integer, so a row costs one AND whatever its degree, and each row is
+    tested for a free column as soon as it is reached.
     """
     parent: dict[int, int] = {}
     free = rows[root] & ~taken
@@ -169,7 +190,7 @@ def _augmenting_path(
             if free:
                 return w, free & -free, parent
             queue.append(w)
-    return None
+    return None, 0, parent
 
 
 def _flip(
@@ -186,27 +207,6 @@ def _flip(
         if r == root:
             return
         r = parent[b]
-
-
-def _bit_reach(rows: Sequence[int], match: Sequence[int]) -> tuple[set[int], int]:
-    """Rows and column bits reached by alternating paths from the free rows.
-
-    With the matching maximum, every column reached is matched, the
-    reached rows Z have exactly |Z| - (number of free rows) columns, the
-    Hall deficiency certificate, and (rows not reached) + (columns
-    reached) is a minimum vertex cover (Koenig's theorem).
-    """
-    owner = {b: i for i, b in enumerate(match) if b}
-    queue = [i for i, b in enumerate(match) if not b]
-    seen = 0
-    for r in queue:
-        new = rows[r] & ~seen
-        seen |= new
-        while new:
-            b = new & -new
-            new ^= b
-            queue.append(owner[b])
-    return set(queue), seen
 
 
 def _hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int], list[int]]:
@@ -262,8 +262,9 @@ def max_matching(instance: BipartiteInstance) -> MatchingResult:
     perfect = len(pairs) == len(instance.left) == len(instance.right)
     violator = None
     if len(pairs) < len(instance.left):
+        # Started from a maximum matching, every search fails: only the reach is new.
         match = [1 << r if r != -1 else 0 for r in match_left]
-        violator = tuple(sorted(_bit_reach(instance.rows(), match)[0]))
+        violator = tuple(sorted(_bit_matching(instance.rows(), match)[1]))
     return MatchingResult(pairs=pairs, perfect=perfect, violator=violator)
 
 

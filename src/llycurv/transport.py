@@ -9,10 +9,13 @@ rows of H(x, y) that `graphs.decompose_edge` builds: a perfect matching
 of the distance-1 pairs H1 decides the edge outright, and otherwise the
 decomposition theorem of Kao, Lam, Sung and Ting gives the cost as
 3m - nu(H1) - nu(H_delta), H_delta's rows built from bits against the
-Koenig cover of H1.  The witness, the lexicographically first optimal
-bijection, is found on the same bit rows (`matching._lex_first_matching`).
-The two routes are deliberately independent so they can cross-check each
-other through the identity kappa = (d+1)/d * kappa_{1/(d+1)}.
+Koenig cover of H1, which `matching._bit_matching` returns with the
+matching (its failed searches are the cover's reach).  The witness, the
+lexicographically first optimal bijection, is found on the same bit rows
+(`matching._lex_first_matching`).  The two routes are deliberately
+independent so they can cross-check each other through the identity
+kappa = (d+1)/d * kappa_{1/(d+1)}.  A spectrum solves each contiguous chunk
+of edges in one call, which builds each vertex's 2-ball once for the chunk.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
 )
 from .families import _paley_root_rows
 from .graphs import Graph, _two_ball, bfs_distances, decompose_edge, is_connected
-from .matching import _bit_matching, _bit_reach, _column, _lex_first_matching
+from .matching import _bit_matching, _column, _lex_first_matching
 
 
 @dataclass(frozen=True)
@@ -251,24 +254,22 @@ def _two_matching_assignment(
     first of them, as column indices.
     """
     m = len(h1)
-    match = _bit_matching(h1)
+    # Koenig: C1 is the rows not reached plus the columns reached (R).
+    match, reached, cover = _bit_matching(h1)
     if all(match):
         if not want_witness:
             return m, None
         return m, [_column(b, ymask) for b in _lex_first_matching(h1, match)]
-    # Koenig: C1 is the rows not reached plus the columns reached (R).
-    reached, cover = _bit_reach(h1, match)
     # A reached row has all of its H1 columns in R, so the columns of
     # near(i) outside R are at cost 2; a row in C1 keeps only its H1 pairs
     # whose column is outside R.  H1's matching lies in H_delta: a reached
     # row keeps its H1 row, and the column matched to an unreached row is
     # not reached.
     h_delta = [h1[i] | (near(i) & ~cover) if i in reached else h1[i] & ~cover for i in range(m)]
-    match_delta = _bit_matching(h_delta, list(match))
+    match_delta, reached_delta, cover_delta = _bit_matching(h_delta, list(match))
     cost = 3 * m - (m - match.count(0)) - (m - match_delta.count(0))
     if not want_witness:
         return cost, None
-    reached_delta, cover_delta = _bit_reach(h_delta, match_delta)
     # Column bits by their dual 0, 1 or 2, and each row's pairs by their
     # weight: w(i, j) = [j in near(i)] + [j in h1[i]].
     y_col = (ymask & ~(cover | cover_delta), cover ^ cover_delta, cover & cover_delta)
@@ -281,29 +282,41 @@ def _two_matching_assignment(
         for k in range(y_i, 3):
             row |= w[k] & y_col[k - y_i]
         tight.append(row)
-    return cost, [_column(b, ymask) for b in _lex_first_matching(tight, _bit_matching(tight))]
+    match_tight = _bit_matching(tight)[0]
+    return cost, [_column(b, ymask) for b in _lex_first_matching(tight, match_tight)]
 
 
-def _edge_report(g: Graph, x: int, y: int, want_witness: bool) -> CurvatureReport:
-    """lly_curvature on a graph already known to be regular."""
+def _edge_report(
+    g: Graph, x: int, y: int, want_witness: bool, balls: list[int]
+) -> CurvatureReport:
+    """lly_curvature on a graph already known to be regular.
+
+    balls[v] is the 2-ball of v, or 0 until some edge needs it; the caller
+    owns the list and decides how many edges share it.
+    """
     parts = decompose_edge(g, x, y)
     d = g.degree(x)
-    nx, ny, ymask = parts.nx, parts.ny, parts.ny_mask
+    nx, ymask = parts.nx, parts.ny_mask
 
     def near(i: int) -> int:
         # v -> u costs 1 when adjacent, 2 when they share a neighbor, else 3
         # (the path v-x-y-u).
-        return _two_ball(g, nx[i]) & ymask
+        v = nx[i]
+        ball = balls[v]
+        if not ball:
+            ball = balls[v] = _two_ball(g, v)
+        return ball & ymask
 
     min_cost, cols = _two_matching_assignment(parts.rows, near, ymask, want_witness)
     kappa = Fraction(d + 1 - min_cost, d)
-    upper = Fraction(2 + len(parts.delta), d)
-    witness = tuple(zip(nx, (ny[j] for j in cols))) if cols is not None else None
+    delta_size = parts.delta_mask.bit_count()
+    upper = Fraction(2 + delta_size, d)
+    witness = tuple(zip(nx, (parts.ny[j] for j in cols))) if cols is not None else None
     return CurvatureReport(
         x=x,
         y=y,
         kappa=kappa,
-        delta_size=len(parts.delta),
+        delta_size=delta_size,
         upper_bound=upper,
         sharp=kappa == upper,
         min_bijection_cost=min_cost,
@@ -323,7 +336,7 @@ def lly_curvature(g: Graph, x: int, y: int, want_witness: bool = False) -> Curva
     """
     if not g.is_regular():
         raise NotRegularError("Lin-Lu-Yau curvature is only computed for regular graphs")
-    return _edge_report(g, x, y, want_witness)
+    return _edge_report(g, x, y, want_witness, [0] * g.n)
 
 
 def paley_kappa(q: int) -> Fraction:
@@ -339,12 +352,23 @@ def paley_kappa(q: int) -> Fraction:
     return Fraction(d + 1 - min_cost, d)
 
 
+def _spectrum_chunk(g: Graph, edges: Sequence[tuple[int, int]]) -> list[CurvatureReport]:
+    """The reports of a run of edges, which share one list of 2-balls.
+
+    Each ball is built the first time an edge needs it and dropped with
+    the list when the chunk returns; nothing is kept on the graph.
+    """
+    balls = [0] * g.n
+    return [_edge_report(g, x, y, False, balls) for x, y in edges]
+
+
 def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
     """One curvature report per edge (sorted edge order) plus the minimum.
 
-    The edges go to the pool in contiguous chunks, so their reports come
-    back in edge order.  processes is capped at the core count and at the
-    number of edges.
+    The edges are cut into at most processes contiguous chunks, one per
+    worker, so their reports come back in edge order; with one process
+    the whole edge list is one chunk.  processes is capped at the core
+    count and at the number of edges.
     """
     if not g.is_regular():
         raise NotRegularError("curvature spectrum needs a regular graph")
@@ -353,13 +377,15 @@ def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
         raise InvalidParamsError("graph has no edges")
     if not is_connected(g):
         raise DisconnectedError("curvature spectrum needs a connected graph")
-    args = ([g] * len(edges), [x for x, _ in edges], [y for _, y in edges], [False] * len(edges))
     processes = min(processes, os.cpu_count() or 1, len(edges))
     if processes <= 1 or len(edges) < 4:
-        reports = tuple(map(_edge_report, *args))
+        reports = tuple(_spectrum_chunk(g, edges))
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            reports = tuple(pool.map(_edge_report, *args, chunksize=-(-len(edges) // processes)))
+        size = -(-len(edges) // processes)
+        chunks = [edges[i : i + size] for i in range(0, len(edges), size)]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            runs = pool.map(_spectrum_chunk, [g] * len(chunks), chunks, chunksize=1)
+            reports = tuple(r for run in runs for r in run)
     return CurvatureSpectrum(reports=reports, min_kappa=min(r.kappa for r in reports))
 
 

@@ -6,11 +6,13 @@ augmenting paths) so it cannot share a bug with the production code paths
 it checks.  The O(m^3) Hungarian assignment (`hungarian`,
 `lex_smallest_optimal_assignment`), the list-based lex-first pass
 (`_lex_first_tight_assignment`) and the list-based Koenig reach
-(`_alternating_reach`) are the references of the bit-row engine, and the
-all-pairs loop (`all_pairs_classify_regularity`) that of
-`classify_regularity`'s 2-ball walk, and the edge walk (`_edge_orbits`)
-that of the one-orbit check behind `transport.paley_kappa`; no code in
-`src/` calls them.
+(`_alternating_reach`) are the references of the bit-row engine, the
+separate bit-row reach (`_bit_reach`) that of the reach `_bit_matching`
+collects from its failed searches, the set-built split (`set_decompose_edge`)
+that of `graphs.decompose_edge`, the all-pairs loop
+(`all_pairs_classify_regularity`) that of `classify_regularity`'s 2-ball
+walk, and the edge walk (`_edge_orbits`) that of the one-orbit check behind
+`transport.paley_kappa`; no code in `src/` calls them.
 """
 
 from __future__ import annotations
@@ -349,6 +351,47 @@ def _alternating_reach(
                 seen_left.add(w)
                 queue.append(w)
     return seen_left, seen_right
+
+
+def _bit_reach(rows: Sequence[int], match: Sequence[int]) -> tuple[set[int], int]:
+    """Rows and column bits reached by alternating paths from the free rows.
+
+    One breadth-first search from all free rows of a finished matching; with
+    the matching maximum, (rows not reached) + (columns reached) is a
+    minimum vertex cover (Koenig's theorem).
+    """
+    owner = {b: i for i, b in enumerate(match) if b}
+    queue = [i for i, b in enumerate(match) if not b]
+    seen = 0
+    for r in queue:
+        new = rows[r] & ~seen
+        seen |= new
+        while new:
+            b = new & -new
+            new ^= b
+            queue.append(owner[b])
+    return set(queue), seen
+
+
+def set_decompose_edge(g: Graph, x: int, y: int) -> dict[str, object]:
+    """The split of `graphs.decompose_edge` built through sets, field by field."""
+    masks = neighbor_masks(g)
+    gx = g.neighbors(x)
+    gy_set = set(g.neighbors(y))
+    delta = tuple(v for v in gx if v in gy_set)
+    delta_set = set(delta)
+    nx = tuple(v for v in gx if v not in delta_set and v != y)
+    ny = tuple(v for v in g.neighbors(y) if v not in delta_set and v != x)
+    ny_mask = sum(1 << v for v in ny)
+    closed = {x, y, *delta, *nx, *ny}
+    return {
+        "delta": delta,
+        "nx": nx,
+        "ny": ny,
+        "ny_mask": ny_mask,
+        "rows": tuple(masks[v] & ny_mask for v in nx),
+        "pxy": tuple(v for v in range(g.n) if v not in closed),
+    }
 
 
 def list_two_matching_assignment(h1, near, want_witness):

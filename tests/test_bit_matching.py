@@ -1,11 +1,13 @@
 """The bit-row engine of the per-edge curvature against the list engine it replaced.
 
 `transport._two_matching_assignment` matches on integer bit rows
-(`matching._bit_matching`, `matching._bit_reach`).  Its reference is
+(`matching._bit_matching`, which also returns the Koenig reach of its
+failed searches).  The engine's reference is
 `helpers.list_two_matching_assignment`, the Hopcroft-Karp engine on index
 lists, fed rows built here from adjacency sets, with no mask.  Both must
 give the same minimum bijection cost and the same lex-first witness in both
-orientations of every edge.
+orientations of every edge.  The reach's reference is `helpers._bit_reach`,
+one alternating search from every free row of the finished matching.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from llycurv.graphio import load_graph
 from llycurv.graphs import decompose_edge
 from llycurv.matching import (
     _bit_matching,
-    _bit_reach,
+    _hopcroft_karp,
     _lex_first_matching,
     local_perfect_matching,
 )
 from llycurv.transport import _two_matching_assignment, lly_curvature
 from helpers import (
+    _bit_reach,
     _lex_first_tight_assignment,
     all_optimal_assignments,
     augmenting_path_matching_size,
@@ -162,7 +165,7 @@ def test_bit_matching_is_maximum_and_its_reach_is_a_koenig_cover(g):
         for a, b in ((x, y), (y, x)):
             parts = decompose_edge(g, a, b)
             rows, ymask = parts.rows, parts.ny_mask
-            match = _bit_matching(rows)
+            match, reached, cover = _bit_matching(rows)
             matched = [c for c in match if c]
             # a matching of the rows: every bit is in its row, no bit twice
             assert all(c == 0 or (c & rows[i] and c.bit_count() == 1) for i, c in enumerate(match))
@@ -170,7 +173,7 @@ def test_bit_matching_is_maximum_and_its_reach_is_a_koenig_cover(g):
             nu = len(matched)
             edges = [(i, c.bit_length() - 1) for i, row in enumerate(rows) for c in _bits(row)]
             assert nu == augmenting_path_matching_size(len(rows), ymask.bit_length(), edges)
-            reached, cover = _bit_reach(rows, match)
+            assert (reached, cover) == _bit_reach(rows, match)
             # Koenig: |C1| = nu(H1), and C1 covers every H1 pair
             assert len(rows) - len(reached) + cover.bit_count() == nu
             assert cover & ~ymask == 0
@@ -180,10 +183,35 @@ def test_bit_matching_is_maximum_and_its_reach_is_a_koenig_cover(g):
 def test_bit_matching_augments_a_starting_matching():
     # Row 2 sees only column 0, which the start gives to row 0, so the one
     # augmenting path runs 2 -> col 0 -> 0 -> col 1 -> 1 -> col 2 (free).
-    assert _bit_matching([0b011, 0b110, 0b001], [0b001, 0b010, 0]) == [0b010, 0b100, 0b001]
+    assert _bit_matching([0b011, 0b110, 0b001], [0b001, 0b010, 0])[0] == [0b010, 0b100, 0b001]
     # The greedy pass takes each row's lowest free bit and leaves row 2 free.
-    assert _bit_matching([0b011, 0b110, 0b001]) == [0b010, 0b100, 0b001]
-    assert _bit_matching([0b01, 0b01]).count(0) == 1
+    assert _bit_matching([0b011, 0b110, 0b001])[0] == [0b010, 0b100, 0b001]
+    assert _bit_matching([0b01, 0b01])[0].count(0) == 1
+
+
+def test_bit_matching_reach_is_the_separate_koenig_reach():
+    # The reach `_bit_matching` collects from its failed searches equals one
+    # alternating search from every free row of the finished matching, both
+    # from the greedy start and from a maximum start (Hopcroft-Karp's, as
+    # `max_matching` passes it), and it is a Koenig cover: (rows not
+    # reached) + (columns reached) = nu.  Sparse rows (one pair in six, as in
+    # the sparse cost test above) and denser ones (one in two) both occur.
+    rng = random.Random(2)
+    for trial in range(2000):
+        m = rng.randint(1, 10)
+        p = 1 / 6 if trial % 2 else 1 / 2
+        rows = [sum(1 << j for j in range(m) if rng.random() < p) for _ in range(m)]
+        match, reached, cover = _bit_matching(rows)
+        nu = m - match.count(0)
+        assert (reached, cover) == _bit_reach(rows, match), rows
+        assert m - len(reached) + cover.bit_count() == nu, rows
+        assert all(i not in reached or row & ~cover == 0 for i, row in enumerate(rows))
+        adj = [[j for j in range(m) if row >> j & 1] for row in rows]
+        start = [1 << j if j != -1 else 0 for j in _hopcroft_karp(adj, m)[0]]
+        again, reached_hk, cover_hk = _bit_matching(rows, list(start))
+        assert again == start, rows  # every search fails on a maximum matching
+        assert (reached_hk, cover_hk) == _bit_reach(rows, start), rows
+        assert m - len(reached_hk) + cover_hk.bit_count() == nu, rows
 
 
 def test_two_matching_assignment_on_bit_rows_above_bit_zero():
@@ -216,7 +244,7 @@ def test_lex_first_matching_ignores_its_start_and_equals_the_list_pass():
             second = rng.sample(bits, m)
         rows = [a | b for a, b in zip(first, second)]
         rows = [row | sum(b for b in bits if rng.random() < 0.3) for row in rows]
-        starts = [first, second, _bit_matching(rows)]
+        starts = [first, second, _bit_matching(rows)[0]]
         assert all(0 not in start for start in starts)
         results = [_lex_first_matching(rows, start) for start in starts]
         assert results[0] == results[1] == results[2], rows

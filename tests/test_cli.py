@@ -859,6 +859,25 @@ def test_graph6_bound_exits_2_before_building_the_bits(capsys, monkeypatch):
     assert (code, out, json.loads(err)["error"]) == (2, "", "TooLargeError")
 
 
+def test_neighbor_mask_bound_exits_2_before_any_mask(tmp_path, capsys):
+    # The JSON cycle on 2^15 vertices needs about 2^29 mask bits (64 MiB),
+    # past the 2^28-bit bound, which is checked from the rows alone: the
+    # run never holds even half of the masks.
+    import tracemalloc
+
+    path = tmp_path / "cycle.json"
+    path.write_text(to_json(cycle_graph(2**15)))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "curvature", "--graph", str(path), "--edge", "0,1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, json.loads(err)["error"]) == (2, "", "TooLargeError")
+    assert "neighbor masks" in json.loads(err)["message"]
+    assert peak < 2**25
+
+
 @pytest.mark.parametrize("command", ["spectrum", "sharpness"])
 def test_numerical_lambda2_bound_exits_2_before_numpy(tmp_path, capsys, monkeypatch, command):
     # A cycle has no SRG parameters, so both commands need the numerical

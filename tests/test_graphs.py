@@ -11,6 +11,7 @@ from llycurv.errors import (
     InvalidVertexError,
     NotAmplyRegularError,
     NotAnEdgeError,
+    TooLargeError,
 )
 from llycurv.families import (
     catalog,
@@ -39,7 +40,9 @@ from llycurv.graphs import (
     parameter_identity_check,
 )
 from llycurv.graphio import load_graph
-from helpers import all_pairs_classify_regularity, matrix_power_distances
+from helpers import all_pairs_classify_regularity, matrix_power_distances, set_decompose_edge
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_bfs_cycle_six():
@@ -139,6 +142,34 @@ def test_decompose_partitions_vertex_set():
         assert sorted(flat) == list(range(g.n))
         if g.is_regular():
             assert len(parts.nx) == len(parts.ny)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [entry.graph for entry in catalog() if entry.graph.n <= 64] + [load_graph(DATA / "rrg40_8.g6")],
+    ids=repr,
+)
+def test_decompose_edge_equals_the_set_built_split(g):
+    # decompose_edge builds no set: N_x in one pass against y's mask, delta
+    # and N_y from their masks.  Every field read must equal the set split.
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            parts = decompose_edge(g, a, b)
+            expected = set_decompose_edge(g, a, b)
+            got = {name: getattr(parts, name) for name in expected}
+            assert got == expected, (a, b)
+            assert parts.delta_mask.bit_count() == len(expected["delta"])
+
+
+def test_neighbor_masks_bound_raises_before_building():
+    # A cycle's masks need about n^2 / 2 bits: 2^14 vertices fit under the
+    # 2^28-bit bound, 2^15 do not.
+    n = 2**15
+    g = cycle_graph(n)
+    with pytest.raises(TooLargeError, match="neighbor masks"):
+        neighbor_masks(g)
+    assert g._masks is None
+    assert len(neighbor_masks(cycle_graph(2**14))) == 2**14
 
 
 def test_classify_rook4_strongly_regular():

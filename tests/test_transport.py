@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from llycurv.families import (
     shrikhande_graph,
 )
 from llycurv.fields import make_field
+from llycurv.graphio import load_graph
 from llycurv.graphs import Graph, decompose_edge
 from llycurv.transport import (
     ProbabilityMeasure,
@@ -580,6 +582,16 @@ def test_curvature_spectrum_deterministic_and_parallel_equal():
     par = curvature_spectrum(g, processes=2)
     assert seq == par
     assert [(r.x, r.y) for r in seq.reports] == sorted(g.edges())
+
+
+def test_curvature_spectrum_pool_equals_serial_on_non_sharp_edges():
+    # No edge of rrg40_8 has a perfect local matching, so every edge takes
+    # the second matching and the 2-balls, which each worker builds for its
+    # own chunk of the edges.
+    g = load_graph(Path(__file__).parent / "data" / "rrg40_8.g6")
+    seq = curvature_spectrum(g, processes=1)
+    assert not any(r.sharp for r in seq.reports)
+    assert curvature_spectrum(g, processes=2) == seq
 
 
 # -------------------------------------------------------- idleness identity
