@@ -47,7 +47,6 @@ from .matching import (
     hall_reduction_check,
     local_perfect_matching,
     max_matching,
-    sharpness_equivalence,
 )
 from .residues import CorollaryReport, find_pattern_witness, verify_corollary
 from .spectral import (

@@ -1,4 +1,4 @@
-"""Bipartite matching with Hall certificates, and the sharpness equivalence.
+"""Bipartite matching with Hall certificates.
 
 A bipartite graph is matched on bit rows: row i is an integer whose set
 bits are the columns of left vertex i.  The per-edge curvature engine
@@ -10,16 +10,16 @@ searches stay closed, and together they are the Koenig reach, so the same
 call returns the minimum vertex cover.  `_lex_first_matching` turns a
 perfect matching of bit rows into the lexicographically first one; it and
 `_bit_matching` share one alternating search, `_augmenting_path`, and one
-path flip, `_flip`.  `match` and `max_matching` keep Hopcroft-Karp on
-index lists, listed off the same rows, because `match --witness` prints
-its pairs; when the left side is deficient, `_bit_matching` started from
-that matching on the instance's rows gives the reach, an explicit Hall
+path flip, `_flip`.  `match` and `max_matching` run the same engine:
+`_lex_first_maximum` pads the rows to a perfect instance, so the pairs
+`match --witness` prints are the lexicographically first maximum matching,
+on a sharp edge the `curvature --edge` witness.  When the left side is
+deficient, the reach of that `_bit_matching` call is an explicit Hall
 violator, so callers get a checkable certificate instead of a bare boolean.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,14 +50,6 @@ class BipartiteInstance:
             if (li, ri) in seen:
                 raise InvalidParamsError(f"duplicate edge ({li},{ri})")
             seen.add((li, ri))
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.left]
-        for li, ri in self.edges:
-            adj[li].append(ri)
-        for row in adj:
-            row.sort()
-        return adj
 
     def rows(self) -> list[int]:
         """Bit rows: bit ri of row li is set iff (li, ri) is an edge."""
@@ -209,63 +201,47 @@ def _flip(
         r = parent[b]
 
 
-def _hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int], list[int]]:
-    """Return (match_left, match_right) with -1 for unmatched."""
-    n_left = len(adj)
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
-    inf = n_left + n_right + 1
-    dist = [0] * n_left
+def _lex_first_maximum(rows: Sequence[int], ymask: int) -> tuple[list[int], set[int]]:
+    """The lexicographically first maximum matching of bit rows, and its Koenig reach.
 
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(n_left):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        found = False
-        while queue:
-            u = queue.popleft()
-            for r in adj[u]:
-                w = match_right[r]
-                if w == -1:
-                    found = True
-                elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for r in adj[u]:
-            w = match_right[r]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = r
-                match_right[r] = u
-                return True
-        dist[u] = inf
-        return False
-
-    while bfs():
-        for u in range(n_left):
-            if match_left[u] == -1:
-                dfs(u)
-    return match_left, match_right
+    Rows are taken in order, and a free row ranks after every column.
+    `_bit_matching` gives a maximum matching and the reach.  Padding makes
+    the instance perfect: each row also sees one dummy column per free
+    row, above ymask's top bit, and each free column gets one dummy row
+    that sees all of ymask.  The perfect matchings of the padded rows are
+    then the maximum matchings of the real ones, each free row holding a
+    dummy, so `_lex_first_matching`, started from the matching completed
+    with the dummies and cut to the real rows, gives the answer, a dummy
+    reading as unmatched (0).  The reach is the same for every maximum
+    matching (Dulmage-Mendelsohn).
+    """
+    match, reached, _ = _bit_matching(rows)
+    top = ymask.bit_length()
+    free_rows = [i for i, b in enumerate(match) if not b]
+    free_cols = ymask & ~sum(match)  # distinct bits
+    dummies = ((1 << len(free_rows)) - 1) << top
+    start = list(match)
+    for k, i in enumerate(free_rows):
+        start[i] = 1 << (top + k)
+    padded = [row | dummies for row in rows]
+    while free_cols:
+        b = free_cols & -free_cols
+        free_cols ^= b
+        padded.append(ymask)
+        start.append(b)
+    lex = _lex_first_matching(padded, start)[: len(rows)]
+    return [b & ~dummies for b in lex], reached
 
 
 def max_matching(instance: BipartiteInstance) -> MatchingResult:
-    """Maximum matching; on a deficient left side, also a Hall violator."""
-    adj = instance.adjacency()
-    match_left, _ = _hopcroft_karp(adj, len(instance.right))
-    pairs = tuple((u, match_left[u]) for u in range(len(adj)) if match_left[u] != -1)
+    """Lexicographically first maximum matching; on a deficient left side, also a Hall violator.
+
+    Rows are taken in order, and a free row ranks after every column.
+    """
+    match, reached = _lex_first_maximum(instance.rows(), (1 << len(instance.right)) - 1)
+    pairs = tuple((i, b.bit_length() - 1) for i, b in enumerate(match) if b)
     perfect = len(pairs) == len(instance.left) == len(instance.right)
-    violator = None
-    if len(pairs) < len(instance.left):
-        # Started from a maximum matching, every search fails: only the reach is new.
-        match = [1 << r if r != -1 else 0 for r in match_left]
-        violator = tuple(sorted(_bit_matching(instance.rows(), match)[1]))
-    return MatchingResult(pairs=pairs, perfect=perfect, violator=violator)
+    return MatchingResult(pairs=pairs, perfect=perfect, violator=tuple(sorted(reached)) or None)
 
 
 def local_perfect_matching(g: Graph, x: int, y: int) -> tuple[BipartiteInstance, MatchingResult]:
@@ -332,23 +308,3 @@ def hall_reduction_check(instance: BipartiteInstance) -> HallReduction:
         if not hypothesis and not full:
             break
     return HallReduction(hypothesis_holds=hypothesis, full_hall_holds=full)
-
-
-@dataclass(frozen=True)
-class SharpnessEquivalence:
-    kappa_sharp: bool
-    matching_perfect: bool
-    agree: bool
-
-
-def sharpness_equivalence(g: Graph, x: int, y: int) -> SharpnessEquivalence:
-    """Curvature-meets-upper-bound vs perfect-local-matching, side by side."""
-    from .transport import lly_curvature
-
-    kappa_sharp = lly_curvature(g, x, y).sharp
-    _, result = local_perfect_matching(g, x, y)
-    return SharpnessEquivalence(
-        kappa_sharp=kappa_sharp,
-        matching_perfect=result.perfect,
-        agree=kappa_sharp == result.perfect,
-    )

@@ -12,12 +12,17 @@ collects from its failed searches, the set-built split (`set_decompose_edge`)
 that of `graphs.decompose_edge`, the all-pairs loop
 (`all_pairs_classify_regularity`) that of `classify_regularity`'s 2-ball
 walk, and the edge walk (`_edge_orbits`) that of the one-orbit check behind
-`transport.paley_kappa`; no code in `src/` calls them.
+`transport.paley_kappa`.  Hopcroft-Karp on index lists (`_hopcroft_karp`)
+and the column-by-column `lex_first_maximum_reference` are the references
+of `matching.max_matching`, and `sharpness_equivalence` sets an edge's
+curvature sharpness beside its local perfect matching.  No code in `src/`
+calls them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -33,8 +38,9 @@ from llycurv.graphs import (
     SrgParams,
     neighbor_masks,
 )
-from llycurv.matching import _hopcroft_karp
+from llycurv.matching import BipartiteInstance, local_perfect_matching
 from llycurv.spectral import integral_multiplicities
+from llycurv.transport import lly_curvature
 
 
 def matrix_power_distances(g: Graph) -> list[list[int | None]]:
@@ -100,6 +106,103 @@ def augmenting_path_matching_size(n_left: int, n_right: int, edges) -> int:
         if try_augment(u, [False] * n_right):
             size += 1
     return size
+
+
+def adjacency(instance: BipartiteInstance) -> list[list[int]]:
+    """Each left vertex's right neighbours, in increasing order."""
+    adj: list[list[int]] = [[] for _ in instance.left]
+    for li, ri in sorted(instance.edges):
+        adj[li].append(ri)
+    return adj
+
+
+def _hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int], list[int]]:
+    """Return (match_left, match_right) with -1 for unmatched."""
+    n_left = len(adj)
+    match_left = [-1] * n_left
+    match_right = [-1] * n_right
+    inf = n_left + n_right + 1
+    dist = [0] * n_left
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(n_left):
+            if match_left[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        found = False
+        while queue:
+            u = queue.popleft()
+            for r in adj[u]:
+                w = match_right[r]
+                if w == -1:
+                    found = True
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for r in adj[u]:
+            w = match_right[r]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_left[u] = r
+                match_right[r] = u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if match_left[u] == -1:
+                dfs(u)
+    return match_left, match_right
+
+
+def lex_first_maximum_reference(instance: BipartiteInstance) -> tuple[tuple[int, int], ...]:
+    """The lexicographically first maximum matching, from its definition.
+
+    Left vertices are taken in order, and each tries its columns in
+    ascending order.  It keeps the first column after which the later left
+    vertices, on the columns still free, can still complete a maximum
+    matching (Hopcroft-Karp on what is left); when none can, it stays
+    unmatched, which ranks after every column.
+    """
+    adj = adjacency(instance)
+    n_right = len(instance.right)
+    nu = len(adj) - _hopcroft_karp(adj, n_right)[0].count(-1)
+    pairs: list[tuple[int, int]] = []
+    used: set[int] = set()
+    for i, cols in enumerate(adj):
+        for j in cols:
+            if j in used:
+                continue
+            rest = [[r for r in row if r not in used and r != j] for row in adj[i + 1:]]
+            if len(pairs) + 1 + len(rest) - _hopcroft_karp(rest, n_right)[0].count(-1) == nu:
+                pairs.append((i, j))
+                used.add(j)
+                break
+    return tuple(pairs)
+
+
+@dataclass(frozen=True)
+class SharpnessEquivalence:
+    kappa_sharp: bool
+    matching_perfect: bool
+    agree: bool
+
+
+def sharpness_equivalence(g: Graph, x: int, y: int) -> SharpnessEquivalence:
+    """Curvature-meets-upper-bound vs perfect-local-matching, side by side."""
+    kappa_sharp = lly_curvature(g, x, y).sharp
+    _, result = local_perfect_matching(g, x, y)
+    return SharpnessEquivalence(
+        kappa_sharp=kappa_sharp,
+        matching_perfect=result.perfect,
+        agree=kappa_sharp == result.perfect,
+    )
 
 
 def uniform_measure_w1_oracle(g: Graph, verts1, verts2) -> Fraction:

@@ -24,13 +24,13 @@ from llycurv.graphio import load_graph
 from llycurv.graphs import decompose_edge
 from llycurv.matching import (
     _bit_matching,
-    _hopcroft_karp,
     _lex_first_matching,
     local_perfect_matching,
 )
 from llycurv.transport import _two_matching_assignment, lly_curvature
 from helpers import (
     _bit_reach,
+    _hopcroft_karp,
     _lex_first_tight_assignment,
     all_optimal_assignments,
     augmenting_path_matching_size,
@@ -192,10 +192,10 @@ def test_bit_matching_augments_a_starting_matching():
 def test_bit_matching_reach_is_the_separate_koenig_reach():
     # The reach `_bit_matching` collects from its failed searches equals one
     # alternating search from every free row of the finished matching, both
-    # from the greedy start and from a maximum start (Hopcroft-Karp's, as
-    # `max_matching` passes it), and it is a Koenig cover: (rows not
-    # reached) + (columns reached) = nu.  Sparse rows (one pair in six, as in
-    # the sparse cost test above) and denser ones (one in two) both occur.
+    # from the greedy start and from a maximum start (Hopcroft-Karp's), and
+    # it is a Koenig cover: (rows not reached) + (columns reached) = nu.
+    # Sparse rows (one pair in six, as in the sparse cost test above) and
+    # denser ones (one in two) both occur.
     rng = random.Random(2)
     for trial in range(2000):
         m = rng.randint(1, 10)

@@ -155,7 +155,10 @@ def test_sharp_edge_witnesses_pinned(tmp_path, capsys, monkeypatch):
 
 # No directed edge of these graphs has a perfect local matching, so every
 # `match` document carries a Hall violator.  The hashes are of the stdout
-# printed when the violator came from the list-based alternating reach.
+# printed when the violator came from the list-based alternating reach; the
+# rrg40_8 `--witness` hash is of that stdout with its pairs replaced by
+# `helpers.lex_first_maximum_reference` (on Petersen and Shrikhande the
+# pairs Hopcroft-Karp printed were already the lex-first ones).
 _MATCH_GRAPHS = {
     "rrg40_8.g6": lambda: load_graph(DATA / _RRG40),
     "pet.g6": petersen_graph,
@@ -167,7 +170,7 @@ _MATCH_GRAPHS = {
     "name, witness, sha256",
     [
         ("rrg40_8.g6", False, "5070b6c0c94adae249143edf772e20e9467b7fd110ebae18a1207e83a19d61c4"),
-        ("rrg40_8.g6", True, "86afaf4628a853083cd76149df6017150edbdbae3013ce386879690dab54e110"),
+        ("rrg40_8.g6", True, "8b66cfa18988c106fb8c0df2878f06b1a6ca35c61b1550e543dbffb06c637851"),
         ("pet.g6", False, "3fd5842dbb3d3634750aae36d82c66aa93fec93de5336a338cd07b751507449c"),
         ("pet.g6", True, "9cb2224813694dec4795a0123619be8b6aac5f3855c7d0b8c7baf384de6ceb97"),
         ("shri.g6", False, "a4f6c7eca5703aa6f7f6f5527ee12708a9c4314d70729e8671d52378ff57840a"),
@@ -187,6 +190,29 @@ def test_deficient_match_stdout_pinned(tmp_path, capsys, monkeypatch, name, witn
             outs.append(out)
     assert len(outs) == 2 * g.edge_count and all("violator" in json.loads(out) for out in outs)
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == sha256
+
+
+def test_match_witness_is_the_curvature_witness_on_sharp_edges(tmp_path, capsys, monkeypatch):
+    # On a sharp edge the lex-first perfect matching of H(x, y) is both the
+    # `match --witness` pairs and the `curvature --edge` witness, in both
+    # orientations, on every edge of the catalog and of P(29).
+    graphs = {f"g{k}.g6": e.graph for k, e in enumerate(families.catalog())}
+    graphs["p29.g6"] = paley_graph(29)
+    monkeypatch.chdir(tmp_path)
+    sharp = {}
+    for name, g in graphs.items():
+        (tmp_path / name).write_text(to_graph6(g) + "\n")
+        sharp[name] = 0
+        for x, y in g.edges():
+            for a, b in ((x, y), (y, x)):
+                edge = ["--graph", name, "--edge", f"{a},{b}"]
+                matched = json.loads(run(capsys, "match", *edge, "--witness")[1])
+                curvature = json.loads(run(capsys, "curvature", *edge)[1])
+                assert matched["perfect"] == curvature["sharp"], (name, a, b)
+                if curvature["sharp"]:
+                    sharp[name] += 1
+                    assert matched["pairs"] == curvature["witness"], (name, a, b)
+    assert sharp["p29.g6"] == 406 and sum(sharp.values()) > 1000
 
 
 # Every command's (exit code, stdout, stderr), plus the --out file when one

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +19,18 @@ from llycurv.families import (
 )
 from llycurv.matching import (
     BipartiteInstance,
-    _hopcroft_karp,
     hall_reduction_check,
     local_perfect_matching,
     max_matching,
+)
+from helpers import (
+    _alternating_reach,
+    _hopcroft_karp,
+    adjacency,
+    augmenting_path_matching_size,
+    lex_first_maximum_reference,
     sharpness_equivalence,
 )
-from helpers import _alternating_reach, augmenting_path_matching_size
 
 
 def _random_instance(rng, max_side=10):
@@ -114,7 +120,7 @@ def test_violator_is_genuine_when_reported():
 
 
 def _reference_violator(inst):
-    adj = inst.adjacency()
+    adj = adjacency(inst)
     match_left, match_right = _hopcroft_karp(adj, len(inst.right))
     if match_left.count(-1) == 0:
         return None
@@ -141,6 +147,46 @@ def test_violator_equals_the_list_reach():
         if expected is not None:
             shapes.add((len(inst.left) > len(inst.right)) - (len(inst.left) < len(inst.right)))
     assert shapes == {-1, 0, 1}  # deficient instances of every shape were met
+
+
+def _brute_force_lex_first_maximum(inst):
+    # Every matching as one entry per left vertex, its column or None; the
+    # first of the largest ones, None ranking after every column.
+    adj = adjacency(inst)
+    choices = [[*row, None] for row in adj]
+    best = None
+    for pick in product(*choices):
+        cols = [c for c in pick if c is not None]
+        if len(cols) != len(set(cols)):
+            continue
+        key = (-len(cols), [len(inst.right) if c is None else c for c in pick])
+        if best is None or key < best[0]:
+            best = key, pick
+    return tuple((i, c) for i, c in enumerate(best[1]) if c is not None)
+
+
+def test_max_matching_is_the_lex_first_maximum_matching():
+    # Seeded instances, balanced and unbalanced either way, and empty
+    # sides: the pairs are the definition's, column by column, and on
+    # sides of at most 5 also the first of all maximum matchings.
+    rng = random.Random(23)
+    instances = [_random_instance(rng, max_side=8) for _ in range(400)]
+    instances += [
+        BipartiteInstance(left=(), right=(), edges=()),
+        BipartiteInstance(left=(), right=(0, 1), edges=()),
+        BipartiteInstance(left=(0, 1, 2), right=(), edges=()),
+        BipartiteInstance(left=(0, 1), right=(0, 1), edges=()),
+    ]
+    shapes = set()
+    brute = 0
+    for inst in instances:
+        pairs = max_matching(inst).pairs
+        assert pairs == lex_first_maximum_reference(inst), inst
+        shapes.add((len(inst.left) > len(inst.right)) - (len(inst.left) < len(inst.right)))
+        if max(len(inst.left), len(inst.right)) <= 5:
+            brute += 1
+            assert pairs == _brute_force_lex_first_maximum(inst), inst
+    assert shapes == {-1, 0, 1} and brute > 100
 
 
 def test_local_matching_rook_perfect_shrikhande_not():
