@@ -19,14 +19,16 @@ from .errors import InvalidParamsError, LlycurvError, TooLargeError
 from .families import _check_edges
 from .graphs import Graph, neighbor_masks
 
-# The writer and the reader each hold a string of one character per vertex
-# pair, so graph6 stops at 2^27 pairs (n <= 16384).
+# The writer holds a string of one character per vertex pair and the reader
+# a few bit matrices of at least one bit per pair, so graph6 stops at 2^27
+# pairs (n <= 16384).
 _G6_PAIRS = 2**27
 _GRAPH6 = re.compile("[?-~]*")  # characters 63..126
 # base64 writes six bits of value v as letter v of its alphabet; graph6 writes byte 63 + v.
 _B64 = (string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/").encode()
 _B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
 _G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, bits reversed
 
 
 def _check_pairs(n: int) -> None:
@@ -63,13 +65,6 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return n, 8
 
 
-def _body_word(body: bytes) -> int:
-    """All 6 * len(body) bits of a graph6 body as one integer, its first bit highest."""
-    pad = -len(body) % 4  # letters "A" (six zero bits each) to a whole base64 group
-    raw = base64.b64decode(body.translate(_G6_TO_B64) + b"A" * pad)
-    return int.from_bytes(raw, "big") >> 6 * pad
-
-
 def to_graph6(g: Graph) -> str:
     """Encode in the standard header-less graph6 format."""
     _check_pairs(g.n)
@@ -84,40 +79,98 @@ def to_graph6(g: Graph) -> str:
     return (bytes(_encode_size(g.n)) + body).decode("ascii")
 
 
+def _body_bits(body: bytes) -> bytes:
+    """The bits of a graph6 body: bit k of the body is bit k of the result read little-endian.
+
+    Byte b of the body carries the six bits of b - 63, first bit highest,
+    and bit v(v-1)/2 + u of the body is the pair u < v.  base64 reads byte b
+    as its letter b - 63, and "A"s (six zero bits each) pad the body to
+    whole base64 groups; the decoded bytes have their first bit highest.
+    """
+    raw = base64.b64decode(body.translate(_G6_TO_B64) + b"A" * (-len(body) % 4))
+    return raw.translate(_REVERSE_BITS)
+
+
+def _swap_mask(p: int, j: int) -> int:
+    """The bits (r, c) of a p-by-p bit matrix with bit j of c set and bit j of r clear, j < 3.
+
+    The matrix is row-major, its bit (r, c) at bit r * p + c, so each byte
+    of a row with bit j of r clear is the byte of the columns with bit j set.
+    """
+    s, width = 1 << j, p // 8
+    row = (b"\xaa", b"\xcc", b"\xf0")[j] * width
+    return int.from_bytes((row * s + bytes(width * s)) * (p // (2 * s)), "little")
+
+
+def _transpose(lower: bytearray, p: int) -> int:
+    """The transpose of a p-by-p bit matrix given by its first rows, the rest zero.
+
+    p is a power of two, at least 8.  Row r of the matrix is bytes
+    r * p/8 .. (r + 1) * p/8 - 1 of lower, read little-endian, and so is
+    row r of the result, an integer whose bit (r, c) is bit r * p + c.
+    Transposing swaps the row and the column index, one bit at a time (the
+    swaps commute).  Swapping bits 3 and up moves whole bytes: byte k of row
+    8a + i goes to byte a of row 8k + i, one strided copy per row.  Bits 0-2
+    swap inside each 8 x 8 block, each by one masked delta swap (Warren,
+    Hacker's Delight, section 7-3): the bit at (r, c) with bit j of c set
+    and of r clear trades places with the bit at (r + 2^j, c - 2^j),
+    2^j (p - 1) bits higher.
+    """
+    width = p // 8
+    blocks = bytearray(p * width)
+    for r in range(len(lower) // width):
+        blocks[(r & 7) * width + (r >> 3) :: 8 * width] = lower[r * width : (r + 1) * width]
+    m = int.from_bytes(blocks, "little")
+    del blocks
+    for j in range(3):
+        d = (p - 1) << j
+        t = m >> d
+        t ^= m
+        t &= _swap_mask(p, j)
+        m ^= t
+        t <<= d
+        m ^= t
+    return m
+
+
 def from_graph6(text: str) -> Graph:
+    """The graph of a header-less graph6 string, built from its neighbour masks alone."""
     text = text.strip()
     if not _GRAPH6.fullmatch(text):
         raise InvalidParamsError("graph6 bytes out of range")
     data = text.encode("ascii")
+    del text
     n, off = _decode_size(data)
     _check_pairs(n)
     need = (n * (n - 1) // 2 + 5) // 6
-    body = data[off:]
-    if len(body) != need:
-        raise InvalidParamsError(f"graph6 body has {len(body)} bytes, expected {need}")
-    # Byte b carries the six bits of b - 63; bit v(v-1)/2 + u of the body is the pair u < v.
-    word = _body_word(body)
-    _check_edges(word.bit_count(), "the graph6 graph")
-    # A leading 1 keeps the leading zeros (a zero-padded format would copy the
-    # whole string once more), so bit k of the body is bits[k + 1].
-    bits = format(word | 1 << 6 * len(body), "b")
-    # Column v lists its neighbours u < v in increasing u, and the columns
-    # come in increasing v, so appending u to row v and v to row u leaves
-    # every row sorted.  Column v read backwards is masks[v] below bit v.
-    rows: list[list[int]] = [[] for _ in range(n)]
-    masks = [0] * n
+    if len(data) - off != need:
+        raise InvalidParamsError(f"graph6 body has {len(data) - off} bytes, expected {need}")
+    bits = _body_bits(data[off:])
+    del data  # at n = 16,384 the text, its bytes and the bits are 16-22 MB each
+    _check_edges(int.from_bytes(bits, "little").bit_count(), "the graph6 graph")
+    # The bit matrices are p by p, row-major, p a power of two (so a row and
+    # a column index have the same bits) and at least 8 (so a row is whole
+    # bytes).  Row v of the lower triangle is column v of the body: its bit
+    # u is the pair u < v.
+    p = max(8, 1 << (n - 1).bit_length())
+    width = p // 8
+    lower = bytearray(width * n)
+    start = 0  # column v is body bits start .. start + v - 1
     for v in range(1, n):
-        start = v * (v - 1) // 2 + 1
-        column = bits[start : start + v]
-        masks[v] = int(column[::-1], 2)
-        row, bit = rows[v], 1 << v
-        u = column.find("1")
-        while u != -1:
-            row.append(u)
-            rows[u].append(v)
-            masks[u] |= bit
-            u = column.find("1", u + 1)
-    return Graph._from_rows(tuple(map(tuple, rows)), tuple(masks))
+        size = (v + 7) >> 3
+        first = start >> 3
+        column = int.from_bytes(bits[first : first + size + 1], "little") >> (start & 7)
+        lower[v * width : v * width + size] = (column & ((1 << v) - 1)).to_bytes(size, "little")
+        start += v
+    del bits
+    # The lower triangle OR its transpose is the adjacency matrix; row v is masks[v].
+    upper = _transpose(lower, p)
+    adjacency = (upper | int.from_bytes(lower, "little")).to_bytes(width * n, "little")
+    del upper, lower
+    masks = [
+        int.from_bytes(adjacency[i : i + width], "little") for i in range(0, len(adjacency), width)
+    ]
+    return Graph._from_masks(tuple(masks))
 
 
 def to_json(g: Graph) -> str:

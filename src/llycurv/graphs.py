@@ -1,21 +1,25 @@
 """Immutable simple graphs and their local structure.
 
-The graph type stores one sorted neighbor tuple per vertex; every other
-module reads it and nothing mutates it.  It has two constructors:
+A graph holds its adjacency in two forms, one sorted neighbor tuple per
+vertex (its rows) and one integer bitmask per vertex (its masks), and
+nothing mutates it.  It keeps whichever form it was built from and builds
+the other the first time a caller reads it.  It has three constructors:
 ``Graph(n, edges)`` validates every edge (range, no loop; duplicates and
 orientation are absorbed) and is the one for outside input and arbitrary
-callers, while ``Graph._from_rows(rows, masks)`` trusts rows that are
-already sorted, symmetric and loop-free, and is used only where they
-come out that way (the graph6 reader and the Cayley families, each after
-its own checks).  Alongside the type live the
-operations the curvature machinery leans on: neighbor bitmasks (the one
-common-neighbor primitive of the exact code, built once per graph and kept
-by it), breadth-first distances, the 2-ball of a vertex as a mask, the
-four-way decomposition of the vertex set around an edge together with its
-local matching graph H(x, y) as bit rows, regularity classification, and
-the per-vertex neighbor profile of amply regular graphs.
+callers; ``Graph._from_rows(rows)`` trusts rows that are already sorted,
+symmetric and loop-free (the Cayley families, after their own checks);
+and ``Graph._from_masks(masks)`` trusts masks that are already symmetric
+and loop-free (the graph6 reader).  The per-edge paths (degree, edge
+test, regularity, the decomposition around an edge, 2-balls) read the
+masks only, so a graph read from graph6 and asked about one edge never
+builds a row.  Alongside the type live the operations the curvature
+machinery leans on: neighbor bitmasks (the one common-neighbor primitive
+of the exact code), breadth-first distances, the 2-ball of a vertex as a
+mask, the four-way decomposition of the vertex set around an edge
+together with its local matching graph H(x, y) as bit rows, regularity
+classification, and the per-vertex neighbor profile of amply regular
+graphs.
 """
-
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -80,9 +84,13 @@ class SrgParams:
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with sorted adjacency lists."""
+    """Simple undirected graph on vertices 0..n-1: sorted rows and neighbor masks.
 
-    __slots__ = ("n", "_adj", "_masks")
+    Either form is built from the other on first read and then kept.
+    Equality and hashing compare the rows.
+    """
+
+    __slots__ = ("n", "_rows", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
@@ -96,24 +104,43 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+        self._rows: tuple[tuple[int, ...], ...] | None = tuple(tuple(sorted(s)) for s in adj)
         self._masks: tuple[int, ...] | None = None  # built by neighbor_masks
 
     @classmethod
-    def _from_rows(
-        cls, rows: tuple[tuple[int, ...], ...], masks: tuple[int, ...] | None = None
-    ) -> Graph:
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> Graph:
         """The graph with these adjacency rows, taken as they are.
 
         Nothing is checked: each row must be strictly increasing, w must
-        be in row v exactly when v is in row w, no row may hold its own
-        vertex, and masks, when given, must be what neighbor_masks builds.
+        be in row v exactly when v is in row w, and no row may hold its
+        own vertex.
         """
         g = cls.__new__(cls)
         g.n = len(rows)
-        g._adj = rows
+        g._rows = rows
+        g._masks = None
+        return g
+
+    @classmethod
+    def _from_masks(cls, masks: tuple[int, ...]) -> Graph:
+        """The graph with these neighbor masks, taken as they are.
+
+        Nothing is checked: bit w of masks[v] must be set exactly when bit
+        v of masks[w] is, no mask may hold its own vertex's bit, and every
+        bit must lie below len(masks).
+        """
+        g = cls.__new__(cls)
+        g.n = len(masks)
+        g._rows = None
         g._masks = masks
         return g
+
+    @property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbor rows, built from the masks on first read."""
+        if self._rows is None:
+            self._rows = tuple(map(_set_bits, self._masks))
+        return self._rows
 
     def neighbors(self, v: VertexId) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -121,19 +148,23 @@ class Graph:
 
     def degree(self, v: VertexId) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        if self._rows is None:
+            return self._masks[v].bit_count()
+        return len(self._rows[v])
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        row = self._adj[u]
+        if self._rows is None:
+            return self._masks[u] >> v & 1 == 1
+        row = self._rows[u]
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in self._adj[u]:
+        for u, row in enumerate(self._adj):
+            for v in row:
                 if u < v:
                     yield (u, v)
 
@@ -145,7 +176,9 @@ class Graph:
         return tuple(len(row) for row in self._adj)
 
     def is_regular(self) -> bool:
-        return len(set(map(len, self._adj))) <= 1
+        if self._rows is None:
+            return len(set(map(int.bit_count, self._masks))) <= 1
+        return len(set(map(len, self._rows))) <= 1
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -167,18 +200,19 @@ def neighbor_masks(g: Graph) -> tuple[int, ...]:
     """Bit w of masks[v] is set iff vw is an edge.
 
     (masks[u] & masks[v]).bit_count() is the number of common neighbors of
-    u and v, and masks[u] >> v & 1 tells whether uv is an edge.  The masks
-    are built on first use, or by the graph6 reader along with the rows, and
-    kept by the graph, which never changes.  Masks of more than _MASK_BITS
-    bits in all raise TooLargeError before any is built.
+    u and v, and masks[u] >> v & 1 tells whether uv is an edge.  A graph
+    read from graph6 is built from its masks; any other builds them from
+    its rows on first use and keeps them, as the graph never changes.
+    Masks of more than _MASK_BITS bits in all raise TooLargeError before
+    any is built.
     """
     if g._masks is None:
-        bits = sum(row[-1] + 1 for row in g._adj if row)
+        bits = sum(row[-1] + 1 for row in g._rows if row)
         if bits > _MASK_BITS:
             raise TooLargeError(
                 f"neighbor masks of this graph need {bits} bits, above the bound {_MASK_BITS}"
             )
-        g._masks = tuple(sum(1 << w for w in row) for row in g._adj)
+        g._masks = tuple(sum(1 << w for w in row) for row in g._rows)
     return g._masks
 
 
@@ -186,7 +220,7 @@ def _two_ball(g: Graph, v: VertexId) -> int:
     """The vertices within distance 2 of v as a mask: v, its neighbors and theirs."""
     masks = neighbor_masks(g)
     ball = masks[v] | 1 << v
-    for w in g._adj[v]:
+    for w in _set_bits(masks[v]):
         ball |= masks[w]
     return ball
 
@@ -223,12 +257,17 @@ def all_pairs_distances(g: Graph) -> list[list[int | None]]:
 
 
 def _set_bits(mask: int) -> tuple[int, ...]:
-    """The positions of mask's set bits, lowest first."""
+    """The positions of mask's set bits, lowest first.
+
+    They are taken highest first, which costs one shift per bit where the
+    lowest bit, mask & -mask, costs a negation and an AND.
+    """
     out = []
     while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 
@@ -271,19 +310,18 @@ class EdgeNeighborhood:
 def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
     """Split the vertex set into the four classes around the edge xy, with H(x, y).
 
-    No set is built: N_x is x's row less the neighbours of y and y itself,
-    and delta and N_y are masks.
+    No set and no row is built: N_x is x's mask less the neighbours of y
+    and y itself, N_y the other way round, and delta is their AND.
     """
     if not g.has_edge(x, y):
         raise NotAnEdgeError(f"({x},{y}) is not an edge")
     masks = neighbor_masks(g)
-    gy = masks[y]
-    nx = tuple([v for v in g._adj[x] if not gy >> v & 1 and v != y])
-    # N_y is y's neighbours less delta (x's neighbours) and less x.
-    ny_mask = gy & ~masks[x] & ~(1 << x)
+    gx, gy = masks[x], masks[y]
+    nx = _set_bits(gx & ~gy & ~(1 << y))
+    ny_mask = gy & ~gx & ~(1 << x)
     rows = tuple([masks[v] & ny_mask for v in nx])
     return EdgeNeighborhood(
-        x=x, y=y, nx=nx, n=g.n, delta_mask=masks[x] & gy, ny_mask=ny_mask, rows=rows
+        x=x, y=y, nx=nx, n=g.n, delta_mask=gx & gy, ny_mask=ny_mask, rows=rows
     )
 
 

@@ -10,7 +10,9 @@ searches stay closed, and together they are the Koenig reach, so the same
 call returns the minimum vertex cover.  `_lex_first_matching` turns a
 perfect matching of bit rows into the lexicographically first one; it and
 `_bit_matching` share one alternating search, `_augmenting_path`, and one
-path flip, `_flip`.  `match` and `max_matching` run the same engine:
+path flip, `_flip`.  `local_perfect_matching` solves H(x, y)'s rows as
+`decompose_edge` builds them, and the instance it returns lists its index
+edges only when read.  `match` and `max_matching` run the same engine:
 `_lex_first_maximum` pads the rows to a perfect instance, so the pairs
 `match --witness` prints are the lexicographically first maximum matching,
 on a sharp edge the `curvature --edge` witness.  When the left side is
@@ -29,27 +31,59 @@ from .errors import (
     TooLargeError,
     UnbalancedSidesError,
 )
-from .graphs import Graph, decompose_edge
+from .graphs import Graph, _set_bits, decompose_edge
 
 _HALL_EXHAUSTIVE_CAP = 14
 
 
-@dataclass(frozen=True)
 class BipartiteInstance:
-    """Bipartite graph given by side labels and index edges (left, right)."""
+    """Bipartite graph given by side labels and index edges (left, right).
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    It keeps whichever form it was built from, the index edges or bit rows
+    against a mask of column bits, and builds the edges from the rows the
+    first time a caller reads them.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("left", "right", "_edges", "_rows", "_ymask")
+
+    def __init__(
+        self, left: tuple[int, ...], right: tuple[int, ...], edges: tuple[tuple[int, int], ...]
+    ) -> None:
         seen = set()
-        for li, ri in self.edges:
-            if not (0 <= li < len(self.left) and 0 <= ri < len(self.right)):
+        for li, ri in edges:
+            if not (0 <= li < len(left) and 0 <= ri < len(right)):
                 raise InvalidParamsError(f"edge ({li},{ri}) out of range")
             if (li, ri) in seen:
                 raise InvalidParamsError(f"duplicate edge ({li},{ri})")
             seen.add((li, ri))
+        self.left, self.right, self._edges = left, right, edges
+        self._rows: Sequence[int] | None = None
+        self._ymask = (1 << len(right)) - 1
+
+    @classmethod
+    def _from_rows(
+        cls, left: tuple[int, ...], right: tuple[int, ...], rows: Sequence[int], ymask: int
+    ) -> BipartiteInstance:
+        """The instance whose left vertex i sees the columns of rows[i], taken as it is.
+
+        Column j is ymask's j-th lowest bit; every row must lie within
+        ymask, which has len(right) bits.
+        """
+        instance = cls.__new__(cls)
+        instance.left, instance.right, instance._edges = left, right, None
+        instance._rows, instance._ymask = rows, ymask
+        return instance
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        if self._edges is None:
+            ymask = self._ymask
+            self._edges = tuple(
+                (i, _column(1 << u, ymask))
+                for i, row in enumerate(self._rows)
+                for u in _set_bits(row)
+            )
+        return self._edges
 
     def rows(self) -> list[int]:
         """Bit rows: bit ri of row li is set iff (li, ri) is an edge."""
@@ -57,6 +91,17 @@ class BipartiteInstance:
         for li, ri in self.edges:
             rows[li] |= 1 << ri
         return rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BipartiteInstance):
+            return NotImplemented
+        return (self.left, self.right, self.edges) == (other.left, other.right, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right, self.edges))
+
+    def __repr__(self) -> str:
+        return f"BipartiteInstance(left={self.left!r}, right={self.right!r}, edges={self.edges!r})"
 
 
 @dataclass(frozen=True)
@@ -238,25 +283,25 @@ def max_matching(instance: BipartiteInstance) -> MatchingResult:
 
     Rows are taken in order, and a free row ranks after every column.
     """
-    match, reached = _lex_first_maximum(instance.rows(), (1 << len(instance.right)) - 1)
-    pairs = tuple((i, b.bit_length() - 1) for i, b in enumerate(match) if b)
+    rows = instance.rows() if instance._rows is None else instance._rows
+    ymask = instance._ymask
+    match, reached = _lex_first_maximum(rows, ymask)
+    pairs = tuple((i, _column(b, ymask)) for i, b in enumerate(match) if b)
     perfect = len(pairs) == len(instance.left) == len(instance.right)
     return MatchingResult(pairs=pairs, perfect=perfect, violator=tuple(sorted(reached)) or None)
 
 
 def local_perfect_matching(g: Graph, x: int, y: int) -> tuple[BipartiteInstance, MatchingResult]:
-    """Matching instance between N_x and N_y of the edge xy, and its result."""
+    """Matching instance between N_x and N_y of the edge xy, and its result.
+
+    The instance is H(x, y) as `decompose_edge` builds it, bit rows against
+    N_y's mask, and is solved on those rows; N_y is sorted, so column j of
+    a row is vertex ny[j].
+    """
     if not g.is_regular():
         raise NotRegularError("local matching is stated for regular graphs")
     parts = decompose_edge(g, x, y)
-    # N_y is sorted, so column j of a row is vertex ny[j].
-    edges = []
-    for i, row in enumerate(parts.rows):
-        while row:
-            b = row & -row
-            row ^= b
-            edges.append((i, _column(b, parts.ny_mask)))
-    instance = BipartiteInstance(left=parts.nx, right=parts.ny, edges=tuple(edges))
+    instance = BipartiteInstance._from_rows(parts.nx, parts.ny, parts.rows, parts.ny_mask)
     return instance, max_matching(instance)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -381,6 +380,8 @@ def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
     if processes <= 1 or len(edges) < 4:
         reports = tuple(_spectrum_chunk(g, edges))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         size = -(-len(edges) // processes)
         chunks = [edges[i : i + size] for i in range(0, len(edges), size)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

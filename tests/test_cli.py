@@ -651,6 +651,29 @@ def test_match_reports_violator(tmp_path, capsys):
     assert "violator" in doc
 
 
+def test_edge_queries_on_graph6_build_no_row(tmp_path, capsys, monkeypatch):
+    # The graph6 reader builds only the neighbour masks, and `curvature
+    # --edge` and `match` read nothing else: with every read of the rows
+    # made to fail, their output is unchanged.  The rrg edges fall back to
+    # the second matching (2-balls) and carry Hall violators.
+    paley = tmp_path / "p13.g6"
+    run(capsys, "gen", "--name", "paley", "--q", "13", "--out", str(paley))
+    queries = [
+        (command, "--graph", str(path), "--edge", edge, *extra)
+        for path, edges in ((paley, ("0,1", "4,0")), (DATA / "rrg40_8.g6", ("0,2", "30,0")))
+        for edge in edges
+        for command, *extra in (("curvature",), ("match", "--witness"))
+    ]
+    expected = [run(capsys, *argv) for argv in queries]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def no_rows(self):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(Graph, "_adj", property(no_rows))
+    assert [run(capsys, *argv) for argv in queries] == expected
+
+
 def test_certify_published_example(capsys):
     code, out, _ = run(
         capsys, "certify", "--params", "324,152,70,72", "--sweep-transcript"

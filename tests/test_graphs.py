@@ -377,9 +377,13 @@ def test_is_regular_matches_the_degree_sequence():
 
 
 def test_from_rows_keeps_its_rows_and_masks():
+    # Each trusted constructor keeps the form it was given and builds the other from it.
     ref = Graph(13, paley_graph(13).edges())
     masks = neighbor_masks(ref)
-    g = Graph._from_rows(ref._adj, masks)
+    g = Graph._from_rows(ref._adj)
+    assert g._adj is ref._adj and g._masks is None
     assert g == ref and hash(g) == hash(ref) and g.n == 13
-    assert neighbor_masks(g) is masks
-    assert neighbor_masks(Graph._from_rows(ref._adj)) == masks
+    assert neighbor_masks(g) == masks
+    h = Graph._from_masks(masks)
+    assert neighbor_masks(h) is masks and h._rows is None
+    assert h == ref and hash(h) == hash(ref) and h.n == 13

@@ -118,14 +118,15 @@ def test_verify_srg_identity_matches_matrix_oracle():
 
 
 def test_import_loads_no_numpy():
+    # nor the process pool, which only `curvature_spectrum` with processes > 1 uses
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, llycurv; print('numpy' in sys.modules)"
+    code = "import sys, llycurv; print('numpy' in sys.modules, 'concurrent.futures.process' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_numerical_lambda2_complete_graph():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import random
 from fractions import Fraction as F
 from math import prod
@@ -431,7 +432,7 @@ def test_curvature_spectrum_caps_processes(monkeypatch):
             assert -(-len(columns[0]) // chunksize) == seen[-1]
             return map(fn, *columns)
 
-    monkeypatch.setattr(transport, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     g = complete_graph(4)  # 6 edges
     seq = curvature_spectrum(g, processes=1)
     monkeypatch.setattr(transport.os, "cpu_count", lambda: 64)
