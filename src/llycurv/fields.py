@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from .errors import NotPrimeError, TooLargeError
@@ -55,6 +55,14 @@ def _poly_mulmod(a: Poly, b: Poly, modulus: Poly, p: int) -> Poly:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
     return _poly_mod(prod, modulus, p)
+
+
+def _index(coeffs: Poly, p: int) -> int:
+    """Canonical numbering of m coefficients: constant term most significant."""
+    val = 0
+    for c in coeffs:
+        val = val * p + c
+    return val
 
 
 def _poly_mod(coeffs: list[int], modulus: Poly, p: int) -> Poly:
@@ -140,10 +148,7 @@ class FieldElement:
     @property
     def index(self) -> int:
         """Canonical numbering: constant term most significant."""
-        val = 0
-        for c in self.coeffs:
-            val = val * self.field.p + c
-        return val
+        return _index(self.coeffs, self.field.p)
 
     def __repr__(self) -> str:
         return f"FieldElement{self.coeffs}"
@@ -221,10 +226,17 @@ def make_field(p: int, m: int = 1) -> FiniteField:
 def square_index_set(field: FiniteField) -> frozenset[int]:
     """Indices of the nonzero squares, obtained by squaring every element.
 
-    This is the route the program uses; is_nonzero_square (the Euler
-    criterion) is the independent one, and the test suite checks they agree.
+    Each nonzero coefficient tuple c is squared as c * c mod the modulus; a
+    prime field is the case m = 1, modulus t.  This is the route the program
+    uses; is_nonzero_square (the Euler criterion) is the independent one,
+    and the test suite checks they agree.
     """
-    return frozenset((e * e).index for e in field.elements() if not e.is_zero)
+    p, modulus = field.p, field.modulus
+    squares = set()
+    for coeffs in islice(product(range(p), repeat=field.m), 1, None):  # zero comes first
+        c = _trim(list(coeffs))
+        squares.add(_index(field._pad(_poly_mulmod(c, c, modulus, p)), p))
+    return frozenset(squares)
 
 
 def is_nonzero_square(field: FiniteField, a: FieldElement) -> bool:

@@ -15,12 +15,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
-from typing import Callable, Collection, Iterable
+from typing import Callable, Iterable
 
 from .errors import InvalidOrderError, InvalidPairError, TooLargeError
 from .families import _check_paley_size, paley_graph, prime_power_decomposition
-from .fields import FieldElement, FiniteField, is_nonzero_square, square_index_set
-from .graphs import Graph, decompose_edge
+from .fields import FieldElement, FiniteField, square_index_set
+from .graphs import Graph, _set_bits, decompose_edge
 
 # Subsets tested per run, in either mode.  Exhaustive mode runs at q = 29
 # (397,594 subsets); q = 37 would need 32 million.
@@ -60,21 +60,24 @@ def find_pattern_witness(
     return None
 
 
-def pattern_free_kernel(g: Graph, x: int, y: int) -> Callable[[Collection[int]], bool]:
-    """Decide subsets of g's vertices by integer bitmasks around the edge xy.
+def pattern_free_kernel(g: Graph, x: int, y: int) -> Callable[[int], bool]:
+    """Decide subsets of g's vertices, given as bitmasks, around the edge xy.
 
-    The returned test is True iff no edge of g joins N_x to N_y inside the
-    subset, i.e. on the Paley graph iff find_pattern_witness finds nothing.
+    Each edge of H(x, y), from w in N_x to a bit of its row, is held as the
+    two-bit mask of its ends.  The returned test is True iff no such edge
+    lies inside the subset's mask, i.e. on the Paley graph iff
+    find_pattern_witness finds nothing.
     """
     parts = decompose_edge(g, x, y)
-    # reach[w]: the N_y neighbors of w when w is in N_x (its row of H(x, y)), else nothing.
-    reach = [0] * g.n
-    for w, row in zip(parts.nx, parts.rows):
-        reach[w] = row
+    edges = [1 << w | 1 << z for w, row in zip(parts.nx, parts.rows) for z in _set_bits(row)]
 
-    def pattern_free(subset: Collection[int]) -> bool:
-        s = sum(1 << v for v in subset)
-        return not any(reach[w] & s for w in subset)
+    def pattern_free(s: int) -> bool:
+        # A large S usually holds the first edge, so a plain loop beats the
+        # cost of setting up all() over a generator.
+        for e in edges:
+            if s & e == e:
+                return False
+        return True
 
     return pattern_free
 
@@ -101,21 +104,6 @@ def subset_threshold(q: int) -> int:
     return -((-3 * (q - 1)) // 4)
 
 
-def canonical_pair(field: FiniteField) -> tuple[FieldElement, FieldElement]:
-    """(0, c) with c the index-smallest nonzero square.
-
-    Affine maps t -> a t + b with a a nonzero square act transitively on
-    square-difference pairs, so verifying one pair verifies them all.
-    tests/test_residues.py::test_paley_edges_form_one_orbit checks that
-    transitivity for every Paley order q <= 101, with generators verified
-    as automorphisms of P(q).
-    """
-    for e in field.elements():
-        if is_nonzero_square(field, e):
-            return field.zero, e
-    raise InvalidOrderError(f"GF({field.q}) has no nonzero square")
-
-
 def verify_corollary(
     q: int,
     mode: str = "exhaustive",
@@ -126,10 +114,13 @@ def verify_corollary(
 
     Each subset is decided on the Paley graph P(q): a witness for the
     canonical edge (x, y) is an edge of P(q) from N_x to N_y inside S, so
-    with integer neighbor bitmasks the test is one AND per N_x vertex of S.
-    find_pattern_witness is the independent field-arithmetic reference.
-    P(q) is held in memory, so q is checked against the Paley edge bound
-    before it is factored.
+    S, as a bitmask, is pattern-free iff no two-bit mask of an edge of
+    H(x, y) lies inside it (pattern_free_kernel).  Exhaustive mode
+    enumerates the removed set R, at most gamma - 1 of the q - 2 vertices
+    of the universe, and tests S = universe minus R.  find_pattern_witness
+    is the independent field-arithmetic reference.  P(q) is held in
+    memory, so q is checked against the Paley edge bound before it is
+    factored.
     """
     _check_paley_size(q)
     if q <= 5 or q % 4 != 1 or prime_power_decomposition(q) is None:
@@ -154,28 +145,34 @@ def verify_corollary(
     else:
         raise InvalidOrderError(f"unknown mode {mode!r}")
     g = paley_graph(q)
-    x, y = 0, g.neighbors(0)[0]  # canonical_pair: 0 and the index-smallest nonzero square
+    # The affine maps t -> a t + b, a a nonzero square, are transitive on
+    # the square-difference pairs, so one pair decides them all: 0 and the
+    # index-smallest nonzero square (tests/helpers.canonical_pair).
+    x, y = 0, g.neighbors(0)[0]
     pattern_free = pattern_free_kernel(g, x, y)
-    universe = [v for v in range(q) if v != x and v != y]
+    bits = [1 << v for v in range(q) if v != x and v != y]  # the universe, one bit each
+    full = sum(bits)
     failures: list[tuple[int, ...]] = []
     tested = 0
     if mode == "exhaustive":
         for size in sizes:
-            for subset in combinations(universe, size):
+            for removed in combinations(bits, len(bits) - size):
+                s = full ^ sum(removed)
                 tested += 1
-                if pattern_free(subset):
-                    failures.append(subset)
+                if pattern_free(s):
+                    failures.append(_set_bits(s))
     else:
         # Size s has weight comb(q - 2, s); a draw below the total lands in its
-        # slot of the running sums.
-        cumulative = list(accumulate(comb(len(universe), s) for s in sizes))
+        # slot of the running sums.  rng.sample picks positions in the
+        # universe, and each position holds its vertex's bit.
+        cumulative = list(accumulate(comb(len(bits), s) for s in sizes))
         for counter in range(trials):
             rng = random.Random(f"{seed}:{counter}")
             size = sizes[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
-            subset = rng.sample(universe, size)
+            s = sum(rng.sample(bits, size))
             tested += 1
-            if pattern_free(subset):
-                failures.append(tuple(sorted(subset)))
+            if pattern_free(s):
+                failures.append(_set_bits(s))
     failures.sort()
     return CorollaryReport(
         q=q,

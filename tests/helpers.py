@@ -11,10 +11,12 @@ separate bit-row reach (`_bit_reach`) that of the reach `_bit_matching`
 collects from its failed searches, the set-built split (`set_decompose_edge`)
 that of `graphs.decompose_edge`, the all-pairs loop
 (`all_pairs_classify_regularity`) that of `classify_regularity`'s 2-ball
-walk, and the edge walk (`_edge_orbits`) that of the one-orbit check behind
-`transport.paley_kappa`.  Hopcroft-Karp on index lists (`_hopcroft_karp`)
-and the column-by-column `lex_first_maximum_reference` are the references
-of `matching.max_matching`, and `sharpness_equivalence` sets an edge's
+walk, the edge walk (`_edge_orbits`) that of the one-orbit check behind
+`transport.paley_kappa`, and the field-arithmetic search (`canonical_pair`)
+that of the pair `residues.verify_corollary` reads off P(q).
+Hopcroft-Karp on index lists (`_hopcroft_karp`) and the column-by-column
+`lex_first_maximum_reference` are the references of
+`matching.max_matching`, and `sharpness_equivalence` sets an edge's
 curvature sharpness beside its local perfect matching.  No code in `src/`
 calls them.
 """
@@ -30,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from llycurv.errors import InvalidParamsError
+from llycurv.errors import InvalidOrderError, InvalidParamsError
+from llycurv.fields import FieldElement, FiniteField, is_nonzero_square
 from llycurv.graphs import (
     Graph,
     RegularityClass,
@@ -600,3 +603,18 @@ def _edge_orbits(
                     roots[j] = first
                     orbit.append(j)
     return roots
+
+
+def canonical_pair(field: FiniteField) -> tuple[FieldElement, FieldElement]:
+    """(0, c) with c the index-smallest nonzero square.
+
+    Affine maps t -> a t + b with a a nonzero square act transitively on
+    square-difference pairs, so verifying one pair verifies them all.
+    tests/test_residues.py::test_paley_edges_form_one_orbit checks that
+    transitivity for every Paley order q <= 101, with generators verified
+    as automorphisms of P(q).
+    """
+    for e in field.elements():
+        if is_nonzero_square(field, e):
+            return field.zero, e
+    raise InvalidOrderError(f"GF({field.q}) has no nonzero square")

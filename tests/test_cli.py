@@ -795,6 +795,21 @@ def test_corollary_command(capsys):
 
 
 @pytest.mark.parametrize(
+    "q, sha256",
+    [
+        (17, "3081b9d6c0e2a01f4aebd82fd8f062103904def6fae6f9c0f52eafb055733728"),
+        (29, "1960110bda64d26caf566e5100a969950cb74b543ff0d49f3749c9607365c75b"),
+    ],
+)
+def test_exhaustive_corollary_stdout_pinned(capsys, q, sha256):
+    # Recorded while each kept subset was enumerated directly, before the
+    # enumeration went over the removed sets.
+    code, out, err = run(capsys, "corollary", "--q", str(q), "--mode", "exhaustive")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
     "args, error",
     [
         (

@@ -16,18 +16,17 @@ from llycurv.fields import is_nonzero_square, make_field
 from llycurv.graphs import decompose_edge
 from llycurv.matching import local_perfect_matching
 from llycurv.residues import (
-    canonical_pair,
     find_pattern_witness,
     pattern_free_kernel,
     square_index_set,
     subset_threshold,
     verify_corollary,
 )
-from helpers import _edge_orbits
+from helpers import _edge_orbits, canonical_pair
 
 
 def test_square_index_set_agrees_with_euler_criterion():
-    for p, m in [(13, 1), (3, 2), (5, 2)]:
+    for p, m in [(13, 1), (3, 2), (5, 2), (29, 1), (7, 2), (3, 3), (2, 3), (2, 4)]:
         f = make_field(p, m)
         squares = square_index_set(f)
         for e in f.elements():
@@ -128,6 +127,10 @@ def test_verify_corollary_sampled_deterministic():
     assert a.subsets_tested == 500 and a.failures == ()
 
 
+def _mask(subset):
+    return sum(1 << v for v in subset)
+
+
 def _reference_pattern_free(q, subsets):
     f = make_field(*prime_power_decomposition(q))
     x, y = canonical_pair(f)
@@ -146,9 +149,21 @@ def test_kernel_agrees_with_reference_on_every_subset(q, sizes):
     universe = range(2, q)
     for size in sizes:
         subsets = list(combinations(universe, size))
-        fast = [s for s in subsets if kernel(s)]
+        fast = [s for s in subsets if kernel(_mask(s))]
         assert fast == _reference_pattern_free(q, subsets), (q, size)
         assert bool(fast) == (size < subset_threshold(q)), (q, size)
+
+
+@pytest.mark.parametrize("q, threshold", [(13, 7), (17, 11)])
+def test_exhaustive_failures_are_the_pattern_free_kept_subsets(monkeypatch, q, threshold):
+    # At the threshold no subset is pattern-free, so a lowered threshold is
+    # what shows that each failure is listed, as its kept subset S.
+    monkeypatch.setattr(residues, "subset_threshold", lambda q: threshold)
+    report = verify_corollary(q)
+    kept = [s for size in range(threshold, q - 1) for s in combinations(range(2, q), size)]
+    reference = _reference_pattern_free(q, kept)
+    assert report.subsets_tested == len(kept)
+    assert reference and list(report.failures) == sorted(reference)
 
 
 def test_kernel_agrees_with_reference_on_gf25_samples():
@@ -161,7 +176,7 @@ def test_kernel_agrees_with_reference_on_gf25_samples():
     subsets = [
         tuple(sorted(rng.sample(universe, rng.randrange(8, 19)))) for _ in range(2000)
     ]
-    fast = [s for s in subsets if kernel(s)]
+    fast = [s for s in subsets if kernel(_mask(s))]
     assert fast == _reference_pattern_free(25, subsets)
     assert 0 < len(fast) < len(subsets)
 
