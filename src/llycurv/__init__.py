@@ -22,13 +22,11 @@ from .families import (
     CatalogEntry,
     catalog,
     named_graph,
-    paley_automorphisms,
     paley_gamma_orders,
     paley_graph,
-    random_regular_graph,
 )
 from .fields import FieldElement, FiniteField, is_nonzero_square, make_field
-from .graphio import from_graph6, from_json, load_graph, save_graph, to_graph6, to_json
+from .graphio import from_graph6, from_json, load_graph, to_graph6, to_json
 from .graphs import (
     EdgeNeighborhood,
     Graph,
@@ -38,13 +36,10 @@ from .graphs import (
     bfs_distances,
     classify_regularity,
     decompose_edge,
-    neighbor_profile,
-    parameter_identity_check,
 )
 from .matching import (
     BipartiteInstance,
     MatchingResult,
-    hall_reduction_check,
     local_perfect_matching,
     max_matching,
 )
@@ -57,7 +52,6 @@ from .spectral import (
     lichnerowicz_report,
     numerical_lambda2,
     srg_spectrum,
-    verify_srg_identity,
 )
 from .transport import (
     CurvatureReport,

@@ -280,20 +280,6 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def parse_csv(text: str) -> list[dict[str, int | None]]:
-    """Read back a scan or curvature CSV emission; an empty field reads as None."""
-    rows = []
-    header: list[str] | None = None
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append({k: int(v) if v else None for k, v in zip(header, line.split(","))})
-    return rows
-
-
 def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", required=True, choices=family_names())
     p.add_argument("--q", type=int)

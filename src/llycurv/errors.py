@@ -17,10 +17,6 @@ class NotRegularError(LlycurvError):
     """Operation requires a regular graph."""
 
 
-class NotAmplyRegularError(LlycurvError):
-    """Operation requires an amply regular graph (or the counts disagree)."""
-
-
 class DisconnectedError(LlycurvError):
     """Operation requires a connected graph."""
 

@@ -7,7 +7,6 @@ the verification suites sweep over.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
@@ -20,8 +19,8 @@ from .errors import (
     TooLargeError,
     UnknownFamilyError,
 )
-from .fields import FieldElement, FiniteField, _prime_divisors, is_prime, make_field, square_index_set
-from .graphs import Graph, SrgParams, is_connected
+from .fields import FieldElement, FiniteField, _prime_divisors, make_field, square_index_set
+from .graphs import Graph, SrgParams
 
 # A family's build costs time and memory in proportion to its edges (or, for
 # the k-subset families, to the vertex pairs tested), so one bound covers
@@ -156,24 +155,6 @@ def _square_generator(field: FiniteField) -> FieldElement:
     return g * g
 
 
-def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of the affine maps t -> a t + b, a a nonzero square, of P(q).
-
-    Each map is a vertex permutation (image of every field index): the m
-    translations by the basis elements 1, t, ..., t^(m-1) of GF(p^m), which
-    generate every translation, and t -> g^2 t for the first primitive
-    element g in index order, which generates every square multiplier.
-    The group they generate is transitive on the edges of P(q).
-    """
-    field = _paley_field(q)
-    p, m = field.p, field.m
-    # t^k has the index p^(m-1-k): the constant term is the leading digit.
-    maps = [tuple(_translation((p,) * m, p ** (m - 1 - k))) for k in range(m)]
-    square = _square_generator(field)
-    maps.append(tuple((square * e).index for e in field.elements()))
-    return tuple(maps)
-
-
 def _paley_root_rows(q: int) -> tuple[int, tuple[int, ...]]:
     """ny_mask and H1's rows of the edge (0, c) of P(q), c the least square, from S alone.
 
@@ -304,47 +285,6 @@ def named_graph(name: str, **params: int) -> Graph:
     return builder(*(params[w] for w in wanted))
 
 
-def random_regular_graph(n: int, d: int, seed: int) -> Graph:
-    """Connected random d-regular simple graph, deterministic in the seed.
-
-    Pairs stubs one edge at a time, restarting with a derived seed whenever
-    the construction wedges or the result is disconnected.
-    """
-    if n * d % 2 or d >= n or d < 1:
-        raise InvalidParamsError(f"no {d}-regular graph on {n} vertices")
-    if d == 1 and n > 2:
-        raise InvalidParamsError(f"a 1-regular graph on {n} > 2 vertices is never connected")
-    attempt = 0
-    while True:
-        rng = random.Random(f"{seed}:{attempt}")
-        g = _try_regular(n, d, rng)
-        if g is not None and is_connected(g):
-            return g
-        attempt += 1
-
-
-def _try_regular(n: int, d: int, rng: random.Random) -> Graph | None:
-    remaining = {v: d for v in range(n)}
-    adj: set[tuple[int, int]] = set()
-    while remaining:
-        verts = sorted(remaining)
-        candidates = [
-            (u, v)
-            for i, u in enumerate(verts)
-            for v in verts[i + 1 :]
-            if (u, v) not in adj
-        ]
-        if not candidates:
-            return None
-        u, v = rng.choice(candidates)
-        adj.add((u, v))
-        for w in (u, v):
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                del remaining[w]
-    return Graph(n, adj)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -405,15 +345,12 @@ __all__ = [
     "cycle_graph",
     "family_names",
     "hypercube_graph",
-    "is_prime",
     "johnson_graph",
     "named_graph",
-    "paley_automorphisms",
     "paley_gamma_orders",
     "paley_graph",
     "petersen_graph",
     "prime_power_decomposition",
-    "random_regular_graph",
     "rook_graph",
     "shrikhande_graph",
 ]

@@ -198,25 +198,10 @@ def from_json(text: str) -> Graph:
         raise InvalidParamsError('expected {"n": int, "edges": [[u,v],...]}') from exc
 
 
-def save_graph(g: Graph, path: str | Path, fmt: str | None = None) -> None:
-    path = Path(path)
-    fmt = fmt or ("json" if path.suffix == ".json" else "graph6")
-    if fmt == "json":
-        path.write_text(to_json(g))
-    elif fmt == "graph6":
-        path.write_text(to_graph6(g) + "\n")
-    else:
-        raise InvalidParamsError(f"unknown graph format {fmt!r}")
-
-
-def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
-    """Read a graph file; without fmt it is graph6 iff its stripped bytes all lie in 63..126."""
+def load_graph(path: str | Path) -> Graph:
+    """Read a graph file: graph6 iff its stripped bytes all lie in 63..126, JSON otherwise."""
     # Bad UTF-8 becomes U+FFFD, which graph6 rejects and JSON allows only inside a string.
     text = Path(path).read_bytes().decode(errors="replace")
-    if fmt is None:
-        fmt = "graph6" if _GRAPH6.fullmatch(text.strip()) else "json"
-    if fmt == "json":
-        return from_json(text)
-    if fmt == "graph6":
+    if _GRAPH6.fullmatch(text.strip()):
         return from_graph6(text)
-    raise InvalidParamsError(f"unknown graph format {fmt!r}")
+    return from_json(text)

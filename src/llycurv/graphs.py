@@ -16,9 +16,9 @@ builds a row.  Alongside the type live the operations the curvature
 machinery leans on: neighbor bitmasks (the one common-neighbor primitive
 of the exact code), breadth-first distances, the 2-ball of a vertex as a
 mask, the four-way decomposition of the vertex set around an edge
-together with its local matching graph H(x, y) as bit rows, regularity
-classification, and the per-vertex neighbor profile of amply regular
-graphs.
+together with its local matching graph H(x, y) as bit rows, and
+regularity classification, which decides the amply and strongly regular
+parameters (n, d, alpha, beta) the paper's counting rests on.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from typing import Iterable, Iterator
 from .errors import (
     InvalidParamsError,
     InvalidVertexError,
-    NotAmplyRegularError,
     NotAnEdgeError,
     TooLargeError,
 )
@@ -393,85 +392,3 @@ def classify_regularity(g: Graph) -> RegularityClass:
     if every_ball_full:
         return RegularityClass(RegularityKind.STRONGLY_REGULAR, degree=d, params=params)
     return RegularityClass(RegularityKind.AMPLY_REGULAR, degree=d, params=params)
-
-
-@dataclass(frozen=True)
-class NeighborProfile:
-    """How the d-1 non-x neighbors of some v in N_x split across the classes."""
-
-    ell: int
-    in_delta: int
-    in_nx: int
-    in_pxy: int
-
-
-def neighbor_profile(
-    g: Graph,
-    x: VertexId,
-    y: VertexId,
-    v: VertexId,
-    params: SrgParams | None = None,
-) -> NeighborProfile:
-    """Neighbor counts of v in N_x forced by the amply regular parameters.
-
-    With ell = |G(v) n N_y| the parameters force beta-1-ell neighbors in
-    delta, alpha-beta+1+ell in N_x and d-alpha-1-ell in P_xy.  The counts
-    are recounted from the neighbor masks and any disagreement raises,
-    which is exactly the signal that the graph is not amply regular.
-    """
-    if params is None:
-        rc = classify_regularity(g)
-        if not rc.is_amply_regular or rc.params is None:
-            raise NotAmplyRegularError("graph is not amply regular")
-        params = rc.params
-    parts = decompose_edge(g, x, y)
-    if v not in parts.nx:
-        raise InvalidVertexError(f"vertex {v} is not in N_x of edge ({x},{y})")
-    masks = neighbor_masks(g)
-    gv, gx, gy = masks[v], masks[x], masks[y]
-    ell = (gv & parts.ny_mask).bit_count()
-    expected = NeighborProfile(
-        ell=ell,
-        in_delta=params.beta - 1 - ell,
-        in_nx=params.alpha - params.beta + 1 + ell,
-        in_pxy=params.d - params.alpha - 1 - ell,
-    )
-    actual = NeighborProfile(
-        ell=ell,
-        in_delta=(gv & gx & gy).bit_count(),
-        in_nx=(gv & gx & ~gy & ~(1 << y)).bit_count(),
-        # x and y lie in gx | gy, so P_xy is everything outside it
-        in_pxy=(gv & ~(gx | gy)).bit_count(),
-    )
-    if expected != actual:
-        raise NotAmplyRegularError(
-            f"profile mismatch at v={v} on edge ({x},{y}): "
-            f"expected {expected}, adjacency gives {actual}"
-        )
-    return expected
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Outcome of the counting inequality d(d-alpha-1) <= (n-d-1)beta."""
-
-    lhs: int
-    rhs: int
-    relation: str  # "equal" | "strict" | "violated"
-
-
-def parameter_identity_check(g: Graph) -> IdentityCheck:
-    """Evaluate d(d-alpha-1) vs (n-d-1)beta on g's parameters; equality characterizes SRGs."""
-    rc = classify_regularity(g)
-    if not rc.is_amply_regular or rc.params is None:
-        raise NotAmplyRegularError("graph is not amply regular")
-    p = rc.params
-    lhs = p.d * (p.d - p.alpha - 1)
-    rhs = (p.n - p.d - 1) * p.beta
-    if lhs == rhs:
-        relation = "equal"
-    elif lhs < rhs:
-        relation = "strict"
-    else:
-        relation = "violated"
-    return IdentityCheck(lhs=lhs, rhs=rhs, relation=relation)

@@ -18,6 +18,10 @@ edges only when read.  `match` and `max_matching` run the same engine:
 on a sharp edge the `curvature --edge` witness.  When the left side is
 deficient, the reach of that `_bit_matching` call is an explicit Hall
 violator, so callers get a checkable certificate instead of a bare boolean.
+That violator is the one Hall check an answer needs.  The half-size
+reduction (Hall's condition on every subset of at most (m+1)/2 vertices
+of either side implies it on all) holds for every instance, so no answer
+path checks it.
 """
 
 from __future__ import annotations
@@ -25,15 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    InvalidParamsError,
-    NotRegularError,
-    TooLargeError,
-    UnbalancedSidesError,
-)
+from .errors import InvalidParamsError, NotRegularError
 from .graphs import Graph, _set_bits, decompose_edge
-
-_HALL_EXHAUSTIVE_CAP = 14
 
 
 class BipartiteInstance:
@@ -303,53 +300,3 @@ def local_perfect_matching(g: Graph, x: int, y: int) -> tuple[BipartiteInstance,
     parts = decompose_edge(g, x, y)
     instance = BipartiteInstance._from_rows(parts.nx, parts.ny, parts.rows, parts.ny_mask)
     return instance, max_matching(instance)
-
-
-@dataclass(frozen=True)
-class HallReduction:
-    hypothesis_holds: bool
-    full_hall_holds: bool
-
-
-def hall_reduction_check(instance: BipartiteInstance) -> HallReduction:
-    """Exhaustively test the half-size Hall hypothesis against full Hall.
-
-    hypothesis: every subset of size <= (m+1)/2 on either side has enough
-    neighbors; full: every left subset does.  The reduction lemma says the
-    first implies the second; this brute-forces both flags so that can be
-    tested.
-    """
-    m = len(instance.left)
-    if m != len(instance.right):
-        raise UnbalancedSidesError("sides must have equal size")
-    if m > _HALL_EXHAUSTIVE_CAP:
-        raise TooLargeError(f"subset enumeration capped at m = {_HALL_EXHAUSTIVE_CAP}")
-    left_mask = instance.rows()
-    right_mask = [0] * m
-    for li, ri in instance.edges:
-        right_mask[ri] |= 1 << li
-    half = (m + 1) // 2  # |S| <= (m+1)/2 for integer sizes
-
-    def neighbors_of(mask: int, table: list[int]) -> int:
-        out = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            out |= table[low.bit_length() - 1]
-            mm ^= low
-        return out
-
-    hypothesis = True
-    full = True
-    for mask in range(1, 1 << m):
-        size = mask.bit_count()
-        ok = neighbors_of(mask, left_mask).bit_count() >= size
-        if not ok:
-            full = False
-            if size <= half:
-                hypothesis = False
-        if size <= half and neighbors_of(mask, right_mask).bit_count() < size:
-            hypothesis = False
-        if not hypothesis and not full:
-            break
-    return HallReduction(hypothesis_holds=hypothesis, full_hall_holds=full)

@@ -1,4 +1,4 @@
-"""Closed-form SRG spectra, the matrix identity, and Lichnerowicz sharpness.
+"""Closed-form SRG spectra and Lichnerowicz sharpness.
 
 Eigenvalues of strongly regular graphs are quadratic irrationalities
 (u + v sqrt(D))/w and are kept in that exact form; numerical values only
@@ -6,7 +6,9 @@ appear where a graph has no closed form, and equality with a rational
 curvature is always decided exactly.  numerical_lambda2, the one
 floating-point computation, imports its eigensolver inside the function,
 so importing this module loads no linear-algebra library, and refuses a
-graph above `_DENSE_VERTICES` before it does.
+graph above `_DENSE_VERTICES` before it does.  Whether a graph satisfies
+the SRG identity A^2 = dI + alpha A + beta (J - I - A) is
+`graphs.classify_regularity`'s strongly regular verdict and parameters.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NotSrgParametersError,
     TooLargeError,
 )
-from .graphs import Graph, SrgParams, classify_regularity, is_connected, neighbor_masks
+from .graphs import Graph, SrgParams, classify_regularity, is_connected
 from .transport import curvature_spectrum
 
 _EIG_TOL = 1e-9
@@ -126,25 +128,6 @@ def srg_spectrum(params: SrgParams) -> SpectrumReport:
     return SpectrumReport(
         params=params, lambda2=lambda2, lambda3=lambda3, m1=1, m2=m2, m3=m3
     )
-
-
-def verify_srg_identity(g: Graph, params: SrgParams) -> bool:
-    """Entrywise check of A^2 = dI + alpha A + beta (J - I - A) in integers.
-
-    (A^2)_uv counts the common neighbors of u and v, so the diagonal must
-    be d and an off-diagonal entry alpha or beta as uv is an edge or not.
-    """
-    if g.n != params.n:
-        raise InvalidParamsError(f"graph has {g.n} vertices, params say {params.n}")
-    masks = neighbor_masks(g)
-    for u, row in enumerate(masks):
-        if row.bit_count() != params.d:
-            return False
-        for v in range(u + 1, g.n):
-            expected = params.alpha if row >> v & 1 else params.beta
-            if (row & masks[v]).bit_count() != expected:
-                return False
-    return True
 
 
 def numerical_lambda2(g: Graph) -> float:

@@ -1,4 +1,4 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and fixtures shared by the test modules.
 
 Everything here deliberately re-derives results by the dumbest correct
 method available (matrix powers, permutation enumeration, single
@@ -10,19 +10,25 @@ it checks.  The O(m^3) Hungarian assignment (`hungarian`,
 separate bit-row reach (`_bit_reach`) that of the reach `_bit_matching`
 collects from its failed searches, the set-built split (`set_decompose_edge`)
 that of `graphs.decompose_edge`, the all-pairs loop
-(`all_pairs_classify_regularity`) that of `classify_regularity`'s 2-ball
-walk, the edge walk (`_edge_orbits`) that of the one-orbit check behind
-`transport.paley_kappa`, and the field-arithmetic search (`canonical_pair`)
-that of the pair `residues.verify_corollary` reads off P(q).
-Hopcroft-Karp on index lists (`_hopcroft_karp`) and the column-by-column
-`lex_first_maximum_reference` are the references of
-`matching.max_matching`, and `sharpness_equivalence` sets an edge's
-curvature sharpness beside its local perfect matching.  No code in `src/`
-calls them.
+(`all_pairs_classify_regularity`) and the dense product A^2
+(`matrix_srg_identity`) those of `classify_regularity`'s 2-ball walk and
+its strongly regular verdict, the edge walk (`_edge_orbits`) over the
+affine generators of P(q) (`paley_automorphisms`) that of the one-orbit
+check behind `transport.paley_kappa`, and the field-arithmetic search
+(`canonical_pair`) that of the pair `residues.verify_corollary` reads off
+P(q).  Hopcroft-Karp on index lists (`_hopcroft_karp`) and the
+column-by-column `lex_first_maximum_reference` are the references of
+`matching.max_matching`, `sharpness_equivalence` sets an edge's curvature
+sharpness beside its local perfect matching, and `hall_reduction_check`
+enumerates every subset to test the half-size Hall reduction.  The
+fixtures are `random_regular_graph`, the seeded generator of the tests'
+random regular graphs, and `parse_csv`, which reads a `scan` or
+`curvature` CSV back.  No code in `src/` calls any of them.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,13 +38,15 @@ from typing import Sequence
 
 import numpy as np
 
-from llycurv.errors import InvalidOrderError, InvalidParamsError
+from llycurv import families
+from llycurv.errors import InvalidOrderError, InvalidParamsError, TooLargeError, UnbalancedSidesError
 from llycurv.fields import FieldElement, FiniteField, is_nonzero_square
 from llycurv.graphs import (
     Graph,
     RegularityClass,
     RegularityKind,
     SrgParams,
+    is_connected,
     neighbor_masks,
 )
 from llycurv.matching import BipartiteInstance, local_perfect_matching
@@ -206,6 +214,59 @@ def sharpness_equivalence(g: Graph, x: int, y: int) -> SharpnessEquivalence:
         matching_perfect=result.perfect,
         agree=kappa_sharp == result.perfect,
     )
+
+
+_HALL_EXHAUSTIVE_CAP = 14
+
+
+@dataclass(frozen=True)
+class HallReduction:
+    hypothesis_holds: bool
+    full_hall_holds: bool
+
+
+def hall_reduction_check(instance: BipartiteInstance) -> HallReduction:
+    """Exhaustively test the half-size Hall hypothesis against full Hall.
+
+    hypothesis: every subset of size <= (m+1)/2 on either side has enough
+    neighbors; full: every left subset does.  The reduction lemma says the
+    first implies the second; this brute-forces both flags so that can be
+    tested.
+    """
+    m = len(instance.left)
+    if m != len(instance.right):
+        raise UnbalancedSidesError("sides must have equal size")
+    if m > _HALL_EXHAUSTIVE_CAP:
+        raise TooLargeError(f"subset enumeration capped at m = {_HALL_EXHAUSTIVE_CAP}")
+    left_mask = instance.rows()
+    right_mask = [0] * m
+    for li, ri in instance.edges:
+        right_mask[ri] |= 1 << li
+    half = (m + 1) // 2  # |S| <= (m+1)/2 for integer sizes
+
+    def neighbors_of(mask: int, table: list[int]) -> int:
+        out = 0
+        mm = mask
+        while mm:
+            low = mm & -mm
+            out |= table[low.bit_length() - 1]
+            mm ^= low
+        return out
+
+    hypothesis = True
+    full = True
+    for mask in range(1, 1 << m):
+        size = mask.bit_count()
+        ok = neighbors_of(mask, left_mask).bit_count() >= size
+        if not ok:
+            full = False
+            if size <= half:
+                hypothesis = False
+        if size <= half and neighbors_of(mask, right_mask).bit_count() < size:
+            hypothesis = False
+        if not hypothesis and not full:
+            break
+    return HallReduction(hypothesis_holds=hypothesis, full_hall_holds=full)
 
 
 def uniform_measure_w1_oracle(g: Graph, verts1, verts2) -> Fraction:
@@ -569,6 +630,24 @@ def all_pairs_classify_regularity(g: Graph) -> RegularityClass:
     return RegularityClass(RegularityKind.AMPLY_REGULAR, degree=d, params=params)
 
 
+def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of the affine maps t -> a t + b, a a nonzero square, of P(q).
+
+    Each map is a vertex permutation (image of every field index): the m
+    translations by the basis elements 1, t, ..., t^(m-1) of GF(p^m), which
+    generate every translation, and t -> g^2 t for the first primitive
+    element g in index order, which generates every square multiplier.
+    The group they generate is transitive on the edges of P(q).
+    """
+    field = families._paley_field(q)
+    p, m = field.p, field.m
+    # t^k has the index p^(m-1-k): the constant term is the leading digit.
+    maps = [tuple(families._translation((p,) * m, p ** (m - 1 - k))) for k in range(m)]
+    square = families._square_generator(field)
+    maps.append(tuple((square * e).index for e in field.elements()))
+    return tuple(maps)
+
+
 def _edge_orbits(
     g: Graph, edges: list[tuple[int, int]], automorphisms: Sequence[Sequence[int]]
 ) -> list[int]:
@@ -618,3 +697,58 @@ def canonical_pair(field: FiniteField) -> tuple[FieldElement, FieldElement]:
         if is_nonzero_square(field, e):
             return field.zero, e
     raise InvalidOrderError(f"GF({field.q}) has no nonzero square")
+
+
+def random_regular_graph(n: int, d: int, seed: int) -> Graph:
+    """Connected random d-regular simple graph, deterministic in the seed.
+
+    Pairs stubs one edge at a time, restarting with a derived seed whenever
+    the construction wedges or the result is disconnected.
+    """
+    if n * d % 2 or d >= n or d < 1:
+        raise InvalidParamsError(f"no {d}-regular graph on {n} vertices")
+    if d == 1 and n > 2:
+        raise InvalidParamsError(f"a 1-regular graph on {n} > 2 vertices is never connected")
+    attempt = 0
+    while True:
+        rng = random.Random(f"{seed}:{attempt}")
+        g = _try_regular(n, d, rng)
+        if g is not None and is_connected(g):
+            return g
+        attempt += 1
+
+
+def _try_regular(n: int, d: int, rng: random.Random) -> Graph | None:
+    remaining = {v: d for v in range(n)}
+    adj: set[tuple[int, int]] = set()
+    while remaining:
+        verts = sorted(remaining)
+        candidates = [
+            (u, v)
+            for i, u in enumerate(verts)
+            for v in verts[i + 1 :]
+            if (u, v) not in adj
+        ]
+        if not candidates:
+            return None
+        u, v = rng.choice(candidates)
+        adj.add((u, v))
+        for w in (u, v):
+            remaining[w] -= 1
+            if remaining[w] == 0:
+                del remaining[w]
+    return Graph(n, adj)
+
+
+def parse_csv(text: str) -> list[dict[str, int | None]]:
+    """Read back a scan or curvature CSV emission; an empty field reads as None."""
+    rows = []
+    header: list[str] | None = None
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = line.split(",")
+            continue
+        rows.append({k: int(v) if v else None for k, v in zip(header, line.split(","))})
+    return rows

@@ -26,14 +26,9 @@ from llycurv.families import (
     catalog,
     paley_gamma_orders,
     paley_graph,
-    random_regular_graph,
 )
-from llycurv.graphs import SrgParams, classify_regularity, parameter_identity_check
-from llycurv.matching import (
-    BipartiteInstance,
-    hall_reduction_check,
-    local_perfect_matching,
-)
+from llycurv.graphs import SrgParams, classify_regularity
+from llycurv.matching import BipartiteInstance, local_perfect_matching
 from llycurv.residues import verify_corollary
 from llycurv.spectral import (
     enumerate_sharp_candidates,
@@ -47,6 +42,7 @@ from llycurv.transport import (
     curvature_spectrum,
     wasserstein_w1,
 )
+from helpers import hall_reduction_check, random_regular_graph
 
 SAMPLED_SEED = 20240814
 
@@ -239,13 +235,15 @@ def test_criterion_11_property_suites():
         )
         check = hall_reduction_check(inst)
         assert not (check.hypothesis_holds and not check.full_hall_holds)
-    # counting identity equality exactly on the strongly regular entries
+    # d(d - alpha - 1) <= (n - d - 1) beta, with equality exactly on the
+    # strongly regular entries
     for entry in catalog():
         rc = classify_regularity(entry.graph)
         if not rc.is_amply_regular:
             continue
-        check = parameter_identity_check(entry.graph)
-        assert (check.relation == "equal") == rc.is_strongly_regular, entry.name
+        p = rc.params
+        lhs, rhs = p.d * (p.d - p.alpha - 1), (p.n - p.d - 1) * p.beta
+        assert lhs <= rhs and (lhs == rhs) == rc.is_strongly_regular, entry.name
     # W1 metric axioms on sampled rational measures
     g = paley_graph(13)
     for trial in range(15):

@@ -1,0 +1,159 @@
+"""The library's public surface: every name has a caller, every import a use.
+
+Both checks read source with `ast` only.  A name counts as referenced when
+it appears as a name or an attribute anywhere in `src/`, `demos/` or
+`bench/` outside its own definition; the package's re-exports in
+`__init__.py` and `__all__` entries do not count, string constants under
+`bench/` (its `REPLAY_TARGETS`) do.  `errors.py` is exempt: its classes are
+the documented error vocabulary of the exit-2 paths.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "llycurv"
+
+
+def _references(node: ast.AST, strings: bool) -> set[str]:
+    found: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def _unreferenced_public_names() -> list[str]:
+    # Imports and __all__ entries are not names or attributes, so the
+    # package's re-exports count for nothing.
+    defined: list[tuple[str, Path, ast.stmt]] = []
+    chunks: list[tuple[Path, ast.stmt, set[str]]] = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + sorted(
+        (ROOT / "bench").glob("*.py")
+    ):
+        for node in ast.parse(path.read_text()).body:
+            if path.parent == PACKAGE and path.name != "errors.py":
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                    defined.append((node.name, path, node))
+            chunks.append((path, node, _references(node, strings=path.parent.name == "bench")))
+    return sorted(
+        f"{path.stem}.{name}"
+        for name, path, node in defined
+        if not any(name in refs for p, n, refs in chunks if not (p == path and n is node))
+    )
+
+
+def _unused_imports() -> list[str]:
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in bound if name not in used]
+    return sorted(unused)
+
+
+def test_every_public_name_has_a_caller():
+    assert _unreferenced_public_names() == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports() == []
+
+
+PUBLIC_NAMES = [
+    "BipartiteInstance",
+    "CatalogEntry",
+    "Certificate",
+    "ConditionReport",
+    "CorollaryReport",
+    "CurvatureReport",
+    "CurvatureSpectrum",
+    "EdgeNeighborhood",
+    "Eigenvalue",
+    "FieldElement",
+    "FiniteField",
+    "Graph",
+    "LlycurvError",
+    "MatchingResult",
+    "ObstructionQuadratic",
+    "ProbabilityMeasure",
+    "RegularityClass",
+    "RegularityKind",
+    "SharpnessReport",
+    "SpectrumReport",
+    "SrgParams",
+    "TransportPlan",
+    "bfs_distances",
+    "catalog",
+    "certify",
+    "certify_curvature",
+    "classify_regularity",
+    "curvature_spectrum",
+    "decompose_edge",
+    "enumerate_sharp_candidates",
+    "errors",
+    "evaluate_conditions",
+    "families",
+    "fields",
+    "find_pattern_witness",
+    "from_graph6",
+    "from_json",
+    "graphio",
+    "graphs",
+    "idleness_identity_check",
+    "is_nonzero_square",
+    "lazy_walk_measure",
+    "lichnerowicz_report",
+    "lly_curvature",
+    "load_graph",
+    "local_perfect_matching",
+    "make_field",
+    "matching",
+    "max_matching",
+    "named_graph",
+    "numerical_lambda2",
+    "obstruction_quadratic",
+    "ollivier_kappa_p",
+    "paley_gamma_orders",
+    "paley_graph",
+    "paley_kappa",
+    "residues",
+    "scan_parameters",
+    "spectral",
+    "srg_spectrum",
+    "to_graph6",
+    "to_json",
+    "transport",
+    "verify_corollary",
+    "wasserstein_w1",
+]
+
+
+def test_public_names_are_pinned():
+    # In a fresh interpreter, so only the submodules the package itself
+    # imports are attributes of it.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import llycurv; print(*(n for n in dir(llycurv) if not n.startswith('_')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == PUBLIC_NAMES

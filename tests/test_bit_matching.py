@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llycurv.families import catalog, paley_graph, prime_power_decomposition, random_regular_graph
+from llycurv.families import catalog, paley_graph, prime_power_decomposition
 from llycurv.graphio import load_graph
 from llycurv.graphs import decompose_edge
 from llycurv.matching import (
@@ -35,6 +35,7 @@ from helpers import (
     all_optimal_assignments,
     augmenting_path_matching_size,
     list_two_matching_assignment,
+    random_regular_graph,
 )
 
 DATA = Path(__file__).parent / "data"

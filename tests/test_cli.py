@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from llycurv import certify, cli, families, graphio, residues, spectral
-from llycurv.cli import main, parse_csv
+from llycurv.cli import main
 from llycurv.graphio import load_graph, to_graph6, to_json
 from llycurv.graphs import Graph
 from llycurv.families import (
@@ -23,6 +23,7 @@ from llycurv.families import (
     rook_graph,
     shrikhande_graph,
 )
+from helpers import parse_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,7 +91,7 @@ def test_curvature_reads_a_60_vertex_graph6_file(tmp_path, capsys):
     assert len(doc["edges"]) == 60 and doc["min_kappa"] == {"num": "0", "den": "1"}
 
 
-# tests/data/rrg40_8.g6 is random_regular_graph(40, 8, seed=3), stored so the
+# tests/data/rrg40_8.g6 is helpers.random_regular_graph(40, 8, seed=3), stored so the
 # pins below do not depend on the generator.  None of its 160 edges has a
 # perfect local matching, so every kappa comes from the non-sharp path.  The
 # hashes are of the stdout the Hungarian-assignment engine printed; the

@@ -22,15 +22,14 @@ from llycurv.families import (
     cocktail_party_graph,
     johnson_graph,
     named_graph,
-    paley_automorphisms,
     paley_gamma_orders,
     paley_graph,
     prime_power_decomposition,
-    random_regular_graph,
     rook_graph,
 )
 from llycurv.fields import FieldElement, is_nonzero_square, make_field
 from llycurv.graphs import Graph, SrgParams, bfs_distances, classify_regularity
+from helpers import paley_automorphisms, random_regular_graph
 
 
 def test_prime_power_decomposition():

@@ -9,7 +9,6 @@ import pytest
 
 from llycurv.errors import (
     InvalidVertexError,
-    NotAmplyRegularError,
     NotAnEdgeError,
     TooLargeError,
 )
@@ -22,13 +21,11 @@ from llycurv.families import (
     hypercube_graph,
     paley_graph,
     petersen_graph,
-    random_regular_graph,
     rook_graph,
     shrikhande_graph,
 )
 from llycurv.graphs import (
     Graph,
-    NeighborProfile,
     RegularityKind,
     SrgParams,
     _two_ball,
@@ -36,11 +33,14 @@ from llycurv.graphs import (
     classify_regularity,
     decompose_edge,
     neighbor_masks,
-    neighbor_profile,
-    parameter_identity_check,
 )
 from llycurv.graphio import load_graph
-from helpers import all_pairs_classify_regularity, matrix_power_distances, set_decompose_edge
+from helpers import (
+    all_pairs_classify_regularity,
+    matrix_power_distances,
+    random_regular_graph,
+    set_decompose_edge,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -242,107 +242,46 @@ def test_classify_catalog_matches_expected_params():
             assert rc.params == entry.params, entry.name
 
 
-def test_neighbor_profile_paley13_degree_conservation():
-    g = paley_graph(13)
-    params = SrgParams(13, 6, 2, 3)
-    prof = neighbor_profile(g, 0, 1, 3, params=params)
-    assert prof.ell + prof.in_delta + prof.in_nx + prof.in_pxy == params.d - 1
-
-
-@pytest.mark.parametrize(
-    "g,params",
-    [
-        (paley_graph(13), SrgParams(13, 6, 2, 3)),
-        (petersen_graph(), SrgParams(10, 3, 0, 1)),
-        (cocktail_party_graph(2), SrgParams(4, 2, 0, 2)),
-        (hypercube_graph(3), SrgParams(8, 3, 0, 2)),
-    ],
-    ids=["paley13", "petersen", "c4", "q3"],
-)
-def test_neighbor_profile_agrees_with_adjacency_everywhere(g, params):
-    # the formulas are cross-checked against real intersection counts inside
-    # neighbor_profile; any disagreement raises
-    for x, y in g.edges():
-        parts = decompose_edge(g, x, y)
-        for v in parts.nx:
-            prof = neighbor_profile(g, x, y, v, params=params)
-            assert prof.in_delta >= 0 and prof.in_nx >= 0 and prof.in_pxy >= 0
-
-
 def _profile_by_sets(g, x, y, v, params):
-    """The NeighborProfile the parameters force and the one adjacency sets count."""
+    """How v's neighbours other than x split: forced by the parameters, and counted by sets.
+
+    Each is (ell, in_delta, in_nx, in_pxy), with ell = |G(v) n N_y| and the
+    other three the neighbours of v in delta, N_x and P_xy.
+    """
     gx, gy, gv = (set(g.neighbors(u)) for u in (x, y, v))
     ell = len(gv & (gy - gx - {x}))
-    expected = NeighborProfile(
-        ell=ell,
-        in_delta=params.beta - 1 - ell,
-        in_nx=params.alpha - params.beta + 1 + ell,
-        in_pxy=params.d - params.alpha - 1 - ell,
+    expected = (
+        ell,
+        params.beta - 1 - ell,
+        params.alpha - params.beta + 1 + ell,
+        params.d - params.alpha - 1 - ell,
     )
     pxy = set(range(g.n)) - gx - gy - {x, y}
-    actual = NeighborProfile(ell, len(gv & gx & gy), len(gv & (gx - gy - {y})), len(gv & pxy))
+    actual = (ell, len(gv & gx & gy), len(gv & (gx - gy - {y})), len(gv & pxy))
     return expected, actual
 
 
-@pytest.mark.parametrize(
-    "g",
-    [entry.graph for entry in catalog()]
-    + [random_regular_graph(14, 3, seed=1), random_regular_graph(16, 5, seed=2)],
-    ids=lambda g: repr(g),
-)
-def test_neighbor_profile_counts_equal_set_counts(g):
-    # Graphs without parameters are given one tuple that fits their degree,
-    # so most of their profiles disagree: the counts then show in the error.
-    rc = classify_regularity(g)
-    params = rc.params or SrgParams(g.n, g.degree(0), 0, 1)
+def _profiles(g, params):
     for x, y in g.edges():
         for a, b in ((x, y), (y, x)):
             for v in decompose_edge(g, a, b).nx:
-                expected, actual = _profile_by_sets(g, a, b, v, params)
-                if expected == actual:
-                    assert neighbor_profile(g, a, b, v, params=params) == actual
-                else:
-                    with pytest.raises(NotAmplyRegularError) as info:
-                        neighbor_profile(g, a, b, v, params=params)
-                    assert str(info.value).endswith(f"adjacency gives {actual}")
+                yield _profile_by_sets(g, a, b, v, params)
 
 
-def test_neighbor_profile_detects_wrong_params():
-    g = petersen_graph()
-    x, y = next(iter(g.edges()))
-    parts = decompose_edge(g, x, y)
-    with pytest.raises(NotAmplyRegularError):
-        neighbor_profile(g, x, y, parts.nx[0], params=SrgParams(10, 3, 1, 1))
+@pytest.mark.parametrize(
+    "entry", [e for e in catalog() if e.params is not None], ids=lambda e: e.name
+)
+def test_amply_regular_parameters_force_every_neighbour_profile(entry):
+    # The counting lemma: on an amply regular graph, the parameters fix how
+    # the neighbours of each v in N_x split across the classes of the edge.
+    rc = classify_regularity(entry.graph)
+    assert rc.is_amply_regular
+    for expected, actual in _profiles(entry.graph, rc.params):
+        assert expected == actual
 
 
-def test_neighbor_profile_requires_member_of_nx():
-    g = paley_graph(13)
-    with pytest.raises(InvalidVertexError):
-        neighbor_profile(g, 0, 1, 4, params=SrgParams(13, 6, 2, 3))  # 4 is in delta
-
-
-def test_identity_check_paley13_equal():
-    check = parameter_identity_check(paley_graph(13))
-    assert (check.lhs, check.rhs, check.relation) == (18, 18, "equal")
-
-
-def test_identity_check_hypercube_strict():
-    check = parameter_identity_check(hypercube_graph(3))
-    assert (check.lhs, check.rhs, check.relation) == (6, 8, "strict")
-
-
-def test_identity_check_shrikhande_equal():
-    check = parameter_identity_check(shrikhande_graph())
-    assert (check.lhs, check.rhs, check.relation) == (18, 18, "equal")
-
-
-def test_identity_equality_iff_strongly_regular():
-    for entry in catalog():
-        rc = classify_regularity(entry.graph)
-        if not rc.is_amply_regular:
-            continue
-        check = parameter_identity_check(entry.graph)
-        assert (check.relation == "equal") == rc.is_strongly_regular, entry.name
+def test_wrong_parameters_break_a_neighbour_profile():
+    assert any(e != a for e, a in _profiles(petersen_graph(), SrgParams(10, 3, 1, 1)))
 
 
 def test_graph_rejects_loops_and_bad_vertices():

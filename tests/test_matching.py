@@ -13,13 +13,11 @@ from llycurv.errors import TooLargeError, UnbalancedSidesError
 from llycurv.families import (
     paley_graph,
     petersen_graph,
-    random_regular_graph,
     rook_graph,
     shrikhande_graph,
 )
 from llycurv.matching import (
     BipartiteInstance,
-    hall_reduction_check,
     local_perfect_matching,
     max_matching,
 )
@@ -28,7 +26,9 @@ from helpers import (
     _hopcroft_karp,
     adjacency,
     augmenting_path_matching_size,
+    hall_reduction_check,
     lex_first_maximum_reference,
+    random_regular_graph,
     sharpness_equivalence,
 )
 

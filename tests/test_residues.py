@@ -11,7 +11,7 @@ import pytest
 
 from llycurv import residues
 from llycurv.errors import InvalidOrderError, InvalidPairError, TooLargeError
-from llycurv.families import paley_automorphisms, paley_graph, prime_power_decomposition
+from llycurv.families import paley_graph, prime_power_decomposition
 from llycurv.fields import is_nonzero_square, make_field
 from llycurv.graphs import decompose_edge
 from llycurv.matching import local_perfect_matching
@@ -22,7 +22,7 @@ from llycurv.residues import (
     subset_threshold,
     verify_corollary,
 )
-from helpers import _edge_orbits, canonical_pair
+from helpers import _edge_orbits, canonical_pair, paley_automorphisms
 
 
 def test_square_index_set_agrees_with_euler_criterion():

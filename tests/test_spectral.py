@@ -1,4 +1,4 @@
-"""Closed-form SRG spectra, the matrix identity, and Lichnerowicz reports."""
+"""Closed-form SRG spectra, the SRG verdict against the matrix identity, and Lichnerowicz reports."""
 
 from __future__ import annotations
 
@@ -22,12 +22,12 @@ from llycurv.families import (
     catalog,
     complete_graph,
     cycle_graph,
-    hypercube_graph,
     paley_graph,
     petersen_graph,
     rook_graph,
     shrikhande_graph,
 )
+from llycurv.graphio import load_graph
 from llycurv.graphs import Graph, SrgParams, classify_regularity
 from llycurv.spectral import (
     enumerate_sharp_candidates,
@@ -35,7 +35,6 @@ from llycurv.spectral import (
     lichnerowicz_report,
     numerical_lambda2,
     srg_spectrum,
-    verify_srg_identity,
 )
 from helpers import matrix_srg_identity
 
@@ -94,14 +93,11 @@ def test_multiplicities_sum_to_n_on_catalog():
         assert s.m1 + s.m2 + s.m3 == rc.params.n, entry.name
 
 
-def test_verify_srg_identity_examples():
-    assert verify_srg_identity(paley_graph(13), SrgParams(13, 6, 2, 3))
-    assert verify_srg_identity(shrikhande_graph(), SrgParams(16, 6, 2, 2))
-    assert verify_srg_identity(rook_graph(4), SrgParams(16, 6, 2, 2))
-    assert not verify_srg_identity(hypercube_graph(3), SrgParams(8, 3, 0, 2))
-
-
-def test_verify_srg_identity_matches_matrix_oracle():
+def test_srg_verdict_matches_matrix_identity():
+    # classify_regularity calls g strongly regular with params exactly when
+    # A^2 = dI + alpha A + beta (J - I - A).  Complete graphs are the one
+    # exception: J - I - A = 0, so any beta satisfies the identity, but an
+    # SRG is by definition neither complete nor edgeless.
     cases = [(entry.graph, entry.params) for entry in catalog() if entry.params is not None]
     cases += [
         (petersen_graph(), SrgParams(10, 3, 1, 1)),  # wrong alpha
@@ -109,11 +105,17 @@ def test_verify_srg_identity_matches_matrix_oracle():
         (complete_graph(5), SrgParams(5, 4, 3, 0)),  # J - I - A = 0: any beta holds
         (complete_graph(5), SrgParams(5, 4, 2, 0)),
     ]
+    rrg = load_graph(Path(__file__).parent / "data" / "rrg40_8.g6")
+    cases += [(rrg, SrgParams(40, 8, a, b)) for a in range(8) for b in range(9)]
     outcomes = set()
     for g, params in cases:
-        got = verify_srg_identity(g, params)
-        assert got == matrix_srg_identity(g, params), (g, params)
-        outcomes.add(got)
+        rc = classify_regularity(g)
+        holds = matrix_srg_identity(g, params)
+        if params.d == g.n - 1:
+            assert rc.params is None and holds == (params.alpha == g.n - 2), (g, params)
+        else:
+            assert holds == (rc.is_strongly_regular and rc.params == params), (g, params)
+        outcomes.add(holds)
     assert outcomes == {True, False}
 
 

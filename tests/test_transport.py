@@ -27,11 +27,9 @@ from llycurv.families import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
-    paley_automorphisms,
     paley_graph,
     petersen_graph,
     prime_power_decomposition,
-    random_regular_graph,
     rook_graph,
     shrikhande_graph,
 )
@@ -54,6 +52,8 @@ from helpers import (
     brute_force_assignment,
     hungarian,
     lex_smallest_optimal_assignment,
+    paley_automorphisms,
+    random_regular_graph,
     uniform_measure_w1_oracle,
 )
 
