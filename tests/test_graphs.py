@@ -242,6 +242,16 @@ def test_classify_catalog_matches_expected_params():
             assert rc.params == entry.params, entry.name
 
 
+def _forced_profile(ell, params):
+    """The (ell, in_delta, in_nx, in_pxy) that the parameters force for a given ell."""
+    return (
+        ell,
+        params.beta - 1 - ell,
+        params.alpha - params.beta + 1 + ell,
+        params.d - params.alpha - 1 - ell,
+    )
+
+
 def _profile_by_sets(g, x, y, v, params):
     """How v's neighbours other than x split: forced by the parameters, and counted by sets.
 
@@ -250,12 +260,7 @@ def _profile_by_sets(g, x, y, v, params):
     """
     gx, gy, gv = (set(g.neighbors(u)) for u in (x, y, v))
     ell = len(gv & (gy - gx - {x}))
-    expected = (
-        ell,
-        params.beta - 1 - ell,
-        params.alpha - params.beta + 1 + ell,
-        params.d - params.alpha - 1 - ell,
-    )
+    expected = _forced_profile(ell, params)
     pxy = set(range(g.n)) - gx - gy - {x, y}
     actual = (ell, len(gv & gx & gy), len(gv & (gx - gy - {y})), len(gv & pxy))
     return expected, actual
@@ -282,6 +287,89 @@ def test_amply_regular_parameters_force_every_neighbour_profile(entry):
 
 def test_wrong_parameters_break_a_neighbour_profile():
     assert any(e != a for e, a in _profiles(petersen_graph(), SrgParams(10, 3, 1, 1)))
+
+
+def _fitting_parameters(g):
+    """Every (alpha, beta) of g's degree whose forced profiles all equal the set counts."""
+    n, d = g.n, g.degree(0)
+    counted = {actual for _, actual in _profiles(g, SrgParams(n, d, 0, 1))}
+    return {
+        (alpha, beta)
+        for alpha in range(d)
+        for beta in range(1, d + 1)
+        if all(_forced_profile(c[0], SrgParams(n, d, alpha, beta)) == c for c in counted)
+    }
+
+
+def test_neighbour_profiles_pin_the_parameters():
+    # Read backwards, the counting lemma recovers (alpha, beta): on each amply
+    # regular catalog graph they are the one tuple of its degree whose forced
+    # profiles all equal the counts.
+    for entry in catalog():
+        if entry.params is not None:
+            expected = {(entry.params.alpha, entry.params.beta)}
+            assert _fitting_parameters(entry.graph) == expected, entry.name
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_regular_graph(14, 3, seed=1), random_regular_graph(16, 5, seed=2)],
+    ids=repr,
+)
+def test_no_parameters_fit_the_profiles_of_a_graph_that_is_not_amply_regular(g):
+    assert not classify_regularity(g).is_amply_regular
+    assert _fitting_parameters(g) == set()
+
+
+@pytest.mark.parametrize(
+    "g,params",
+    [
+        (paley_graph(13), SrgParams(13, 6, 2, 3)),
+        (petersen_graph(), SrgParams(10, 3, 0, 1)),
+        (cocktail_party_graph(2), SrgParams(4, 2, 0, 2)),
+        (hypercube_graph(3), SrgParams(8, 3, 0, 2)),
+    ],
+    ids=["paley13", "petersen", "c4", "q3"],
+)
+def test_neighbor_profile_agrees_with_adjacency_everywhere(g, params):
+    # decompose_edge's masks split the other neighbours of each v in N_x as
+    # the adjacency sets do, into d - 1 in all, as the parameters force.
+    masks = neighbor_masks(g)
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            parts = decompose_edge(g, a, b)
+            nx_mask = sum(1 << v for v in parts.nx)
+            pxy_mask = sum(1 << v for v in parts.pxy)
+            for v, row in zip(parts.nx, parts.rows):
+                mv = masks[v]
+                counts = (
+                    row.bit_count(),
+                    (mv & parts.delta_mask).bit_count(),
+                    (mv & nx_mask).bit_count(),
+                    (mv & pxy_mask).bit_count(),
+                )
+                expected, actual = _profile_by_sets(g, a, b, v, params)
+                assert counts == actual == expected
+                assert sum(counts) == params.d - 1
+
+
+def _counting_identity(g):
+    """d(d - alpha - 1) and (n - d - 1) beta from g's classified parameters, and their relation."""
+    p = classify_regularity(g).params
+    lhs, rhs = p.d * (p.d - p.alpha - 1), (p.n - p.d - 1) * p.beta
+    return lhs, rhs, "equal" if lhs == rhs else "strict" if lhs < rhs else "violated"
+
+
+def test_identity_check_paley13_equal():
+    assert _counting_identity(paley_graph(13)) == (18, 18, "equal")
+
+
+def test_identity_check_hypercube_strict():
+    assert _counting_identity(hypercube_graph(3)) == (6, 8, "strict")
+
+
+def test_identity_check_shrikhande_equal():
+    assert _counting_identity(shrikhande_graph()) == (18, 18, "equal")
 
 
 def test_graph_rejects_loops_and_bad_vertices():

@@ -103,6 +103,9 @@ def test_json_edges_sorted():
         ("p13.json", "json"),
         ("p13.data", "json"),
         ("c60.g6", "graph6"),  # its size byte 123 is "{"
+        ("p13.json", "graph6"),
+        ("p13.g6", "json"),
+        ("c60.json", "graph6"),
     ],
 )
 def test_written_graph_round_trips_through_load_graph(tmp_path, name, writer):

@@ -22,6 +22,7 @@ from llycurv.families import (
     catalog,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     paley_graph,
     petersen_graph,
     rook_graph,
@@ -91,6 +92,21 @@ def test_multiplicities_sum_to_n_on_catalog():
             continue
         s = srg_spectrum(rc.params)
         assert s.m1 + s.m2 + s.m3 == rc.params.n, entry.name
+
+
+def test_srg_verdict_examples():
+    for g, params in [
+        (paley_graph(13), SrgParams(13, 6, 2, 3)),
+        (shrikhande_graph(), SrgParams(16, 6, 2, 2)),
+        (rook_graph(4), SrgParams(16, 6, 2, 2)),
+    ]:
+        rc = classify_regularity(g)
+        assert rc.is_strongly_regular and rc.params == params
+        assert matrix_srg_identity(g, params)
+    q3 = hypercube_graph(3)
+    rc = classify_regularity(q3)
+    assert rc.is_amply_regular and not rc.is_strongly_regular
+    assert not matrix_srg_identity(q3, SrgParams(8, 3, 0, 2))
 
 
 def test_srg_verdict_matches_matrix_identity():
