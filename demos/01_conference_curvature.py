@@ -40,7 +40,7 @@ print()
 
 g = paley_graph(13)
 x, y = 0, 1
-instance, result = local_perfect_matching(g, x, y)
-print(f"P(13), edge ({x},{y}): N_x = {instance.left}, N_y = {instance.right}")
+parts, result = local_perfect_matching(g, x, y)
+print(f"P(13), edge ({x},{y}): N_x = {parts.nx}, N_y = {parts.ny}")
 print(f"perfect matching: {result.perfect}")
-print("pairs:", [(instance.left[i], instance.right[j]) for i, j in result.pairs])
+print("pairs:", list(result.pairs))

@@ -13,7 +13,6 @@ an explicit Hall violator.
 from llycurv import (
     classify_regularity,
     curvature_spectrum,
-    decompose_edge,
     local_perfect_matching,
     named_graph,
 )
@@ -30,15 +29,11 @@ for name, g in (("rook(4)", rook), ("shrikhande", shri)):
 print()
 print("certificates on the edge (0, 1) of each graph:")
 for name, g in (("rook(4)", rook), ("shrikhande", shri)):
-    parts = decompose_edge(g, 0, 1)
-    instance, result = local_perfect_matching(g, 0, 1)
+    parts, result = local_perfect_matching(g, 0, 1)
     print(f"\n{name}: N_x = {parts.nx}, N_y = {parts.ny}")
     if result.perfect:
-        pairs = [(instance.left[i], instance.right[j]) for i, j in result.pairs]
-        print(f"  perfect matching: {pairs}")
+        print(f"  perfect matching: {list(result.pairs)}")
     else:
-        violator = [instance.left[i] for i in result.violator]
-        neighbors = sorted(
-            {instance.right[j] for i, j in instance.edges if instance.left[i] in violator}
-        )
+        violator = list(result.violator)
+        neighbors = sorted({u for v in violator for u in g.neighbors(v) if u in parts.ny})
         print(f"  Hall violator {violator} sees only {neighbors}")

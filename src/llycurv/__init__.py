@@ -37,12 +37,7 @@ from .graphs import (
     classify_regularity,
     decompose_edge,
 )
-from .matching import (
-    BipartiteInstance,
-    MatchingResult,
-    local_perfect_matching,
-    max_matching,
-)
+from .matching import MatchingResult, local_perfect_matching
 from .residues import CorollaryReport, find_pattern_witness, verify_corollary
 from .spectral import (
     Eigenvalue,

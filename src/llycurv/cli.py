@@ -133,18 +133,18 @@ def _cmd_curvature(args: argparse.Namespace) -> dict[str, Any] | str:
 def _cmd_match(args: argparse.Namespace) -> dict[str, Any]:
     g = graphio.load_graph(args.graph)
     x, y = _parse_ints(args.edge, "edge", "u,v")
-    instance, result = local_perfect_matching(g, x, y)
+    parts, result = local_perfect_matching(g, x, y)
     payload: dict[str, Any] = {
         "edge": [x, y],
-        "left": list(instance.left),
-        "right": list(instance.right),
+        "left": list(parts.nx),
+        "right": list(parts.ny),
         "perfect": result.perfect,
         "matching_size": len(result.pairs),
     }
     if args.witness:
-        payload["pairs"] = [[instance.left[li], instance.right[ri]] for li, ri in result.pairs]
+        payload["pairs"] = [list(pair) for pair in result.pairs]
     if result.violator is not None:
-        payload["violator"] = [instance.left[li] for li in result.violator]
+        payload["violator"] = list(result.violator)
     return payload
 
 

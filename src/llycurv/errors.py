@@ -53,10 +53,6 @@ class InvalidParamsError(LlycurvError):
     """Parameters invalid for the requested construction."""
 
 
-class UnbalancedSidesError(LlycurvError):
-    """Bipartite sides must have equal size."""
-
-
 class ViolatorTooSmallError(LlycurvError):
     """Obstruction quadratics only apply to violator sizes b >= 2."""
 

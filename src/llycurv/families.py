@@ -147,10 +147,9 @@ def _square_generator(field: FiniteField) -> FieldElement:
     """g^2 for the first primitive element g of the field in index order."""
     q, one = field.q, field.one
     # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1.
+    powers = [(q - 1) // r for r in _prime_divisors(q - 1)]
     g = next(
-        e
-        for e in field.elements()
-        if not e.is_zero and all(e ** ((q - 1) // r) != one for r in _prime_divisors(q - 1))
+        e for e in field.elements() if not e.is_zero and all(e ** k != one for k in powers)
     )
     return g * g
 
@@ -334,23 +333,3 @@ def paley_gamma_orders(gamma_max: int) -> list[tuple[int, int]]:
         if prime_power_decomposition(q) is not None:
             out.append((g, q))
     return out
-
-
-__all__ = [
-    "CatalogEntry",
-    "catalog",
-    "clebsch_graph",
-    "cocktail_party_graph",
-    "complete_graph",
-    "cycle_graph",
-    "family_names",
-    "hypercube_graph",
-    "johnson_graph",
-    "named_graph",
-    "paley_gamma_orders",
-    "paley_graph",
-    "petersen_graph",
-    "prime_power_decomposition",
-    "rook_graph",
-    "shrikhande_graph",
-]

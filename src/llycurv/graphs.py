@@ -272,22 +272,19 @@ def _set_bits(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EdgeNeighborhood:
-    """The partition V = {x} + {y} + delta + nx + ny + pxy around an edge xy.
+    """The neighbours of an edge xy as delta + nx + ny; P_xy is the vertices left over.
 
-    delta holds the common neighbors, nx/ny the exclusive neighbors of x/y,
-    and pxy everything adjacent to neither endpoint.  delta_mask and
-    ny_mask are the neighbor-mask forms of delta and ny, and rows is the
-    local matching graph H(x, y): rows[i] = masks[nx[i]] & ny_mask, the N_y
-    neighbors of nx[i] as bits.  The curvature paths read only nx, the
-    masks and the rows, so the delta and ny tuples are built from their
-    masks on first read, and pxy from the vertex count n on every read (it
-    is O(n)).
+    delta holds the common neighbors and nx/ny the exclusive neighbors of
+    x/y.  delta_mask and ny_mask are the neighbor-mask forms of delta and
+    ny, and rows is the local matching graph H(x, y): rows[i] =
+    masks[nx[i]] & ny_mask, the N_y neighbors of nx[i] as bits.  The
+    curvature paths read only nx, the masks and the rows, so the delta and
+    ny tuples are built from their masks on first read.
     """
 
     x: VertexId
     y: VertexId
     nx: tuple[int, ...]
-    n: int
     delta_mask: int
     ny_mask: int
     rows: tuple[int, ...]
@@ -300,14 +297,9 @@ class EdgeNeighborhood:
     def ny(self) -> tuple[int, ...]:
         return _set_bits(self.ny_mask)
 
-    @property
-    def pxy(self) -> tuple[int, ...]:
-        closed = {self.x, self.y, *self.delta, *self.nx, *self.ny}
-        return tuple(v for v in range(self.n) if v not in closed)
-
 
 def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
-    """Split the vertex set into the four classes around the edge xy, with H(x, y).
+    """Split the neighbours of the edge xy into delta, N_x and N_y, with H(x, y).
 
     No set and no row is built: N_x is x's mask less the neighbours of y
     and y itself, N_y the other way round, and delta is their AND.
@@ -319,9 +311,7 @@ def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
     nx = _set_bits(gx & ~gy & ~(1 << y))
     ny_mask = gy & ~gx & ~(1 << x)
     rows = tuple([masks[v] & ny_mask for v in nx])
-    return EdgeNeighborhood(
-        x=x, y=y, nx=nx, n=g.n, delta_mask=gx & gy, ny_mask=ny_mask, rows=rows
-    )
+    return EdgeNeighborhood(x=x, y=y, nx=nx, delta_mask=gx & gy, ny_mask=ny_mask, rows=rows)
 
 
 class RegularityKind(Enum):

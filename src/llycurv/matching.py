@@ -11,8 +11,8 @@ call returns the minimum vertex cover.  `_lex_first_matching` turns a
 perfect matching of bit rows into the lexicographically first one; it and
 `_bit_matching` share one alternating search, `_augmenting_path`, and one
 path flip, `_flip`.  `local_perfect_matching` solves H(x, y)'s rows as
-`decompose_edge` builds them, and the instance it returns lists its index
-edges only when read.  `match` and `max_matching` run the same engine:
+`decompose_edge` builds them, whose column bits are N_y's vertices, so it
+answers in vertices: a matched bit b is the vertex b.bit_length() - 1.
 `_lex_first_maximum` pads the rows to a perfect instance, so the pairs
 `match --witness` prints are the lexicographically first maximum matching,
 on a sharp edge the `curvature --edge` witness.  When the left side is
@@ -29,90 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidParamsError, NotRegularError
-from .graphs import Graph, _set_bits, decompose_edge
-
-
-class BipartiteInstance:
-    """Bipartite graph given by side labels and index edges (left, right).
-
-    It keeps whichever form it was built from, the index edges or bit rows
-    against a mask of column bits, and builds the edges from the rows the
-    first time a caller reads them.
-    """
-
-    __slots__ = ("left", "right", "_edges", "_rows", "_ymask")
-
-    def __init__(
-        self, left: tuple[int, ...], right: tuple[int, ...], edges: tuple[tuple[int, int], ...]
-    ) -> None:
-        seen = set()
-        for li, ri in edges:
-            if not (0 <= li < len(left) and 0 <= ri < len(right)):
-                raise InvalidParamsError(f"edge ({li},{ri}) out of range")
-            if (li, ri) in seen:
-                raise InvalidParamsError(f"duplicate edge ({li},{ri})")
-            seen.add((li, ri))
-        self.left, self.right, self._edges = left, right, edges
-        self._rows: Sequence[int] | None = None
-        self._ymask = (1 << len(right)) - 1
-
-    @classmethod
-    def _from_rows(
-        cls, left: tuple[int, ...], right: tuple[int, ...], rows: Sequence[int], ymask: int
-    ) -> BipartiteInstance:
-        """The instance whose left vertex i sees the columns of rows[i], taken as it is.
-
-        Column j is ymask's j-th lowest bit; every row must lie within
-        ymask, which has len(right) bits.
-        """
-        instance = cls.__new__(cls)
-        instance.left, instance.right, instance._edges = left, right, None
-        instance._rows, instance._ymask = rows, ymask
-        return instance
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        if self._edges is None:
-            ymask = self._ymask
-            self._edges = tuple(
-                (i, _column(1 << u, ymask))
-                for i, row in enumerate(self._rows)
-                for u in _set_bits(row)
-            )
-        return self._edges
-
-    def rows(self) -> list[int]:
-        """Bit rows: bit ri of row li is set iff (li, ri) is an edge."""
-        rows = [0] * len(self.left)
-        for li, ri in self.edges:
-            rows[li] |= 1 << ri
-        return rows
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BipartiteInstance):
-            return NotImplemented
-        return (self.left, self.right, self.edges) == (other.left, other.right, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right, self.edges))
-
-    def __repr__(self) -> str:
-        return f"BipartiteInstance(left={self.left!r}, right={self.right!r}, edges={self.edges!r})"
+from .errors import NotRegularError
+from .graphs import EdgeNeighborhood, Graph, decompose_edge
 
 
 @dataclass(frozen=True)
 class MatchingResult:
-    """Maximum matching as index pairs, with a Hall violator when one exists."""
+    """Maximum matching as (N_x vertex, N_y vertex) pairs, with a Hall violator in N_x."""
 
     pairs: tuple[tuple[int, int], ...]
     perfect: bool
     violator: tuple[int, ...] | None
-
-
-def _column(b: int, ymask: int) -> int:
-    """The column of bit b, column j being ymask's j-th lowest bit: ymask's bits below b."""
-    return (ymask & (b - 1)).bit_count()
 
 
 def _bit_matching(
@@ -275,28 +202,18 @@ def _lex_first_maximum(rows: Sequence[int], ymask: int) -> tuple[list[int], set[
     return [b & ~dummies for b in lex], reached
 
 
-def max_matching(instance: BipartiteInstance) -> MatchingResult:
-    """Lexicographically first maximum matching; on a deficient left side, also a Hall violator.
+def local_perfect_matching(g: Graph, x: int, y: int) -> tuple[EdgeNeighborhood, MatchingResult]:
+    """The split around the edge xy, and the lex-first maximum matching of N_x against N_y.
 
-    Rows are taken in order, and a free row ranks after every column.
-    """
-    rows = instance.rows() if instance._rows is None else instance._rows
-    ymask = instance._ymask
-    match, reached = _lex_first_maximum(rows, ymask)
-    pairs = tuple((i, _column(b, ymask)) for i, b in enumerate(match) if b)
-    perfect = len(pairs) == len(instance.left) == len(instance.right)
-    return MatchingResult(pairs=pairs, perfect=perfect, violator=tuple(sorted(reached)) or None)
-
-
-def local_perfect_matching(g: Graph, x: int, y: int) -> tuple[BipartiteInstance, MatchingResult]:
-    """Matching instance between N_x and N_y of the edge xy, and its result.
-
-    The instance is H(x, y) as `decompose_edge` builds it, bit rows against
-    N_y's mask, and is solved on those rows; N_y is sorted, so column j of
-    a row is vertex ny[j].
+    It is solved on H(x, y)'s rows as `decompose_edge` builds them, so a
+    matched bit b is the N_y vertex b.bit_length() - 1; a deficient N_x
+    gets the N_x vertices of the Koenig reach as its Hall violator.
     """
     if not g.is_regular():
         raise NotRegularError("local matching is stated for regular graphs")
     parts = decompose_edge(g, x, y)
-    instance = BipartiteInstance._from_rows(parts.nx, parts.ny, parts.rows, parts.ny_mask)
-    return instance, max_matching(instance)
+    nx = parts.nx
+    match, reached = _lex_first_maximum(parts.rows, parts.ny_mask)
+    pairs = tuple((v, b.bit_length() - 1) for v, b in zip(nx, match) if b)
+    violator = tuple(nx[i] for i in sorted(reached)) or None
+    return parts, MatchingResult(pairs=pairs, perfect=len(pairs) == len(nx), violator=violator)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .families import _paley_root_rows
 from .graphs import Graph, _two_ball, bfs_distances, decompose_edge, is_connected
-from .matching import _bit_matching, _column, _lex_first_matching
+from .matching import _bit_matching, _lex_first_matching
 
 
 @dataclass(frozen=True)
@@ -235,12 +235,12 @@ def _two_matching_assignment(
 ) -> tuple[int, list[int] | None]:
     """Minimum cost of a bijection whose costs lie in {1, 2, 3}, and its witness.
 
-    Each row is an integer whose set bits are its columns; the columns are
-    the set bits of ymask, column j being its j-th lowest.  h1[i] holds the
-    columns with cost 1 (the pairs at distance 1, H1), and near(i) those
-    with cost at most 2.  With weights w = 3 - cost in {0, 1, 2}, the
-    decomposition theorem of Kao, Lam, Sung and Ting (SIAM J. Comput. 31,
-    2001) gives the maximum weight from two unweighted maximum matchings:
+    Each row is an integer whose set bits are its columns, all within
+    ymask.  h1[i] holds the columns with cost 1 (the pairs at distance 1,
+    H1), and near(i) those with cost at most 2.  With weights
+    w = 3 - cost in {0, 1, 2}, the decomposition theorem of Kao, Lam, Sung
+    and Ting (SIAM J. Comput. 31, 2001) gives the maximum weight from two
+    unweighted maximum matchings:
     let C1 be a minimum vertex cover of H1 and keep in H_delta the pairs
     with w - [i in C1] - [j in C1] >= 1; then the least cost is
     3m - nu(H1) - nu(H_delta).  When H1 has a perfect matching this is m
@@ -250,7 +250,7 @@ def _two_matching_assignment(
     y = 1_C1 + 1_C2 is feasible (w <= y_i + y_j) and sums to the optimum,
     so the optimal bijections are the perfect matchings of the tight pairs
     w = y_i + y_j.  The witness, when requested, is the lexicographically
-    first of them, as column indices.
+    first of them, as the column bit of each row.
     """
     m = len(h1)
     # Koenig: C1 is the rows not reached plus the columns reached (R).
@@ -258,7 +258,7 @@ def _two_matching_assignment(
     if all(match):
         if not want_witness:
             return m, None
-        return m, [_column(b, ymask) for b in _lex_first_matching(h1, match)]
+        return m, _lex_first_matching(h1, match)
     # A reached row has all of its H1 columns in R, so the columns of
     # near(i) outside R are at cost 2; a row in C1 keeps only its H1 pairs
     # whose column is outside R.  H1's matching lies in H_delta: a reached
@@ -282,7 +282,7 @@ def _two_matching_assignment(
             row |= w[k] & y_col[k - y_i]
         tight.append(row)
     match_tight = _bit_matching(tight)[0]
-    return cost, [_column(b, ymask) for b in _lex_first_matching(tight, match_tight)]
+    return cost, _lex_first_matching(tight, match_tight)
 
 
 def _edge_report(
@@ -306,11 +306,11 @@ def _edge_report(
             ball = balls[v] = _two_ball(g, v)
         return ball & ymask
 
-    min_cost, cols = _two_matching_assignment(parts.rows, near, ymask, want_witness)
+    min_cost, bits = _two_matching_assignment(parts.rows, near, ymask, want_witness)
     kappa = Fraction(d + 1 - min_cost, d)
     delta_size = parts.delta_mask.bit_count()
     upper = Fraction(2 + delta_size, d)
-    witness = tuple(zip(nx, (parts.ny[j] for j in cols))) if cols is not None else None
+    witness = None if bits is None else tuple((v, b.bit_length() - 1) for v, b in zip(nx, bits))
     return CurvatureReport(
         x=x,
         y=y,

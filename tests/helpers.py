@@ -18,12 +18,14 @@ check behind `transport.paley_kappa`, and the field-arithmetic search
 (`canonical_pair`) that of the pair `residues.verify_corollary` reads off
 P(q).  Hopcroft-Karp on index lists (`_hopcroft_karp`) and the
 column-by-column `lex_first_maximum_reference` are the references of
-`matching.max_matching`, `sharpness_equivalence` sets an edge's curvature
-sharpness beside its local perfect matching, and `hall_reduction_check`
-enumerates every subset to test the half-size Hall reduction.  The
-fixtures are `random_regular_graph`, the seeded generator of the tests'
-random regular graphs, and `parse_csv`, which reads a `scan` or
-`curvature` CSV back.  No code in `src/` calls any of them.
+`max_matching`, which runs the engine of `matching.local_perfect_matching`
+on a `BipartiteInstance` fixture and answers in indices;
+`sharpness_equivalence` sets an edge's curvature sharpness beside its
+local perfect matching, and `hall_reduction_check` enumerates every
+subset to test the half-size Hall reduction.  The other fixtures are
+`random_regular_graph`, the seeded generator of the tests' random regular
+graphs, and `parse_csv`, which reads a `scan` or `curvature` CSV back.
+No code in `src/` calls any of them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from llycurv import families
-from llycurv.errors import InvalidOrderError, InvalidParamsError, TooLargeError, UnbalancedSidesError
+from llycurv.errors import InvalidOrderError, InvalidParamsError, LlycurvError, TooLargeError
 from llycurv.fields import FieldElement, FiniteField, is_nonzero_square
 from llycurv.graphs import (
     Graph,
@@ -49,7 +51,7 @@ from llycurv.graphs import (
     is_connected,
     neighbor_masks,
 )
-from llycurv.matching import BipartiteInstance, local_perfect_matching
+from llycurv.matching import MatchingResult, _lex_first_maximum, local_perfect_matching
 from llycurv.spectral import integral_multiplicities
 from llycurv.transport import lly_curvature
 
@@ -117,6 +119,34 @@ def augmenting_path_matching_size(n_left: int, n_right: int, edges) -> int:
         if try_augment(u, [False] * n_right):
             size += 1
     return size
+
+
+class UnbalancedSidesError(LlycurvError):
+    """Bipartite sides must have equal size."""
+
+
+@dataclass(frozen=True)
+class BipartiteInstance:
+    """Bipartite graph given by side labels and index edges (left, right)."""
+
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+
+    def rows(self) -> list[int]:
+        """Bit rows: bit ri of row li is set iff (li, ri) is an edge."""
+        rows = [0] * len(self.left)
+        for li, ri in self.edges:
+            rows[li] |= 1 << ri
+        return rows
+
+
+def max_matching(instance: BipartiteInstance) -> MatchingResult:
+    """Lexicographically first maximum matching, pairs and Hall violator as indices."""
+    match, reached = _lex_first_maximum(instance.rows(), (1 << len(instance.right)) - 1)
+    pairs = tuple((i, b.bit_length() - 1) for i, b in enumerate(match) if b)
+    perfect = len(pairs) == len(instance.left) == len(instance.right)
+    return MatchingResult(pairs=pairs, perfect=perfect, violator=tuple(sorted(reached)) or None)
 
 
 def adjacency(instance: BipartiteInstance) -> list[list[int]]:
@@ -541,7 +571,7 @@ def _bit_reach(rows: Sequence[int], match: Sequence[int]) -> tuple[set[int], int
 
 
 def set_decompose_edge(g: Graph, x: int, y: int) -> dict[str, object]:
-    """The split of `graphs.decompose_edge` built through sets, field by field."""
+    """The split of `graphs.decompose_edge` built through sets, field by field, and P_xy."""
     masks = neighbor_masks(g)
     gx = g.neighbors(x)
     gy_set = set(g.neighbors(y))

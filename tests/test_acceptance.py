@@ -28,7 +28,7 @@ from llycurv.families import (
     paley_graph,
 )
 from llycurv.graphs import SrgParams, classify_regularity
-from llycurv.matching import BipartiteInstance, local_perfect_matching
+from llycurv.matching import local_perfect_matching
 from llycurv.residues import verify_corollary
 from llycurv.spectral import (
     enumerate_sharp_candidates,
@@ -42,7 +42,7 @@ from llycurv.transport import (
     curvature_spectrum,
     wasserstein_w1,
 )
-from helpers import hall_reduction_check, random_regular_graph
+from helpers import BipartiteInstance, hall_reduction_check, random_regular_graph
 
 SAMPLED_SEED = 20240814
 

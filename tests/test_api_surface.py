@@ -1,11 +1,12 @@
 """The library's public surface: every name has a caller, every import a use.
 
-Both checks read source with `ast` only.  A name counts as referenced when
+The checks read source with `ast` only.  A name counts as referenced when
 it appears as a name or an attribute anywhere in `src/`, `demos/` or
 `bench/` outside its own definition; the package's re-exports in
 `__init__.py` and `__all__` entries do not count, string constants under
-`bench/` (its `REPLAY_TARGETS`) do.  `errors.py` is exempt: its classes are
-the documented error vocabulary of the exit-2 paths.
+`bench/` (its `REPLAY_TARGETS`) do.  The classes of `errors.py` are the
+error vocabulary of the exit-2 paths, so each but the base class
+`LlycurvError` must also be raised somewhere in `src/`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _unreferenced_public_names() -> list[str]:
         (ROOT / "bench").glob("*.py")
     ):
         for node in ast.parse(path.read_text()).body:
-            if path.parent == PACKAGE and path.name != "errors.py":
+            if path.parent == PACKAGE:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                     defined.append((node.name, path, node))
             chunks.append((path, node, _references(node, strings=path.parent.name == "bench")))
@@ -71,8 +72,26 @@ def _unused_imports() -> list[str]:
     return sorted(unused)
 
 
+def _errors_never_raised() -> list[str]:
+    raised: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _references(node.exc, strings=False)
+    classes = [
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    return [name for name in classes if name != "LlycurvError" and name not in raised]
+
+
 def test_every_public_name_has_a_caller():
     assert _unreferenced_public_names() == []
+
+
+def test_every_error_class_is_raised():
+    assert _errors_never_raised() == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -80,7 +99,6 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 PUBLIC_NAMES = [
-    "BipartiteInstance",
     "CatalogEntry",
     "Certificate",
     "ConditionReport",
@@ -128,7 +146,6 @@ PUBLIC_NAMES = [
     "local_perfect_matching",
     "make_field",
     "matching",
-    "max_matching",
     "named_graph",
     "numerical_lambda2",
     "obstruction_quadratic",

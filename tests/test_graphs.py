@@ -103,19 +103,27 @@ def test_neighbor_masks_count_common_neighbors():
             assert (masks[u] & masks[v]).bit_count() == len(common)
 
 
+def _pxy(g, parts):
+    """P_xy: the vertices outside {x, y}, delta, N_x and N_y."""
+    closed = {parts.x, parts.y, *parts.delta, *parts.nx, *parts.ny}
+    return tuple(v for v in range(g.n) if v not in closed)
+
+
 def test_decompose_paley13_edge_01():
     # squares mod 13 are {1,3,4,9,10,12}
-    parts = decompose_edge(paley_graph(13), 0, 1)
+    g = paley_graph(13)
+    parts = decompose_edge(g, 0, 1)
     assert parts.delta == (4, 10)
     assert parts.nx == (3, 9, 12)
     assert parts.ny == (2, 5, 11)
-    assert parts.pxy == (6, 7, 8)
+    assert _pxy(g, parts) == (6, 7, 8)
 
 
 def test_decompose_complete_graph():
-    parts = decompose_edge(complete_graph(5), 1, 3)
+    g = complete_graph(5)
+    parts = decompose_edge(g, 1, 3)
     assert set(parts.delta) == {0, 2, 4}
-    assert parts.nx == () and parts.ny == () and parts.pxy == ()
+    assert parts.nx == () and parts.ny == () and _pxy(g, parts) == ()
 
 
 def test_decompose_petersen_sizes():
@@ -124,7 +132,7 @@ def test_decompose_petersen_sizes():
         parts = decompose_edge(g, x, y)
         assert len(parts.delta) == 0
         assert len(parts.nx) == len(parts.ny) == 2
-        assert len(parts.pxy) == 4
+        assert len(_pxy(g, parts)) == 4
 
 
 def test_decompose_not_an_edge():
@@ -137,7 +145,7 @@ def test_decompose_partitions_vertex_set():
         g = entry.graph
         x, y = next(iter(g.edges()))
         parts = decompose_edge(g, x, y)
-        pieces = [(x,), (y,), parts.delta, parts.nx, parts.ny, parts.pxy]
+        pieces = [(x,), (y,), parts.delta, parts.nx, parts.ny, _pxy(g, parts)]
         flat = [v for piece in pieces for v in piece]
         assert sorted(flat) == list(range(g.n))
         if g.is_regular():
@@ -156,7 +164,8 @@ def test_decompose_edge_equals_the_set_built_split(g):
         for a, b in ((x, y), (y, x)):
             parts = decompose_edge(g, a, b)
             expected = set_decompose_edge(g, a, b)
-            got = {name: getattr(parts, name) for name in expected}
+            got = {name: getattr(parts, name) for name in expected if name != "pxy"}
+            got["pxy"] = _pxy(g, parts)
             assert got == expected, (a, b)
             assert parts.delta_mask.bit_count() == len(expected["delta"])
 
@@ -339,7 +348,7 @@ def test_neighbor_profile_agrees_with_adjacency_everywhere(g, params):
         for a, b in ((x, y), (y, x)):
             parts = decompose_edge(g, a, b)
             nx_mask = sum(1 << v for v in parts.nx)
-            pxy_mask = sum(1 << v for v in parts.pxy)
+            pxy_mask = sum(1 << v for v in _pxy(g, parts))
             for v, row in zip(parts.nx, parts.rows):
                 mv = masks[v]
                 counts = (

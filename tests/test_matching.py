@@ -1,36 +1,46 @@
-"""Bipartite matching, Hall certificates, and the sharpness equivalence."""
+"""Bipartite matching, Hall certificates, and the sharpness equivalence.
+
+The random-instance suites run the engine of `local_perfect_matching`
+through `helpers.max_matching`, which answers in indices; the local
+matching itself answers in vertices of the graph.
+"""
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llycurv.errors import TooLargeError, UnbalancedSidesError
+from llycurv.errors import TooLargeError
 from llycurv.families import (
+    catalog,
     paley_graph,
     petersen_graph,
     rook_graph,
     shrikhande_graph,
 )
-from llycurv.matching import (
-    BipartiteInstance,
-    local_perfect_matching,
-    max_matching,
-)
+from llycurv.graphio import load_graph
+from llycurv.matching import local_perfect_matching
+from llycurv.transport import lly_curvature
 from helpers import (
+    BipartiteInstance,
+    UnbalancedSidesError,
     _alternating_reach,
     _hopcroft_karp,
     adjacency,
     augmenting_path_matching_size,
     hall_reduction_check,
     lex_first_maximum_reference,
+    max_matching,
     random_regular_graph,
     sharpness_equivalence,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def _random_instance(rng, max_side=10):
@@ -204,6 +214,31 @@ def test_local_matching_paley13_all_edges_perfect():
     for x, y in g.edges():
         _, result = local_perfect_matching(g, x, y)
         assert result.perfect
+
+
+def test_local_matching_answers_in_vertices():
+    # On a sharp edge the pairs are the curvature witness, in both
+    # orientations of every edge of the catalog and of P(29).  No edge of
+    # rrg40_8 or Petersen is sharp: each pair there is an edge of g from
+    # N_x to N_y, and the violator has fewer N_y neighbours than members.
+    sharp = 0
+    for g in [entry.graph for entry in catalog()] + [paley_graph(29)]:
+        for x, y in g.edges():
+            for a, b in ((x, y), (y, x)):
+                report = lly_curvature(g, a, b, want_witness=True)
+                if report.sharp:
+                    sharp += 1
+                    assert local_perfect_matching(g, a, b)[1].pairs == report.witness, (a, b)
+    assert sharp > 1000
+    for g in (load_graph(DATA / "rrg40_8.g6"), petersen_graph()):
+        for x, y in g.edges():
+            for a, b in ((x, y), (y, x)):
+                parts, result = local_perfect_matching(g, a, b)
+                nx, ny = set(parts.nx), set(parts.ny)
+                assert len({v for _, v in result.pairs}) == len(result.pairs), (a, b)
+                assert all(u in nx and v in ny and g.has_edge(u, v) for u, v in result.pairs)
+                seen = {v for u in result.violator for v in g.neighbors(u) if v in ny}
+                assert set(result.violator) <= nx and len(seen) < len(result.violator), (a, b)
 
 
 def test_hall_reduction_identity_pairing():

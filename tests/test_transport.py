@@ -130,7 +130,10 @@ def test_lex_smallest_optimal_assignment():
 # ------------------------------------------------- two-matching {1,2,3} costs
 
 def two_matching(cost, want_witness=True):
-    """transport._two_matching_assignment on an explicit {1, 2, 3} matrix, column j as bit j."""
+    """transport._two_matching_assignment on an explicit {1, 2, 3} matrix, column j as bit j.
+
+    The witness is each row's column bit.
+    """
     h1 = [sum(1 << j for j, c in enumerate(row) if c == 1) for row in cost]
     return transport._two_matching_assignment(
         h1,
@@ -151,10 +154,10 @@ def two_matching(cost, want_witness=True):
     )
 )
 def test_two_matching_cost_matches_brute_force_hypothesis(cost):
-    total, cols = two_matching(cost)
+    total, bits = two_matching(cost)
     assert total == brute_force_assignment(cost)
     assert two_matching(cost, want_witness=False) == (total, None)
-    assert tuple(cols) == min(all_optimal_assignments(cost))
+    assert bits == [1 << j for j in min(all_optimal_assignments(cost))]
 
 
 def test_two_matching_needs_the_cover_adjustment():
@@ -164,7 +167,7 @@ def test_two_matching_needs_the_cover_adjustment():
     # keeps (0,0) and (1,0) only, and nu(H_delta) = 1.
     cost = [[1, 2], [2, 3]]
     assert brute_force_assignment(cost) == 4
-    assert two_matching(cost) == (4, [0, 1])
+    assert two_matching(cost) == (4, [0b01, 0b10])
 
 
 @pytest.mark.parametrize(
