@@ -236,15 +236,23 @@ class Certificate:
     params: SrgParams
     outcome: str  # "sharp_by_condition" | "sharp_by_sweep" | "inconclusive"
     conditions: ConditionReport
-    condition: str | None = None
     b_one: str | None = None
     last_b: int = 1
-    certified_kappa: Fraction | None = None
     reason: str | None = None
 
     @property
     def sharp(self) -> bool:
         return self.outcome != "inconclusive"
+
+    @property
+    def condition(self) -> str | None:
+        """The first condition that holds; only sharp_by_condition has one."""
+        return self.conditions.first_satisfied()
+
+    @property
+    def certified_kappa(self) -> Fraction | None:
+        """(2 + alpha)/d when the certificate is sharp, else None."""
+        return Fraction(2 + self.params.alpha, self.params.d) if self.sharp else None
 
     @property
     def sweep(self) -> tuple[ObstructionQuadratic, ...]:
@@ -264,22 +272,14 @@ def certify_curvature(params: SrgParams) -> Certificate:
     _SWEEP_BOUND sizes raises TooLargeError before any size is decided.
     """
     n, d, alpha, beta = params.as_tuple()
-    kappa = Fraction(2 + alpha, d)
     report = evaluate_conditions(params)
     if report.any_holds:
-        return Certificate(
-            params=params,
-            conditions=report,
-            outcome="sharp_by_condition",
-            condition=report.first_satisfied(),
-            certified_kappa=kappa,
-        )
+        return Certificate(params=params, conditions=report, outcome="sharp_by_condition")
     core = d - alpha - 1
     if core == 0:
         # N_x and N_y are empty; the empty matching is perfect.
         return Certificate(
-            params=params, conditions=report, outcome="sharp_by_sweep",
-            b_one="empty_core", certified_kappa=kappa,
+            params=params, conditions=report, outcome="sharp_by_sweep", b_one="empty_core"
         )
     rule = b_one_rule(params)
     if rule is None:
@@ -290,10 +290,7 @@ def certify_curvature(params: SrgParams) -> Certificate:
     pxy = n - 2 * d + alpha
     if pxy == 0:
         # Every vertex of N_x is adjacent to all of N_y; no violator of any size.
-        return Certificate(
-            params=params, conditions=report, outcome="sharp_by_sweep", b_one=rule,
-            certified_kappa=kappa,
-        )
+        return Certificate(params=params, conditions=report, outcome="sharp_by_sweep", b_one=rule)
     if alpha == 0:
         return Certificate(
             params=params, conditions=report, outcome="inconclusive", b_one=rule,
@@ -313,8 +310,7 @@ def certify_curvature(params: SrgParams) -> Certificate:
                     last_b=b, reason=f"quadratic admits a real edge count at b = {b}",
                 )
     return Certificate(
-        params=params, conditions=report, outcome="sharp_by_sweep", b_one=rule,
-        last_b=last, certified_kappa=kappa,
+        params=params, conditions=report, outcome="sharp_by_sweep", b_one=rule, last_b=last
     )
 
 

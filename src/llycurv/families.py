@@ -8,7 +8,7 @@ the verification suites sweep over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, prod
 from typing import Collection
 
@@ -19,8 +19,10 @@ from .errors import (
     TooLargeError,
     UnknownFamilyError,
 )
-from .fields import FieldElement, FiniteField, _prime_divisors, make_field, square_index_set
-from .graphs import Graph, SrgParams
+from .fields import (
+    FiniteField, _index, _poly_mulmod, _poly_powmod, _prime_divisors, make_field, square_index_set
+)
+from .graphs import EdgeNeighborhood, Graph, SrgParams
 
 # A family's build costs time and memory in proportion to its edges (or, for
 # the k-subset families, to the vertex pairs tested), so one bound covers
@@ -143,33 +145,36 @@ def paley_graph(q: int) -> Graph:
     return _cayley_graph((field.p,) * field.m, square_index_set(field))
 
 
-def _square_generator(field: FiniteField) -> FieldElement:
-    """g^2 for the first primitive element g of the field in index order."""
-    q, one = field.q, field.one
+def _square_generator(field: FiniteField) -> tuple[int, ...]:
+    """The coefficients of g^2, g the first primitive element in index order."""
+    p, q, modulus, squares = field.p, field.q, field.modulus, square_index_set(field)
     # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1.
-    powers = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    # q is odd, and for r = 2 this says that g is not a square.
+    powers = [(q - 1) // r for r in _prime_divisors(q - 1) if r > 2]
     g = next(
-        e for e in field.elements() if not e.is_zero and all(e ** k != one for k in powers)
+        c for i, c in enumerate(product(range(p), repeat=field.m))  # i is c's index
+        if i and i not in squares and all(_poly_powmod(c, k, modulus, p) != (1,) for k in powers)
     )
-    return g * g
+    return _poly_mulmod(g, g, modulus, p)
 
 
-def _paley_root_rows(q: int) -> tuple[int, tuple[int, ...]]:
-    """ny_mask and H1's rows of the edge (0, c) of P(q), c the least square, from S alone.
+def _paley_root_split(q: int) -> EdgeNeighborhood:
+    """The split of the edge (0, c) of P(q), c the least square, from S alone.
 
-    They equal decompose_edge(paley_graph(q), 0, c)'s, and the edge decides
-    all of P(q): translations and the multipliers in S put every edge in
-    one orbit.  That rests on two O(q) checks, which raise when they fail:
-    S is closed under negation, and the orbit of 1 under g^2 is S, so
-    g^2 S = S and the multipliers g^2 ... g^(q-1) are all of S.
+    It equals decompose_edge(paley_graph(q), 0, c), and the edge decides
+    every pair x, y with x - y a nonzero square, the edges of P(q):
+    translations and the multipliers in S put them in one orbit.  That
+    rests on two O(q) checks, which raise when they fail: S is closed under
+    negation, and the orbit of 1 under g^2 is S, so g^2 S = S and the
+    multipliers g^2 ... g^(q-1) are all of S.
     """
     field = _paley_field(q)
     radices, squares = (field.p,) * field.m, square_index_set(field)
-    h, e, orbit = _square_generator(field), field.one, set()
+    h, e, orbit = _square_generator(field), (1,), set()
     for _ in range((q - 1) // 2):
-        orbit.add(e.index)
-        e = e * h
-    if e != field.one or orbit != squares or len(orbit) != (q - 1) // 2 or any(
+        orbit.add(_index(field._pad(e), field.p))
+        e = _poly_mulmod(e, h, field.modulus, field.p)
+    if e != (1,) or orbit != squares or len(orbit) != (q - 1) // 2 or any(
         _negation(radices, s) not in squares for s in squares
     ):
         raise InvalidParamsError(f"the nonzero squares of GF({q}) do not give one edge orbit")
@@ -181,8 +186,9 @@ def _paley_root_rows(q: int) -> tuple[int, tuple[int, ...]]:
     c = min(squares)
     x_mask, y_mask = mask(0), mask(c)
     ny_mask = y_mask & ~x_mask & ~1
-    nx = sorted(s for s in squares if not y_mask >> s & 1 and s != c)
-    return ny_mask, tuple(mask(v) & ny_mask for v in nx)
+    nx = tuple(sorted(s for s in squares if not y_mask >> s & 1 and s != c))
+    rows = tuple(mask(v) & ny_mask for v in nx)
+    return EdgeNeighborhood(0, c, nx, x_mask & y_mask, ny_mask, rows)
 
 
 def rook_graph(k: int) -> Graph:

@@ -18,9 +18,9 @@ from math import comb
 from typing import Callable, Iterable
 
 from .errors import InvalidOrderError, InvalidPairError, TooLargeError
-from .families import _check_paley_size, paley_graph, prime_power_decomposition
+from .families import _check_paley_size, _paley_root_split, prime_power_decomposition
 from .fields import FieldElement, FiniteField, square_index_set
-from .graphs import Graph, _set_bits, decompose_edge
+from .graphs import EdgeNeighborhood, _set_bits
 
 # Subsets tested per run, in either mode.  Exhaustive mode runs at q = 29
 # (397,594 subsets); q = 37 would need 32 million.
@@ -60,16 +60,15 @@ def find_pattern_witness(
     return None
 
 
-def pattern_free_kernel(g: Graph, x: int, y: int) -> Callable[[int], bool]:
-    """Decide subsets of g's vertices, given as bitmasks, around the edge xy.
+def pattern_free_kernel(split: EdgeNeighborhood) -> Callable[[int], bool]:
+    """Decide vertex subsets, given as bitmasks, around the edge xy of a split.
 
     Each edge of H(x, y), from w in N_x to a bit of its row, is held as the
     two-bit mask of its ends.  The returned test is True iff no such edge
     lies inside the subset's mask, i.e. on the Paley graph iff
     find_pattern_witness finds nothing.
     """
-    parts = decompose_edge(g, x, y)
-    edges = [1 << w | 1 << z for w, row in zip(parts.nx, parts.rows) for z in _set_bits(row)]
+    edges = [1 << w | 1 << z for w, row in zip(split.nx, split.rows) for z in _set_bits(row)]
 
     def pattern_free(s: int) -> bool:
         # A large S usually holds the first edge, so a plain loop beats the
@@ -112,15 +111,16 @@ def verify_corollary(
 ) -> CorollaryReport:
     """Check every (or `trials` sampled) qualifying subset for the pattern.
 
-    Each subset is decided on the Paley graph P(q): a witness for the
-    canonical edge (x, y) is an edge of P(q) from N_x to N_y inside S, so
-    S, as a bitmask, is pattern-free iff no two-bit mask of an edge of
-    H(x, y) lies inside it (pattern_free_kernel).  Exhaustive mode
-    enumerates the removed set R, at most gamma - 1 of the q - 2 vertices
-    of the universe, and tests S = universe minus R.  find_pattern_witness
-    is the independent field-arithmetic reference.  P(q) is held in
-    memory, so q is checked against the Paley edge bound before it is
-    factored.
+    Each subset is decided on the split of the root edge (x, y) = (0, c)
+    of P(q), the one paley_kappa reads, whose one-orbit proof makes this
+    pair decide every pair with a square difference: a witness is an edge
+    of P(q) from N_x to N_y inside S, so S, as a bitmask, is pattern-free
+    iff no two-bit mask of an edge of H(x, y) lies inside it
+    (pattern_free_kernel).  Exhaustive mode enumerates the removed set R,
+    at most gamma - 1 of the q - 2 vertices of the universe, and tests
+    S = universe minus R.  find_pattern_witness is the independent
+    field-arithmetic reference.  The split's masks grow with q, so q is
+    checked against the Paley edge bound before it is factored.
     """
     _check_paley_size(q)
     if q <= 5 or q % 4 != 1 or prime_power_decomposition(q) is None:
@@ -144,12 +144,9 @@ def verify_corollary(
             )
     else:
         raise InvalidOrderError(f"unknown mode {mode!r}")
-    g = paley_graph(q)
-    # The affine maps t -> a t + b, a a nonzero square, are transitive on
-    # the square-difference pairs, so one pair decides them all: 0 and the
-    # index-smallest nonzero square (tests/helpers.canonical_pair).
-    x, y = 0, g.neighbors(0)[0]
-    pattern_free = pattern_free_kernel(g, x, y)
+    split = _paley_root_split(q)
+    x, y = split.x, split.y
+    pattern_free = pattern_free_kernel(split)
     bits = [1 << v for v in range(q) if v != x and v != y]  # the universe, one bit each
     full = sum(bits)
     failures: list[tuple[int, ...]] = []

@@ -34,7 +34,7 @@ from .errors import (
     NotAnEdgeError,
     NotRegularError,
 )
-from .families import _paley_root_rows
+from .families import _paley_root_split
 from .graphs import Graph, _two_ball, bfs_distances, decompose_edge, is_connected
 from .matching import _bit_matching, _lex_first_matching
 
@@ -341,13 +341,13 @@ def lly_curvature(g: Graph, x: int, y: int, want_witness: bool = False) -> Curva
 def paley_kappa(q: int) -> Fraction:
     """kappa of every edge of P(q), solved on the edge (0, c) with no graph.
 
-    families._paley_root_rows checks that the edges of P(q) form one orbit
-    and builds H1 of (0, c) from the squares S.  P(q) has diameter 2, so
+    families._paley_root_split checks that the edges of P(q) form one orbit
+    and builds the split of (0, c) from the squares S.  P(q) has diameter 2, so
     every pair of N_x and N_y costs at most 2 and near(i) is all of N_y.
     """
-    ny_mask, rows = _paley_root_rows(q)
-    d = (q - 1) // 2
-    min_cost, _ = _two_matching_assignment(rows, lambda i: ny_mask, ny_mask, False)
+    split = _paley_root_split(q)
+    d, ny_mask = (q - 1) // 2, split.ny_mask
+    min_cost, _ = _two_matching_assignment(split.rows, lambda i: ny_mask, ny_mask, False)
     return Fraction(d + 1 - min_cost, d)
 
 

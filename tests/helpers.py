@@ -673,7 +673,7 @@ def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
     p, m = field.p, field.m
     # t^k has the index p^(m-1-k): the constant term is the leading digit.
     maps = [tuple(families._translation((p,) * m, p ** (m - 1 - k))) for k in range(m)]
-    square = families._square_generator(field)
+    square = field.element(field._pad(families._square_generator(field)))
     maps.append(tuple((square * e).index for e in field.elements()))
     return tuple(maps)
 

@@ -597,9 +597,9 @@ def test_options_a_run_never_uses_exit_2(capsys, monkeypatch, argv, message):
     # Exhaustive mode draws no sample and verify-conjecture solves one edge
     # orbit per graph, so these options would be echoed in config unused.
     def no_graph(q):
-        raise AssertionError("P(q) built before the options were checked")
+        raise AssertionError("P(q) or its root split built before the options were checked")
 
-    monkeypatch.setattr(residues, "paley_graph", no_graph)
+    monkeypatch.setattr(residues, "_paley_root_split", no_graph)
     monkeypatch.setattr(cli, "paley_graph", no_graph)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -829,10 +829,10 @@ def test_exhaustive_corollary_stdout_pinned(capsys, q, sha256):
     ],
 )
 def test_corollary_unbounded_inputs_exit_2(capsys, monkeypatch, args, error):
-    def no_graph(q):
-        raise AssertionError("P(q) built before the inputs were checked")
+    def no_split(q):
+        raise AssertionError("the root split of P(q) built before the inputs were checked")
 
-    monkeypatch.setattr(residues, "paley_graph", no_graph)
+    monkeypatch.setattr(residues, "_paley_root_split", no_split)
     code, out, err = run(capsys, "corollary", *args)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == error

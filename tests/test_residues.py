@@ -9,13 +9,14 @@ from itertools import combinations
 
 import pytest
 
-from llycurv import residues
-from llycurv.errors import InvalidOrderError, InvalidPairError, TooLargeError
+from llycurv import families, residues
+from llycurv.errors import InvalidOrderError, InvalidPairError, InvalidParamsError, TooLargeError
 from llycurv.families import paley_graph, prime_power_decomposition
 from llycurv.fields import is_nonzero_square, make_field
-from llycurv.graphs import decompose_edge
+from llycurv.graphs import Graph, decompose_edge
 from llycurv.matching import local_perfect_matching
 from llycurv.residues import (
+    CorollaryReport,
     find_pattern_witness,
     pattern_free_kernel,
     square_index_set,
@@ -145,7 +146,7 @@ def _reference_pattern_free(q, subsets):
 def test_kernel_agrees_with_reference_on_every_subset(q, sizes):
     # below the threshold 3(q-1)/4 pattern-free subsets exist, so the two
     # failure lists are compared where they are non-empty; at it they vanish
-    kernel = pattern_free_kernel(paley_graph(q), 0, 1)
+    kernel = pattern_free_kernel(decompose_edge(paley_graph(q), 0, 1))
     universe = range(2, q)
     for size in sizes:
         subsets = list(combinations(universe, size))
@@ -170,7 +171,7 @@ def test_kernel_agrees_with_reference_on_gf25_samples():
     # GF(25) is not a prime field: vertex v of P(25) must be element v
     f = make_field(5, 2)
     x, y = canonical_pair(f)
-    kernel = pattern_free_kernel(paley_graph(25), x.index, y.index)
+    kernel = pattern_free_kernel(decompose_edge(paley_graph(25), x.index, y.index))
     universe = [v for v in range(25) if v not in (x.index, y.index)]
     rng = random.Random(25)
     subsets = [
@@ -189,10 +190,10 @@ def test_verify_corollary_q29_exhaustive_within_bound():
 
 def test_verify_corollary_exhaustive_bound_rejects_before_enumerating(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("enumerated or built a graph past the bound")
+        raise AssertionError("enumerated or split the root edge past the bound")
 
     monkeypatch.setattr(residues, "combinations", forbidden)
-    monkeypatch.setattr(residues, "paley_graph", forbidden)
+    monkeypatch.setattr(residues, "_paley_root_split", forbidden)
     with pytest.raises(TooLargeError):
         verify_corollary(37)  # 32,267,668 subsets
     with pytest.raises(TooLargeError):
@@ -201,11 +202,36 @@ def test_verify_corollary_exhaustive_bound_rejects_before_enumerating(monkeypatc
 
 def test_verify_corollary_order_bound_builds_no_graph(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("built a Paley graph past the order bound")
+        raise AssertionError("split the root edge past the order bound")
 
-    monkeypatch.setattr(residues, "paley_graph", forbidden)
+    monkeypatch.setattr(residues, "_paley_root_split", forbidden)
     with pytest.raises(TooLargeError):
         verify_corollary(1033, mode="sampled", seed=1, trials=1)
+
+
+def test_verify_corollary_builds_no_graph(monkeypatch):
+    # Every subset is decided on the root split, built from the squares alone.
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    for name in ("_cayley_graph", "paley_graph"):
+        monkeypatch.setattr(families, name, no_graph)
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    monkeypatch.setattr(Graph, "_from_rows", no_graph)
+    for q, tested in ((13, 67), (17, 576), (29, 397_594)):
+        assert verify_corollary(q) == CorollaryReport(q, (0, 1), tested, (), "exhaustive")
+    for q, pair in ((25, (0, 5)), (37, (0, 1))):
+        report = verify_corollary(q, mode="sampled", seed=0, trials=3000)
+        assert report == CorollaryReport(q, pair, 3000, (), "sampled", 0, 3000)
+
+
+def test_verify_corollary_rests_on_the_one_orbit_proof(monkeypatch):
+    # 2 generates GF(13)^*, so it maps the squares onto the non-squares and
+    # the orbit of 1 under it is not S: the corollary refuses to decide.
+    assert len({pow(2, k, 13) for k in range(12)}) == 12
+    monkeypatch.setattr(families, "_square_generator", lambda field: (2,))
+    with pytest.raises(InvalidParamsError, match="one edge orbit"):
+        verify_corollary(13)
 
 
 @pytest.mark.parametrize("trials", [0, -5])
@@ -305,7 +331,7 @@ def test_sampled_corollary_draws_pinned(monkeypatch, q, digests):
     # A kernel that finds every subset pattern-free makes the report list
     # every drawn subset, so these digests pin the size and subset draws of
     # seeds 0, 1 and 2 with 3,000 trials.
-    monkeypatch.setattr(residues, "pattern_free_kernel", lambda g, x, y: lambda subset: True)
+    monkeypatch.setattr(residues, "pattern_free_kernel", lambda split: lambda subset: True)
     for seed, digest in enumerate(digests):
         report = verify_corollary(q, mode="sampled", seed=seed, trials=3000)
         assert report.subsets_tested == len(report.failures) == 3000

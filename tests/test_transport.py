@@ -469,23 +469,23 @@ def _root_edge(g):
 
 
 @pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
-def test_paley_root_rows_equal_decompose_edge(q):
+def test_paley_root_split_equals_decompose_edge(q):
+    # Every field, x, y, nx, delta_mask, ny_mask and rows, is compared.
     g = paley_graph(q)
-    parts = decompose_edge(g, *_root_edge(g))
-    assert families._paley_root_rows(q) == (parts.ny_mask, parts.rows)
+    assert families._paley_root_split(q) == decompose_edge(g, *_root_edge(g))
 
 
-def test_paley_root_rows_catch_a_shifted_translation(monkeypatch):
+def test_paley_root_split_catches_a_shifted_translation(monkeypatch):
     # Each translate v + S built one place off breaks the rows.
     real = families._translation
-    expected = {q: families._paley_root_rows(q) for q in PALEY_ORDERS_TO_101}
+    expected = {q: families._paley_root_split(q).rows for q in PALEY_ORDERS_TO_101}
 
     def shifted(radices, s):
         return real(radices, (s + 1) % prod(radices))
 
     monkeypatch.setattr(families, "_translation", shifted)
     for q, rows in expected.items():
-        assert families._paley_root_rows(q) != rows, q
+        assert families._paley_root_split(q).rows != rows, q
 
 
 @pytest.mark.parametrize("q", [q for q in range(5, 258, 4) if prime_power_decomposition(q)])
@@ -510,14 +510,15 @@ def test_one_orbit_check_agrees_with_the_edge_walk(monkeypatch, q):
     # fails both.
     g = paley_graph(q)
     edges = list(g.edges())
-    families._paley_root_rows(q)
+    families._paley_root_split(q)
     assert set(_edge_orbits(g, edges, paley_automorphisms(q))) == {0}
     field = make_field(*prime_power_decomposition(q))
     primitive = _first_primitive(field)
-    assert families._square_generator(field) == primitive * primitive
-    monkeypatch.setattr(families, "_square_generator", lambda field: primitive)
+    square = families._square_generator(field)
+    assert field.element(field._pad(square)) == primitive * primitive
+    monkeypatch.setattr(families, "_square_generator", lambda field: primitive.coeffs)
     with pytest.raises(InvalidParamsError, match="one edge orbit"):
-        families._paley_root_rows(q)
+        families._paley_root_split(q)
     with pytest.raises(InvalidParamsError, match="neighbors"):
         _edge_orbits(g, edges, paley_automorphisms(q))
 
