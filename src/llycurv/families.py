@@ -8,7 +8,7 @@ the verification suites sweep over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, prod
 from typing import Collection
 
@@ -19,9 +19,7 @@ from .errors import (
     TooLargeError,
     UnknownFamilyError,
 )
-from .fields import (
-    FiniteField, _index, _poly_mulmod, _poly_powmod, _prime_divisors, make_field, square_index_set
-)
+from .fields import FiniteField, _power_walk, _prime_divisors, make_field, square_index_set
 from .graphs import EdgeNeighborhood, Graph, SrgParams
 
 # A family's build costs time and memory in proportion to its edges (or, for
@@ -90,6 +88,24 @@ def _negation(radices: tuple[int, ...], s: int) -> int:
     return neg
 
 
+def _rotation(radices: tuple[int, ...], mask: int, s: int) -> int:
+    """The image of a vertex mask under u -> u + s in Z_r1 x ... x Z_rk.
+
+    The digits are added one at a time, least significant first.  For a
+    digit d of weight w and radix r, the members whose digit is below r - d
+    move up by d w and the rest wrap down by (r - d) w; the first are picked
+    by a block mask with period r w.  With one radix this is a rotation.
+    """
+    n, weight = prod(radices), 1
+    for r in reversed(radices):
+        s, d = divmod(s, r)
+        if d:
+            low = ((1 << (r - d) * weight) - 1) * (((1 << n) - 1) // ((1 << r * weight) - 1))
+            mask = (mask & low) << d * weight | (mask & ~low) >> (r - d) * weight
+        weight *= r
+    return mask
+
+
 def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Graph:
     """Cayley graph of Z_r1 x ... x Z_rk: u ~ u + s for s in the connection set.
 
@@ -145,49 +161,27 @@ def paley_graph(q: int) -> Graph:
     return _cayley_graph((field.p,) * field.m, square_index_set(field))
 
 
-def _square_generator(field: FiniteField) -> tuple[int, ...]:
-    """The coefficients of g^2, g the first primitive element in index order."""
-    p, q, modulus, squares = field.p, field.q, field.modulus, square_index_set(field)
-    # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1.
-    # q is odd, and for r = 2 this says that g is not a square.
-    powers = [(q - 1) // r for r in _prime_divisors(q - 1) if r > 2]
-    g = next(
-        c for i, c in enumerate(product(range(p), repeat=field.m))  # i is c's index
-        if i and i not in squares and all(_poly_powmod(c, k, modulus, p) != (1,) for k in powers)
-    )
-    return _poly_mulmod(g, g, modulus, p)
-
-
 def _paley_root_split(q: int) -> EdgeNeighborhood:
     """The split of the edge (0, c) of P(q), c the least square, from S alone.
 
     It equals decompose_edge(paley_graph(q), 0, c), and the edge decides
     every pair x, y with x - y a nonzero square, the edges of P(q):
-    translations and the multipliers in S put them in one orbit.  That
-    rests on two O(q) checks, which raise when they fail: S is closed under
-    negation, and the orbit of 1 under g^2 is S, so g^2 S = S and the
-    multipliers g^2 ... g^(q-1) are all of S.
+    translations and the multipliers in S put them in one orbit.  The power
+    walk of GF(q) proves that, and the split raises unless it does: g has
+    q - 1 distinct powers, so S, its even powers, is the orbit of 1 under
+    g^2 and the multipliers g^2 ... g^(q-1) are all of S; and -1, which is
+    g^((q-1)/2), lies in S, so S is closed under negation.  Each translate
+    v + S is S's mask under _rotation.
     """
     field = _paley_field(q)
-    radices, squares = (field.p,) * field.m, square_index_set(field)
-    h, e, orbit = _square_generator(field), (1,), set()
-    for _ in range((q - 1) // 2):
-        orbit.add(_index(field._pad(e), field.p))
-        e = _poly_mulmod(e, h, field.modulus, field.p)
-    if e != (1,) or orbit != squares or len(orbit) != (q - 1) // 2 or any(
-        _negation(radices, s) not in squares for s in squares
-    ):
+    radices, powers, squares = (field.p,) * field.m, _power_walk(field), square_index_set(field)
+    if len(set(powers)) != q - 1 or powers[(q - 1) // 2] not in squares:
         raise InvalidParamsError(f"the nonzero squares of GF({q}) do not give one edge orbit")
-
-    def mask(v: int) -> int:  # the neighbours v + S of v
-        t = _translation(radices, v)
-        return sum(1 << t[s] for s in squares)
-
-    c = min(squares)
-    x_mask, y_mask = mask(0), mask(c)
+    c, x_mask = min(squares), sum(1 << s for s in squares)
+    y_mask = _rotation(radices, x_mask, c)
     ny_mask = y_mask & ~x_mask & ~1
     nx = tuple(sorted(s for s in squares if not y_mask >> s & 1 and s != c))
-    rows = tuple(mask(v) & ny_mask for v in nx)
+    rows = tuple(_rotation(radices, x_mask, v) & ny_mask for v in nx)
     return EdgeNeighborhood(0, c, nx, x_mask & y_mask, ny_mask, rows)
 
 

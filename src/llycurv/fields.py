@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
+from operator import mul
 from typing import Iterator
 
 from .errors import NotPrimeError, TooLargeError
@@ -223,20 +224,49 @@ def make_field(p: int, m: int = 1) -> FiniteField:
 
 
 @lru_cache(maxsize=None)
-def square_index_set(field: FiniteField) -> frozenset[int]:
-    """Indices of the nonzero squares, obtained by squaring every element.
+def _power_walk(field: FiniteField) -> tuple[int, ...]:
+    """Indices of g^0, g^1, ..., g^(q-2), g the first primitive element in index order.
 
-    Each nonzero coefficient tuple c is squared as c * c mod the modulus; a
-    prime field is the case m = 1, modulus t.  This is the route the program
-    uses; is_nonzero_square (the Euler criterion) is the independent one,
-    and the test suite checks they agree.
+    Each candidate c is walked until its powers return to 1; it is primitive
+    iff that takes q - 1 steps, and GF(q)^* is cyclic, so one is.  The
+    powers of a candidate that is not are not primitive either, so they are
+    skipped as candidates.  Multiplying by c is GF(p)-linear: its m columns
+    t^j c are computed once, and each step is one matrix-vector product
+    over GF(p).  A FiniteField built on a reducible modulus has no element
+    of order q - 1; each walk there stops after q steps, and ValueError is
+    raised.
     """
-    p, modulus = field.p, field.modulus
-    squares = set()
-    for coeffs in islice(product(range(p), repeat=field.m), 1, None):  # zero comes first
-        c = _trim(list(coeffs))
-        squares.add(_index(field._pad(_poly_mulmod(c, c, modulus, p)), p))
-    return frozenset(squares)
+    p, m, q = field.p, field.m, field.q
+    one, skipped = (1,) + (0,) * (m - 1), set()
+    for c in islice(product(range(p), repeat=m), 1, None):  # zero comes first
+        if c in skipped:
+            continue
+        cols = [c]
+        for _ in range(m - 1):  # t times the last column, with t^m = t^m - modulus
+            *low, top = cols[-1]
+            cols.append(tuple((a - top * f) % p for a, f in zip((0, *low), field.modulus)))
+        rows, walk, e = tuple(zip(*cols)), [one], c
+        while e != one and len(walk) < q:  # longer only if the modulus is reducible
+            walk.append(e)
+            e = tuple([sum(map(mul, e, row)) % p for row in rows])
+        if len(walk) == q - 1:
+            return tuple(_index(e, p) for e in walk)
+        skipped.update(walk)
+    raise ValueError(f"{field!r} has no element of order {q - 1}: its modulus is reducible")
+
+
+@lru_cache(maxsize=None)
+def square_index_set(field: FiniteField) -> frozenset[int]:
+    """Indices of the nonzero squares, the powers g^(2k mod (q-1)) of _power_walk.
+
+    In characteristic 2, q - 1 is odd and every nonzero element is a square,
+    so the even exponents are taken mod q - 1 rather than read off every
+    other power.  This is the route the program uses; is_nonzero_square
+    (the Euler criterion) and the squaring of every element in the tests
+    are the independent ones, and the test suite checks they agree.
+    """
+    powers = _power_walk(field)
+    return frozenset(powers[2 * k % len(powers)] for k in range(len(powers)))
 
 
 def is_nonzero_square(field: FiniteField, a: FieldElement) -> bool:

@@ -14,10 +14,12 @@ that of `graphs.decompose_edge`, the all-pairs loop
 (`matrix_srg_identity`) those of `classify_regularity`'s 2-ball walk and
 its strongly regular verdict, the edge walk (`_edge_orbits`) over the
 affine generators of P(q) (`paley_automorphisms`) that of the one-orbit
-check behind `transport.paley_kappa`, and the field-arithmetic search
+check behind `transport.paley_kappa`, the field-arithmetic search
 (`canonical_pair`) that of the pair `residues.verify_corollary` reads off
-P(q).  Hopcroft-Karp on index lists (`_hopcroft_karp`) and the
-column-by-column `lex_first_maximum_reference` are the references of
+P(q), and the squaring of every element (`squaring_square_index_set`)
+that of the squares `fields.square_index_set` reads off the power walk.
+Hopcroft-Karp on index lists (`_hopcroft_karp`) and the column-by-column
+`lex_first_maximum_reference` are the references of
 `max_matching`, which runs the engine of `matching.local_perfect_matching`
 on a `BipartiteInstance` fixture and answers in indices;
 `sharpness_equivalence` sets an edge's curvature sharpness beside its
@@ -34,7 +36,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations, product
 from math import gcd
 from typing import Sequence
 
@@ -42,7 +44,9 @@ import numpy as np
 
 from llycurv import families
 from llycurv.errors import InvalidOrderError, InvalidParamsError, LlycurvError, TooLargeError
-from llycurv.fields import FieldElement, FiniteField, is_nonzero_square
+from llycurv.fields import (
+    FieldElement, FiniteField, _index, _poly_mulmod, _power_walk, _trim, is_nonzero_square
+)
 from llycurv.graphs import (
     Graph,
     RegularityClass,
@@ -673,9 +677,24 @@ def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
     p, m = field.p, field.m
     # t^k has the index p^(m-1-k): the constant term is the leading digit.
     maps = [tuple(families._translation((p,) * m, p ** (m - 1 - k))) for k in range(m)]
-    square = field.element(field._pad(families._square_generator(field)))
+    square = field.from_index(_power_walk(field)[2])
     maps.append(tuple((square * e).index for e in field.elements()))
     return tuple(maps)
+
+
+def squaring_square_index_set(field: FiniteField) -> frozenset[int]:
+    """Indices of the nonzero squares, obtained by squaring every element.
+
+    Each nonzero coefficient tuple c is squared as c * c mod the modulus; a
+    prime field is the case m = 1, modulus t.  This is the reference of
+    fields.square_index_set, which reads the squares off the power walk.
+    """
+    p, modulus = field.p, field.modulus
+    squares = set()
+    for coeffs in islice(product(range(p), repeat=field.m), 1, None):  # zero comes first
+        c = _trim(list(coeffs))
+        squares.add(_index(field._pad(_poly_mulmod(c, c, modulus, p)), p))
+    return frozenset(squares)
 
 
 def _edge_orbits(

@@ -299,6 +299,18 @@ def _edge_list_cayley(radices, connection):
     return Graph(n, [(u, v) for image in translations for u, v in enumerate(image) if u < v])
 
 
+@pytest.mark.parametrize("radices", [(13,), (3,) * 5, (2,) * 6, (5,) * 3, (4, 4), (3, 2, 5)])
+def test_rotation_moves_a_mask_as_the_translation_list_moves_its_members(radices):
+    # Every shift s, on masks from empty to full: one radix, 3-, 5- and
+    # 6-digit indices, and mixed radices.
+    n = prod(radices)
+    for members in (range(0), range(0, n, 3), range(1, n, 2), range(n)):
+        mask = sum(1 << u for u in members)
+        for s in range(n):
+            image = families._translation(radices, s)
+            assert families._rotation(radices, mask, s) == sum(1 << image[u] for u in members)
+
+
 def test_cayley_rows_equal_the_edge_list_build(monkeypatch):
     # _cayley_graph trusts the rows it sorts; with the edge-list
     # constructor in its place every catalog entry and P(q), q <= 200,

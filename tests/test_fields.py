@@ -186,6 +186,15 @@ def test_inverse_existence(p, m):
         assert e * e ** (f.q - 2) == f.one
 
 
+@pytest.mark.parametrize("modulus", [(0, 0, 1), (2, 0, 1)], ids=["t^2", "t^2-1"])
+def test_power_walk_refuses_a_reducible_modulus(modulus):
+    # Modulo t^2 the powers of t reach 0, and modulo t^2 - 1 = (t - 1)(t + 1)
+    # the idempotent (1 + t)/2 is its own square: neither returns to 1, so
+    # the walk stops after q steps and finds no element of order q - 1.
+    with pytest.raises(ValueError, match="reducible"):
+        fields.square_index_set(fields.FiniteField(3, 2, modulus))
+
+
 def test_index_ordering_constant_term_most_significant():
     f = make_field(3, 2)
     # coeffs (c0, c1) with index 3*c0 + c1

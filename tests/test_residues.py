@@ -23,13 +23,14 @@ from llycurv.residues import (
     subset_threshold,
     verify_corollary,
 )
-from helpers import _edge_orbits, canonical_pair, paley_automorphisms
+from helpers import _edge_orbits, canonical_pair, paley_automorphisms, squaring_square_index_set
 
 
 def test_square_index_set_agrees_with_euler_criterion():
     for p, m in [(13, 1), (3, 2), (5, 2), (29, 1), (7, 2), (3, 3), (2, 3), (2, 4)]:
         f = make_field(p, m)
         squares = square_index_set(f)
+        assert squares == squaring_square_index_set(f)
         for e in f.elements():
             assert (e.index in squares) == is_nonzero_square(f, e)
 
@@ -226,10 +227,10 @@ def test_verify_corollary_builds_no_graph(monkeypatch):
 
 
 def test_verify_corollary_rests_on_the_one_orbit_proof(monkeypatch):
-    # 2 generates GF(13)^*, so it maps the squares onto the non-squares and
-    # the orbit of 1 under it is not S: the corollary refuses to decide.
-    assert len({pow(2, k, 13) for k in range(12)}) == 12
-    monkeypatch.setattr(families, "_square_generator", lambda field: (2,))
+    # 3 has order 3 in GF(13)^*, so a walk of its powers proves no orbit:
+    # the corollary refuses to decide.
+    assert [pow(3, k, 13) for k in range(4)] == [1, 3, 9, 1]
+    monkeypatch.setattr(families, "_power_walk", lambda field: (1, 3, 9))
     with pytest.raises(InvalidParamsError, match="one edge orbit"):
         verify_corollary(13)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llycurv import families, transport
+from llycurv import families, fields, transport
 from llycurv.errors import (
     DisconnectedError,
     InfiniteDistanceError,
@@ -33,7 +33,7 @@ from llycurv.families import (
     rook_graph,
     shrikhande_graph,
 )
-from llycurv.fields import make_field
+from llycurv.fields import is_nonzero_square, make_field
 from llycurv.graphio import load_graph
 from llycurv.graphs import Graph, decompose_edge
 from llycurv.transport import (
@@ -54,6 +54,7 @@ from helpers import (
     lex_smallest_optimal_assignment,
     paley_automorphisms,
     random_regular_graph,
+    squaring_square_index_set,
     uniform_measure_w1_oracle,
 )
 
@@ -468,30 +469,52 @@ def _root_edge(g):
     return x, y
 
 
-@pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
-def test_paley_root_split_equals_decompose_edge(q):
+PALEY_ORDERS_TO_257 = [q for q in range(5, 258, 4) if prime_power_decomposition(q)]
+
+
+def _forbid_field_products_and_translation_lists(monkeypatch):
+    # The split and paley_kappa need neither, and the walk runs afresh.
+    def forbidden(*args):
+        raise AssertionError("a field product or a translation list was built")
+
+    monkeypatch.setattr(families, "_translation", forbidden)
+    monkeypatch.setattr(fields, "_poly_powmod", forbidden)
+    monkeypatch.setattr(fields, "_poly_mulmod", forbidden)
+    fields._power_walk.cache_clear()
+    fields.square_index_set.cache_clear()
+
+
+@pytest.mark.parametrize("q", PALEY_ORDERS_TO_257)
+def test_paley_root_split_equals_decompose_edge(monkeypatch, q):
     # Every field, x, y, nx, delta_mask, ny_mask and rows, is compared.
     g = paley_graph(q)
-    assert families._paley_root_split(q) == decompose_edge(g, *_root_edge(g))
+    expected = decompose_edge(g, *_root_edge(g))
+    _forbid_field_products_and_translation_lists(monkeypatch)
+    assert families._paley_root_split(q) == expected
 
 
 def test_paley_root_split_catches_a_shifted_translation(monkeypatch):
-    # Each translate v + S built one place off breaks the rows.
-    real = families._translation
-    expected = {q: families._paley_root_split(q).rows for q in PALEY_ORDERS_TO_101}
+    # Each translate v + S built one place off breaks the rows.  P(5) is the
+    # 5-cycle, whose one row is empty whatever the translate; there the
+    # fault shows in ny_mask.
+    real = families._rotation
+    expected = {q: families._paley_root_split(q) for q in PALEY_ORDERS_TO_257}
 
-    def shifted(radices, s):
-        return real(radices, (s + 1) % prod(radices))
+    def shifted(radices, mask, s):
+        return real(radices, mask, (s + 1) % prod(radices))
 
-    monkeypatch.setattr(families, "_translation", shifted)
-    for q, rows in expected.items():
-        assert families._paley_root_split(q).rows != rows, q
+    monkeypatch.setattr(families, "_rotation", shifted)
+    for q, split in expected.items():
+        wrong = families._paley_root_split(q)
+        assert wrong.rows != split.rows if q > 5 else wrong.ny_mask != split.ny_mask, q
 
 
-@pytest.mark.parametrize("q", [q for q in range(5, 258, 4) if prime_power_decomposition(q)])
-def test_paley_kappa_equals_lly_curvature(q):
+@pytest.mark.parametrize("q", PALEY_ORDERS_TO_257)
+def test_paley_kappa_equals_lly_curvature(monkeypatch, q):
     g = paley_graph(q)
-    assert paley_kappa(q) == lly_curvature(g, *_root_edge(g)).kappa
+    expected = lly_curvature(g, *_root_edge(g)).kappa
+    _forbid_field_products_and_translation_lists(monkeypatch)
+    assert paley_kappa(q) == expected
 
 
 def _first_primitive(field):
@@ -503,24 +526,36 @@ def _first_primitive(field):
     )
 
 
+@pytest.mark.parametrize("q", [*PALEY_ORDERS_TO_101, 27, 125, 32])
+def test_power_walk_lists_the_powers_of_the_first_primitive(q):
+    field = make_field(*prime_power_decomposition(q))
+    g = _first_primitive(field)
+    assert fields._power_walk(field) == tuple((g ** k).index for k in range(q - 1))
+    squares = fields.square_index_set(field)
+    assert squares == squaring_square_index_set(field)
+    assert squares == {e.index for e in field.elements() if is_nonzero_square(field, e)}
+
+
 @pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
 def test_one_orbit_check_agrees_with_the_edge_walk(monkeypatch, q):
-    # The O(q) check passes where the walk over every edge finds one orbit,
-    # and a primitive g in place of g^2, which maps squares to non-squares,
-    # fails both.
+    # The O(q) check passes where the walk over every edge finds one orbit.
+    # The check fails on the walk of g^2, which is not primitive, and on a
+    # walk that puts a non-square at g^((q-1)/2), where -1 belongs; g itself,
+    # a non-square, fails the edge walk as a multiplier.
     g = paley_graph(q)
     edges = list(g.edges())
     families._paley_root_split(q)
     assert set(_edge_orbits(g, edges, paley_automorphisms(q))) == {0}
     field = make_field(*prime_power_decomposition(q))
-    primitive = _first_primitive(field)
-    square = families._square_generator(field)
-    assert field.element(field._pad(square)) == primitive * primitive
-    monkeypatch.setattr(families, "_square_generator", lambda field: primitive.coeffs)
-    with pytest.raises(InvalidParamsError, match="one edge orbit"):
-        families._paley_root_split(q)
+    powers = fields._power_walk(field)
+    for walk in (powers[::2], powers[1:] + powers[:1]):
+        monkeypatch.setattr(families, "_power_walk", lambda field: walk)
+        with pytest.raises(InvalidParamsError, match="one edge orbit"):
+            families._paley_root_split(q)
+    primitive = field.from_index(powers[1])
+    times_g = tuple((primitive * e).index for e in field.elements())
     with pytest.raises(InvalidParamsError, match="neighbors"):
-        _edge_orbits(g, edges, paley_automorphisms(q))
+        _edge_orbits(g, edges, [*paley_automorphisms(q)[:-1], times_g])
 
 
 def _torus_3x5():
