@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -367,14 +369,28 @@ def _command_parser(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentP
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _formatter_class() -> Callable[..., argparse.HelpFormatter]:
+    """HelpFormatter at the width it would read itself, read here once.
+
+    argparse builds a formatter for every argument it adds, and each one
+    left to itself reads the terminal size; the parsers of one call share
+    this one reading instead.
+    """
+    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser(
+    formatter_class: Callable[..., argparse.HelpFormatter] | None = None,
+) -> argparse.ArgumentParser:
+    formatter_class = formatter_class or _formatter_class()
     parser = argparse.ArgumentParser(
         prog="llycurv",
         description="Exact curvature, matching certificates and SRG parameter tools",
+        formatter_class=formatter_class,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _command_parser(name, sub.add_parser(name, help=help_text))
+        _command_parser(name, sub.add_parser(name, help=help_text, formatter_class=formatter_class))
     return parser
 
 
@@ -382,13 +398,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # Only the named command's parser is built.  The full parser parses
     # again only to print the top-level usage: no or an unknown command, a
-    # top-level option, or an argument the command leaves over.
-    args, extra = None, None
+    # top-level option, or an argument the command leaves over.  Both
+    # parsers share one reading of the terminal width.
+    args, extra, formatter_class = None, None, _formatter_class()
     if argv and argv[0] in _COMMANDS:
-        parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"llycurv {argv[0]}"))
+        command = argparse.ArgumentParser(prog=f"llycurv {argv[0]}", formatter_class=formatter_class)
+        parser = _command_parser(argv[0], command)
         args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args is None or extra:
-        args = build_parser().parse_args(argv)
+        args = build_parser(formatter_class).parse_args(argv)
     try:
         doc = args.func(args)
         text = doc if isinstance(doc, str) else json.dumps(

@@ -20,7 +20,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .fields import FiniteField, _power_walk, _prime_divisors, make_field, square_index_set
-from .graphs import EdgeNeighborhood, Graph, SrgParams
+from .graphs import EdgeNeighborhood, Graph, SrgParams, _set_bits
 
 # A family's build costs time and memory in proportion to its edges (or, for
 # the k-subset families, to the vertex pairs tested), so one bound covers
@@ -94,9 +94,13 @@ def _rotation(radices: tuple[int, ...], mask: int, s: int) -> int:
     The digits are added one at a time, least significant first.  For a
     digit d of weight w and radix r, the members whose digit is below r - d
     move up by d w and the rest wrap down by (r - d) w; the first are picked
-    by a block mask with period r w.  With one radix this is a rotation.
+    by a block mask with period r w.  With one radix this is a rotation: the
+    mask and its copy n places up, shifted down by n - s and cut to n bits,
+    hold each member u at u + s mod n.
     """
     n, weight = prod(radices), 1
+    if len(radices) == 1:
+        return (mask | mask << n) >> (n - s) & (1 << n) - 1
     for r in reversed(radices):
         s, d = divmod(s, r)
         if d:
@@ -169,18 +173,20 @@ def _paley_root_split(q: int) -> EdgeNeighborhood:
     translations and the multipliers in S put them in one orbit.  The power
     walk of GF(q) proves that, and the split raises unless it does: g has
     q - 1 distinct powers, so S, its even powers, is the orbit of 1 under
-    g^2 and the multipliers g^2 ... g^(q-1) are all of S; and -1, which is
-    g^((q-1)/2), lies in S, so S is closed under negation.  Each translate
-    v + S is S's mask under _rotation.
+    g^2 and the multipliers g^2 ... g^(q-1) are all of S; and -1 lies in
+    S, so S is closed under negation.  -1 is the constant p - 1, and the
+    constant term is an index's most significant digit, so its index is
+    q - q / p.  Each translate v + S is S's mask under _rotation.
     """
     field = _paley_field(q)
-    radices, powers, squares = (field.p,) * field.m, _power_walk(field), square_index_set(field)
-    if len(set(powers)) != q - 1 or powers[(q - 1) // 2] not in squares:
+    radices, powers = (field.p,) * field.m, _power_walk(field)
+    x_mask = sum(1 << s for s in powers[::2])
+    if len(set(powers)) != q - 1 or not x_mask >> (q - q // field.p) & 1:
         raise InvalidParamsError(f"the nonzero squares of GF({q}) do not give one edge orbit")
-    c, x_mask = min(squares), sum(1 << s for s in squares)
+    c = (x_mask & -x_mask).bit_length() - 1
     y_mask = _rotation(radices, x_mask, c)
     ny_mask = y_mask & ~x_mask & ~1
-    nx = tuple(sorted(s for s in squares if not y_mask >> s & 1 and s != c))
+    nx = _set_bits(x_mask & ~y_mask & ~(1 << c))
     rows = tuple(_rotation(radices, x_mask, v) & ny_mask for v in nx)
     return EdgeNeighborhood(0, c, nx, x_mask & y_mask, ny_mask, rows)
 

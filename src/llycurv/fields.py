@@ -230,43 +230,58 @@ def _power_walk(field: FiniteField) -> tuple[int, ...]:
     Each candidate c is walked until its powers return to 1; it is primitive
     iff that takes q - 1 steps, and GF(q)^* is cyclic, so one is.  The
     powers of a candidate that is not are not primitive either, so they are
-    skipped as candidates.  Multiplying by c is GF(p)-linear: its m columns
-    t^j c are computed once, and each step is one matrix-vector product
-    over GF(p).  A FiniteField built on a reducible modulus has no element
-    of order q - 1; each walk there stops after q steps, and ValueError is
-    raised.
+    skipped as candidates.  In a prime field the index is the element, and
+    each step is e * c % p.  Otherwise multiplying by c is GF(p)-linear: its
+    m columns t^j c are computed once, and each step is one matrix-vector
+    product over GF(p).  A FiniteField built on a reducible modulus has no
+    element of order q - 1; each walk there stops after q steps, and
+    ValueError is raised.
     """
     p, m, q = field.p, field.m, field.q
-    one, skipped = (1,) + (0,) * (m - 1), set()
-    for c in islice(product(range(p), repeat=m), 1, None):  # zero comes first
+    if m == 1:
+        one, candidates = 1, range(1, p)
+    else:
+        one, candidates = (1,) + (0,) * (m - 1), islice(product(range(p), repeat=m), 1, None)
+    skipped = set()
+    for c in candidates:  # zero is not a candidate
         if c in skipped:
             continue
-        cols = [c]
-        for _ in range(m - 1):  # t times the last column, with t^m = t^m - modulus
-            *low, top = cols[-1]
-            cols.append(tuple((a - top * f) % p for a, f in zip((0, *low), field.modulus)))
-        rows, walk, e = tuple(zip(*cols)), [one], c
-        while e != one and len(walk) < q:  # longer only if the modulus is reducible
-            walk.append(e)
-            e = tuple([sum(map(mul, e, row)) % p for row in rows])
+        walk, e = [one], c
+        if m == 1:
+            for _ in range(q - 1):
+                if e == 1:
+                    break
+                walk.append(e)
+                e = e * c % p
+        else:
+            cols = [c]
+            for _ in range(m - 1):  # t times the last column, with t^m = t^m - modulus
+                *low, top = cols[-1]
+                cols.append(tuple((a - top * f) % p for a, f in zip((0, *low), field.modulus)))
+            rows = tuple(zip(*cols))
+            for _ in range(q - 1):  # all q - 1 steps only if the modulus is reducible
+                if e == one:
+                    break
+                walk.append(e)
+                e = tuple([sum(map(mul, e, row)) % p for row in rows])
         if len(walk) == q - 1:
-            return tuple(_index(e, p) for e in walk)
+            return tuple(walk) if m == 1 else tuple(_index(e, p) for e in walk)
         skipped.update(walk)
     raise ValueError(f"{field!r} has no element of order {q - 1}: its modulus is reducible")
 
 
 @lru_cache(maxsize=None)
 def square_index_set(field: FiniteField) -> frozenset[int]:
-    """Indices of the nonzero squares, the powers g^(2k mod (q-1)) of _power_walk.
+    """Indices of the nonzero squares, the even powers g^(2k) of _power_walk.
 
     In characteristic 2, q - 1 is odd and every nonzero element is a square,
-    so the even exponents are taken mod q - 1 rather than read off every
-    other power.  This is the route the program uses; is_nonzero_square
-    (the Euler criterion) and the squaring of every element in the tests
-    are the independent ones, and the test suite checks they agree.
+    so every power is taken.  This is the route the program uses;
+    is_nonzero_square (the Euler criterion) and the squaring of every
+    element in the tests are the independent ones, and the test suite
+    checks they agree.
     """
     powers = _power_walk(field)
-    return frozenset(powers[2 * k % len(powers)] for k in range(len(powers)))
+    return frozenset(powers if field.p == 2 else powers[::2])
 
 
 def is_nonzero_square(field: FiniteField, a: FieldElement) -> bool:

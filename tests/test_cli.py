@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -506,15 +507,30 @@ def test_main_builds_the_full_parser_only_for_the_top_level_answers(pin_dir, cap
     # parser alone; build_parser is called only where its usage is printed.
     calls, real = [], cli.build_parser
 
-    def counted():
+    def counted(*args):
         calls.append(1)
-        return real()
+        return real(*args)
 
     monkeypatch.setattr(cli, "build_parser", counted)
     for argv, sha256 in _PINNED:
         calls.clear()
         assert hashlib.sha256(_command_bytes(capsys, argv)).hexdigest() == sha256, argv
         assert len(calls) == (argv in _FULL_PARSER_ARGVS), argv
+
+
+@pytest.mark.parametrize("argv", [("corollary", "--q", "13"), *sorted(_FULL_PARSER_ARGVS)])
+def test_main_reads_the_terminal_width_once(pin_dir, capsys, monkeypatch, argv):
+    # Left to itself argparse reads it for every formatter it builds, one
+    # per argument added; a call that builds both parsers reads it once too.
+    calls, real = [], shutil.get_terminal_size
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    _command_bytes(capsys, argv)
+    assert len(calls) == 1, argv
 
 
 @pytest.mark.parametrize("name", sorted(cli._COMMANDS))

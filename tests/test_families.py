@@ -299,12 +299,15 @@ def _edge_list_cayley(radices, connection):
     return Graph(n, [(u, v) for image in translations for u, v in enumerate(image) if u < v])
 
 
-@pytest.mark.parametrize("radices", [(13,), (3,) * 5, (2,) * 6, (5,) * 3, (4, 4), (3, 2, 5)])
+@pytest.mark.parametrize(
+    "radices", [(13,), (3,) * 5, (2,) * 6, (5,) * 3, (4, 4), (3, 2, 5), (5,), (61,), (257,)]
+)
 def test_rotation_moves_a_mask_as_the_translation_list_moves_its_members(radices):
-    # Every shift s, on masks from empty to full: one radix, 3-, 5- and
-    # 6-digit indices, and mixed radices.
+    # Every shift s, 0 and n - 1 included, on masks from empty to full, some
+    # holding bit n - 1: one radix (the orders of the prime Paley graphs
+    # among them), 3-, 5- and 6-digit indices, and mixed radices.
     n = prod(radices)
-    for members in (range(0), range(0, n, 3), range(1, n, 2), range(n)):
+    for members in (range(0), range(0, n, 3), range(1, n, 2), range(n - 1, -1, -4), range(n)):
         mask = sum(1 << u for u in members)
         for s in range(n):
             image = families._translation(radices, s)

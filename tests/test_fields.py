@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,25 @@ def test_power_walk_refuses_a_reducible_modulus(modulus):
     # the walk stops after q steps and finds no element of order q - 1.
     with pytest.raises(ValueError, match="reducible"):
         fields.square_index_set(fields.FiniteField(3, 2, modulus))
+
+
+def _prime_divisors_by_trial(n):
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, isqrt(r) + 1))]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [p for p in range(5, 1010, 4) if all(p % d for d in range(2, isqrt(p) + 1))] + [19_997],
+)
+def test_prime_power_walk_agrees_with_pow(p):
+    # g is the least primitive root by definition: c^((p-1)/r) != 1 for
+    # every prime r dividing p - 1.  The squares are the Euler criterion's.
+    divisors = _prime_divisors_by_trial(p - 1)
+    g = next(c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in divisors))
+    field = make_field(p)
+    assert fields._power_walk(field) == tuple(pow(g, k, p) for k in range(p - 1))
+    squares = {a for a in range(1, p) if pow(a, (p - 1) // 2, p) == 1}
+    assert fields.square_index_set(field) == squares
 
 
 def test_index_ordering_constant_term_most_significant():
