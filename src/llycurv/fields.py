@@ -1,10 +1,12 @@
 """Finite field arithmetic GF(p^m) with a canonical modulus.
 
-Elements are coefficient vectors over GF(p), constant term first.  The
-modulus is pinned to the first monic irreducible of its degree in a fixed
-enumeration (constant term varying fastest), so element numbering, and
-therefore every graph built on top, is reproducible: GF(9) always uses
-t^2 + 1 and GF(25) always t^2 + 2.
+Elements are coefficient tuples over GF(p), constant term first, and add
+digit by digit.  The modulus is pinned to the first monic irreducible of
+its degree in a fixed enumeration (constant term varying fastest), so
+element numbering, and therefore every graph built on top, is
+reproducible: GF(9) always uses t^2 + 1 and GF(25) always t^2 + 2.  The
+one multiplication is the power walk read as an antilog table: a product
+adds the logs of its nonzero factors (_log_table).
 """
 
 from __future__ import annotations
@@ -47,17 +49,6 @@ def _trim(coeffs: list[int]) -> Poly:
     return tuple(coeffs)
 
 
-def _poly_mulmod(a: Poly, b: Poly, modulus: Poly, p: int) -> Poly:
-    if not a or not b:
-        return ()
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, modulus, p)
-
-
 def _index(coeffs: Poly, p: int) -> int:
     """Canonical numbering of m coefficients: constant term most significant."""
     val = 0
@@ -75,17 +66,6 @@ def _poly_mod(coeffs: list[int], modulus: Poly, p: int) -> Poly:
             for j in range(m):
                 coeffs[i - m + j] = (coeffs[i - m + j] - c * modulus[j]) % p
     return _trim([c % p for c in coeffs[:m]])
-
-
-def _poly_powmod(base: Poly, exp: int, modulus: Poly, p: int) -> Poly:
-    result: Poly = (1,)
-    b = _poly_mod(list(base), modulus, p)
-    while exp:
-        if exp & 1:
-            result = _poly_mulmod(result, b, modulus, p)
-        b = _poly_mulmod(b, b, modulus, p)
-        exp >>= 1
-    return result
 
 
 def _monic_polys(p: int, degree: int) -> Iterator[Poly]:
@@ -132,15 +112,19 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        prod = _poly_mulmod(_trim(list(self.coeffs)), _trim(list(other.coeffs)), f.modulus, f.p)
-        return FieldElement(f, f._pad(prod))
+        if self.is_zero or other.is_zero:
+            return f.zero
+        powers, log = _log_table(f)
+        return f.from_index(powers[(log[self.index] + log[other.index]) % (f.q - 1)])
 
     def __pow__(self, exp: int) -> "FieldElement":
         f = self.field
         if exp < 0:
             raise ValueError("negative exponents unsupported; use a ** (q - 2) for inverses")
-        out = _poly_powmod(_trim(list(self.coeffs)), exp, f.modulus, f.p)
-        return FieldElement(f, f._pad(out))
+        if self.is_zero:
+            return f.one if exp == 0 else f.zero
+        powers, log = _log_table(f)
+        return f.from_index(powers[log[self.index] * exp % (f.q - 1)])
 
     @property
     def is_zero(self) -> bool:
@@ -166,9 +150,6 @@ class FiniteField:
     @property
     def q(self) -> int:
         return self.p**self.m
-
-    def _pad(self, coeffs: Poly) -> tuple[int, ...]:
-        return tuple(coeffs) + (0,) * (self.m - len(coeffs))
 
     def element(self, coeffs: tuple[int, ...] | list[int] | int) -> FieldElement:
         if isinstance(coeffs, int):
@@ -271,13 +252,26 @@ def _power_walk(field: FiniteField) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _log_table(field: FiniteField) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(powers, log): _power_walk's antilog table and its inverse, log[powers[k]] = k.
+
+    Kept apart from the walk, so that reading the squares builds no log.
+    """
+    powers = _power_walk(field)
+    log = [0] * field.q  # log[0] is never read: a zero factor is handled first
+    for k, e in enumerate(powers):
+        log[e] = k
+    return powers, tuple(log)
+
+
+@lru_cache(maxsize=None)
 def square_index_set(field: FiniteField) -> frozenset[int]:
     """Indices of the nonzero squares, the even powers g^(2k) of _power_walk.
 
     In characteristic 2, q - 1 is odd and every nonzero element is a square,
-    so every power is taken.  This is the route the program uses;
-    is_nonzero_square (the Euler criterion) and the squaring of every
-    element in the tests are the independent ones, and the test suite
+    so every power is taken.  This is the route the program uses; the
+    Euler criterion and the squaring of every element, both by polynomial
+    arithmetic in the tests, are the independent ones, and the test suite
     checks they agree.
     """
     powers = _power_walk(field)
@@ -285,9 +279,5 @@ def square_index_set(field: FiniteField) -> frozenset[int]:
 
 
 def is_nonzero_square(field: FiniteField, a: FieldElement) -> bool:
-    """Euler criterion: a != 0 and a^((q-1)/2) = 1."""
-    if a.is_zero:
-        return False
-    if field.q % 2 == 0:
-        return True  # every element of a characteristic-2 field is a square
-    return a ** ((field.q - 1) // 2) == field.one
+    """a != 0 and a is one of square_index_set's powers."""
+    return a.index in square_index_set(field)

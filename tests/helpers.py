@@ -18,6 +18,10 @@ check behind `transport.paley_kappa`, the field-arithmetic search
 (`canonical_pair`) that of the pair `residues.verify_corollary` reads off
 P(q), and the squaring of every element (`squaring_square_index_set`)
 that of the squares `fields.square_index_set` reads off the power walk.
+Products and powers of polynomials reduced mod the field's modulus
+(`poly_mul`, `poly_pow`) are the references of `FieldElement`'s `*` and
+`**`, which read the walk's log table, and the Euler criterion on them
+(`euler_is_nonzero_square`) that of `fields.is_nonzero_square`.
 Hopcroft-Karp on index lists (`_hopcroft_karp`) and the column-by-column
 `lex_first_maximum_reference` are the references of
 `max_matching`, which runs the engine of `matching.local_perfect_matching`
@@ -44,9 +48,7 @@ import numpy as np
 
 from llycurv import families
 from llycurv.errors import InvalidOrderError, InvalidParamsError, LlycurvError, TooLargeError
-from llycurv.fields import (
-    FieldElement, FiniteField, _index, _poly_mulmod, _power_walk, _trim, is_nonzero_square
-)
+from llycurv.fields import FieldElement, FiniteField, Poly, _index, _poly_mod, _power_walk, _trim
 from llycurv.graphs import (
     Graph,
     RegularityClass,
@@ -678,8 +680,56 @@ def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
     # t^k has the index p^(m-1-k): the constant term is the leading digit.
     maps = [tuple(families._translation((p,) * m, p ** (m - 1 - k))) for k in range(m)]
     square = field.from_index(_power_walk(field)[2])
-    maps.append(tuple((square * e).index for e in field.elements()))
+    maps.append(tuple(poly_mul(square, e).index for e in field.elements()))
     return tuple(maps)
+
+
+def _poly_mulmod(a: Poly, b: Poly, modulus: Poly, p: int) -> Poly:
+    if not a or not b:
+        return ()
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    return _poly_mod(prod, modulus, p)
+
+
+def _poly_powmod(base: Poly, exp: int, modulus: Poly, p: int) -> Poly:
+    result: Poly = (1,)
+    b = _poly_mod(list(base), modulus, p)
+    while exp:
+        if exp & 1:
+            result = _poly_mulmod(result, b, modulus, p)
+        b = _poly_mulmod(b, b, modulus, p)
+        exp >>= 1
+    return result
+
+
+def _pad(field: FiniteField, coeffs: Poly) -> tuple[int, ...]:
+    return tuple(coeffs) + (0,) * (field.m - len(coeffs))
+
+
+def poly_mul(a: FieldElement, b: FieldElement) -> FieldElement:
+    """a * b as polynomials mod the field's modulus: the reference of FieldElement.__mul__."""
+    f = a.field
+    prod = _poly_mulmod(_trim(list(a.coeffs)), _trim(list(b.coeffs)), f.modulus, f.p)
+    return FieldElement(f, _pad(f, prod))
+
+
+def poly_pow(a: FieldElement, exp: int) -> FieldElement:
+    """a ** exp by square-and-multiply on polynomials: the reference of FieldElement.__pow__."""
+    f = a.field
+    return FieldElement(f, _pad(f, _poly_powmod(_trim(list(a.coeffs)), exp, f.modulus, f.p)))
+
+
+def euler_is_nonzero_square(field: FiniteField, a: FieldElement) -> bool:
+    """Euler criterion: a != 0 and a^((q-1)/2) = 1, by poly_pow."""
+    if a.is_zero:
+        return False
+    if field.q % 2 == 0:
+        return True  # every element of a characteristic-2 field is a square
+    return poly_pow(a, (field.q - 1) // 2) == field.one
 
 
 def squaring_square_index_set(field: FiniteField) -> frozenset[int]:
@@ -693,7 +743,7 @@ def squaring_square_index_set(field: FiniteField) -> frozenset[int]:
     squares = set()
     for coeffs in islice(product(range(p), repeat=field.m), 1, None):  # zero comes first
         c = _trim(list(coeffs))
-        squares.add(_index(field._pad(_poly_mulmod(c, c, modulus, p)), p))
+        squares.add(_index(_pad(field, _poly_mulmod(c, c, modulus, p)), p))
     return frozenset(squares)
 
 
@@ -743,7 +793,7 @@ def canonical_pair(field: FiniteField) -> tuple[FieldElement, FieldElement]:
     as automorphisms of P(q).
     """
     for e in field.elements():
-        if is_nonzero_square(field, e):
+        if euler_is_nonzero_square(field, e):
             return field.zero, e
     raise InvalidOrderError(f"GF({field.q}) has no nonzero square")
 

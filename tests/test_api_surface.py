@@ -4,9 +4,10 @@ The checks read source with `ast` only.  A name counts as referenced when
 it appears as a name or an attribute anywhere in `src/`, `demos/` or
 `bench/` outside its own definition; the package's re-exports in
 `__init__.py` and `__all__` entries do not count, string constants under
-`bench/` (its `REPLAY_TARGETS`) do.  The classes of `errors.py` are the
-error vocabulary of the exit-2 paths, so each but the base class
-`LlycurvError` must also be raised somewhere in `src/`.
+`bench/` (its `REPLAY_TARGETS`) do.  Every public def or class and every
+private def or method of `src/` must be referenced so.  The classes of
+`errors.py` are the error vocabulary of the exit-2 paths, so each but the
+base class `LlycurvError` must also be raised somewhere in `src/`.
 """
 
 from __future__ import annotations
@@ -15,41 +16,56 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "llycurv"
 
 
-def _references(node: ast.AST, strings: bool) -> set[str]:
-    found: set[str] = set()
+def _references(node: ast.AST, strings: bool) -> Counter[str]:
+    found: Counter[str] = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            found.add(sub.id)
+            found[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
+            found[sub.attr] += 1
         elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            found.add(sub.value)
+            found[sub.value] += 1
     return found
 
 
-def _unreferenced_public_names() -> list[str]:
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _unreferenced(private: bool) -> list[str]:
     # Imports and __all__ entries are not names or attributes, so the
     # package's re-exports count for nothing.
-    defined: list[tuple[str, Path, ast.stmt]] = []
-    chunks: list[tuple[Path, ast.stmt, set[str]]] = []
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + sorted(
         (ROOT / "bench").glob("*.py")
-    ):
-        for node in ast.parse(path.read_text()).body:
-            if path.parent == PACKAGE:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                    defined.append((node.name, path, node))
-            chunks.append((path, node, _references(node, strings=path.parent.name == "bench")))
+    )
+    everywhere: Counter[str] = Counter()
+    defined: list[tuple[str, ast.AST]] = []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        everywhere += _references(tree, strings=path.parent.name == "bench")
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name) == private:
+                defined.append((f"{path.stem}.{node.name}", node))
+            if private and isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{path.stem}.{node.name}.{sub.name}", sub)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and _is_private(sub.name)
+                ]
+    # A definition's own body does not count, so neither does recursion.
     return sorted(
-        f"{path.stem}.{name}"
-        for name, path, node in defined
-        if not any(name in refs for p, n, refs in chunks if not (p == path and n is node))
+        qualified
+        for qualified, node in defined
+        if everywhere[node.name] == _references(node, strings=False)[node.name]
     )
 
 
@@ -77,7 +93,7 @@ def _errors_never_raised() -> list[str]:
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
-                raised |= _references(node.exc, strings=False)
+                raised.update(_references(node.exc, strings=False))
     classes = [
         node.name
         for node in ast.parse((PACKAGE / "errors.py").read_text()).body
@@ -87,7 +103,11 @@ def _errors_never_raised() -> list[str]:
 
 
 def test_every_public_name_has_a_caller():
-    assert _unreferenced_public_names() == []
+    assert _unreferenced(private=False) == []
+
+
+def test_every_private_def_and_method_has_a_caller():
+    assert _unreferenced(private=True) == []
 
 
 def test_every_error_class_is_raised():

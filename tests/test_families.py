@@ -27,9 +27,9 @@ from llycurv.families import (
     prime_power_decomposition,
     rook_graph,
 )
-from llycurv.fields import FieldElement, is_nonzero_square, make_field
+from llycurv.fields import FieldElement, make_field
 from llycurv.graphs import Graph, SrgParams, bfs_distances, classify_regularity
-from helpers import paley_automorphisms, random_regular_graph
+from helpers import euler_is_nonzero_square, paley_automorphisms, poly_mul, random_regular_graph
 
 
 def test_prime_power_decomposition():
@@ -192,10 +192,11 @@ def _by_predicate(n, adjacent):
 
 
 def _paley_oracle(q):
-    # the Euler criterion, independent of the squaring that paley_graph uses
+    # the Euler criterion on polynomials, independent of the power walk
+    # that paley_graph reads the squares from
     field = make_field(*prime_power_decomposition(q))
     elements = list(field.elements())
-    return _by_predicate(q, lambda u, v: is_nonzero_square(field, elements[u] - elements[v]))
+    return _by_predicate(q, lambda u, v: euler_is_nonzero_square(field, elements[u] - elements[v]))
 
 
 def _rook_oracle(k):
@@ -264,20 +265,20 @@ def test_oracles_cover_every_family():
 
 
 def _affine_oracle(q):
-    """Basis translations and t -> g^2 t by FieldElement + and *, g of order q - 1."""
+    """Basis translations and t -> g^2 t by FieldElement + and poly_mul, g of order q - 1."""
     field = make_field(*prime_power_decomposition(q))
     elements = list(field.elements())
 
     def order(e):
         k, power = 1, e
         while power != field.one:
-            k, power = k + 1, power * e
+            k, power = k + 1, poly_mul(power, e)
         return k
 
     g = next(e for e in elements if not e.is_zero and order(e) == q - 1)
     basis = [field.element([int(i == k) for i in range(field.m)]) for k in range(field.m)]
     maps = [tuple((e + b).index for e in elements) for b in basis]
-    maps.append(tuple((g * g * e).index for e in elements))
+    maps.append(tuple(poly_mul(poly_mul(g, g), e).index for e in elements))
     return tuple(maps)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from math import isqrt
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from llycurv import fields
 from llycurv.errors import NotPrimeError, TooLargeError
 from llycurv.families import prime_power_decomposition
 from llycurv.fields import is_nonzero_square, is_prime, make_field
+from helpers import euler_is_nonzero_square, poly_mul, poly_pow, squaring_square_index_set
 
 # The canonical modulus of every GF(p^m) with m >= 2 and p^m <= 2^16,
 # recorded with Rabin's irreducibility test, an independent route to the
@@ -136,31 +138,33 @@ def test_is_prime_small_values():
 
 def test_euler_criterion_examples():
     f = make_field(13)
-    assert is_nonzero_square(f, f.element(4))
-    assert not is_nonzero_square(f, f.element(2))  # 2^6 = 64 = 12 mod 13
-    assert not is_nonzero_square(f, f.zero)
+    for is_square in (is_nonzero_square, euler_is_nonzero_square):
+        assert is_square(f, f.element(4))
+        assert not is_square(f, f.element(2))  # 2^6 = 64 = 12 mod 13
+        assert not is_square(f, f.zero)
 
 
 def test_gf9_generator_square_status_matches_brute_force():
     f = make_field(3, 2)
-    squares = {(e * e).index for e in f.elements() if not e.is_zero}
+    squares = {poly_mul(e, e).index for e in f.elements() if not e.is_zero}
     t = f.element((0, 1))
-    assert is_nonzero_square(f, t) == (t.index in squares)
+    assert is_nonzero_square(f, t) == euler_is_nonzero_square(f, t) == (t.index in squares)
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (3, 2), (5, 2), (7, 2)], ids=["13", "9", "25", "49"])
 def test_euler_criterion_matches_squaring_everywhere(p, m):
+    # Two polynomial routes, compared with each other and with the walk's.
     f = make_field(p, m)
-    squares = {(e * e).index for e in f.elements() if not e.is_zero}
+    squares = squaring_square_index_set(f)
     for e in f.elements():
-        assert is_nonzero_square(f, e) == (e.index in squares)
+        assert euler_is_nonzero_square(f, e) == (e.index in squares) == is_nonzero_square(f, e)
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (3, 2), (5, 2), (7, 2)], ids=["13", "9", "25", "49"])
 def test_square_count_is_half(p, m):
     f = make_field(p, m)
-    count = sum(1 for e in f.elements() if is_nonzero_square(f, e))
-    assert count == (f.q - 1) // 2
+    for is_square in (is_nonzero_square, euler_is_nonzero_square):
+        assert sum(1 for e in f.elements() if is_square(f, e)) == (f.q - 1) // 2
 
 
 @pytest.mark.parametrize(
@@ -192,8 +196,54 @@ def test_power_walk_refuses_a_reducible_modulus(modulus):
     # Modulo t^2 the powers of t reach 0, and modulo t^2 - 1 = (t - 1)(t + 1)
     # the idempotent (1 + t)/2 is its own square: neither returns to 1, so
     # the walk stops after q steps and finds no element of order q - 1.
-    with pytest.raises(ValueError, match="reducible"):
-        fields.square_index_set(fields.FiniteField(3, 2, modulus))
+    # A product reads the walk too.
+    field = fields.FiniteField(3, 2, modulus)
+    t = field.element((0, 1))
+    for read in (fields.square_index_set, lambda field: t * t):
+        with pytest.raises(ValueError, match="reducible"):
+            read(field)
+
+
+# q = 8, 9, 13, 25, 27, 49, 121 and 125 on every pair, then two fields near
+# the bound on seeded pairs.
+TABLE_FIELDS = [(2, 3), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2), (11, 2), (5, 3), (65521, 1), (3, 10)]
+
+
+def _pairs(f):
+    if f.q <= 125:
+        elements = list(f.elements())
+        return [(a, b) for a in elements for b in elements]
+    rng = random.Random(f.q)
+    return [(f.from_index(rng.randrange(f.q)), f.from_index(rng.randrange(f.q))) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS, ids=[str(p**m) for p, m in TABLE_FIELDS])
+def test_table_product_and_power_match_polynomials(p, m):
+    # Each base a takes the q exponents a.index .. a.index + q - 1, which
+    # pass q - 1, where the table wraps.
+    f = make_field(p, m)
+    for a, b in _pairs(f):
+        assert a * b == poly_mul(a, b)
+        assert a ** (a.index + b.index) == poly_pow(a, a.index + b.index)
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS, ids=[str(p**m) for p, m in TABLE_FIELDS])
+def test_frobenius_is_a_permutation_preserving_sum_and_product(p, m):
+    # x -> x^p by the polynomial reference, on every element a pair reaches:
+    # every element of the small fields, so there it is a permutation.
+    f = make_field(p, m)
+    images = {}
+
+    def frobenius(e):
+        if e.index not in images:
+            images[e.index] = poly_pow(e, p).index
+        return f.from_index(images[e.index])
+
+    for a, b in _pairs(f):
+        assert frobenius(a + b) == frobenius(a) + frobenius(b)
+        assert frobenius(a * b) == frobenius(a) * frobenius(b)
+    assert len(set(images.values())) == len(images)
+    assert f.q > 125 or sorted(images) == list(range(f.q))
 
 
 def _prime_divisors_by_trial(n):

@@ -23,7 +23,14 @@ from llycurv.residues import (
     subset_threshold,
     verify_corollary,
 )
-from helpers import _edge_orbits, canonical_pair, paley_automorphisms, squaring_square_index_set
+from helpers import (
+    _edge_orbits,
+    canonical_pair,
+    euler_is_nonzero_square,
+    paley_automorphisms,
+    poly_mul,
+    squaring_square_index_set,
+)
 
 
 def test_square_index_set_agrees_with_euler_criterion():
@@ -32,7 +39,7 @@ def test_square_index_set_agrees_with_euler_criterion():
         squares = square_index_set(f)
         assert squares == squaring_square_index_set(f)
         for e in f.elements():
-            assert (e.index in squares) == is_nonzero_square(f, e)
+            assert (e.index in squares) == euler_is_nonzero_square(f, e) == is_nonzero_square(f, e)
 
 
 def test_subset_threshold_exact():
@@ -296,8 +303,8 @@ def test_affine_symmetry_audit():
         b = f.element(rng.randrange(q))
         subset_idx = rng.sample(universe, rng.randrange(2, 11))
         subset = [f.element(v) for v in subset_idx]
-        image_x, image_y = a * x + b, a * y + b
-        image_subset = [a * s + b for s in subset]
+        image_x, image_y = poly_mul(a, x) + b, poly_mul(a, y) + b
+        image_subset = [poly_mul(a, s) + b for s in subset]
         direct = find_pattern_witness(f, x, y, subset)
         transported = find_pattern_witness(f, image_x, image_y, image_subset)
         assert (direct is None) == (transported is None)

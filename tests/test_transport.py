@@ -33,7 +33,7 @@ from llycurv.families import (
     rook_graph,
     shrikhande_graph,
 )
-from llycurv.fields import is_nonzero_square, make_field
+from llycurv.fields import FieldElement, make_field
 from llycurv.graphio import load_graph
 from llycurv.graphs import Graph, decompose_edge
 from llycurv.transport import (
@@ -50,9 +50,12 @@ from helpers import (
     _edge_orbits,
     all_optimal_assignments,
     brute_force_assignment,
+    euler_is_nonzero_square,
     hungarian,
     lex_smallest_optimal_assignment,
     paley_automorphisms,
+    poly_mul,
+    poly_pow,
     random_regular_graph,
     squaring_square_index_set,
     uniform_measure_w1_oracle,
@@ -478,8 +481,9 @@ def _forbid_field_products_and_translation_lists(monkeypatch):
         raise AssertionError("a field product or a translation list was built")
 
     monkeypatch.setattr(families, "_translation", forbidden)
-    monkeypatch.setattr(fields, "_poly_powmod", forbidden)
-    monkeypatch.setattr(fields, "_poly_mulmod", forbidden)
+    monkeypatch.setattr(FieldElement, "__mul__", forbidden)
+    monkeypatch.setattr(FieldElement, "__pow__", forbidden)
+    monkeypatch.setattr(fields, "_log_table", forbidden)
     fields._power_walk.cache_clear()
     fields.square_index_set.cache_clear()
 
@@ -518,11 +522,12 @@ def test_paley_kappa_equals_lly_curvature(monkeypatch, q):
 
 
 def _first_primitive(field):
-    # The first element of order q - 1 in index order, by listing its powers.
+    # The first element of order q - 1 in index order, by listing its
+    # polynomial powers.
     q = field.q
     return next(
         e for e in field.elements()
-        if not e.is_zero and len({(e ** k).index for k in range(q - 1)}) == q - 1
+        if not e.is_zero and len({poly_pow(e, k).index for k in range(q - 1)}) == q - 1
     )
 
 
@@ -530,10 +535,10 @@ def _first_primitive(field):
 def test_power_walk_lists_the_powers_of_the_first_primitive(q):
     field = make_field(*prime_power_decomposition(q))
     g = _first_primitive(field)
-    assert fields._power_walk(field) == tuple((g ** k).index for k in range(q - 1))
+    assert fields._power_walk(field) == tuple(poly_pow(g, k).index for k in range(q - 1))
     squares = fields.square_index_set(field)
     assert squares == squaring_square_index_set(field)
-    assert squares == {e.index for e in field.elements() if is_nonzero_square(field, e)}
+    assert squares == {e.index for e in field.elements() if euler_is_nonzero_square(field, e)}
 
 
 @pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
@@ -553,7 +558,7 @@ def test_one_orbit_check_agrees_with_the_edge_walk(monkeypatch, q):
         with pytest.raises(InvalidParamsError, match="one edge orbit"):
             families._paley_root_split(q)
     primitive = field.from_index(powers[1])
-    times_g = tuple((primitive * e).index for e in field.elements())
+    times_g = tuple(poly_mul(primitive, e).index for e in field.elements())
     with pytest.raises(InvalidParamsError, match="neighbors"):
         _edge_orbits(g, edges, [*paley_automorphisms(q)[:-1], times_g])
 
