@@ -8,6 +8,7 @@ the verification suites sweep over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb, prod
 from typing import Collection
@@ -20,7 +21,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .fields import FiniteField, _power_walk, _prime_divisors, make_field, square_index_set
-from .graphs import EdgeNeighborhood, Graph, SrgParams, _set_bits
+from .graphs import EdgeNeighborhood, Graph, SrgParams, _split
 
 # A family's build costs time and memory in proportion to its edges (or, for
 # the k-subset families, to the vertex pairs tested), so one bound covers
@@ -166,29 +167,24 @@ def paley_graph(q: int) -> Graph:
 
 
 def _paley_root_split(q: int) -> EdgeNeighborhood:
-    """The split of the edge (0, c) of P(q), c the least square, from S alone.
+    """graphs._split of the edge (0, c) of P(q), c the least square, from S alone.
 
-    It equals decompose_edge(paley_graph(q), 0, c), and the edge decides
-    every pair x, y with x - y a nonzero square, the edges of P(q):
+    The neighbour mask of v is v + S, the mask of S under _rotation by v, so
+    the split equals decompose_edge(paley_graph(q), 0, c).  The edge decides
+    every pair x, y with x - y a nonzero square, the edges of P(q), as the
     translations and the multipliers in S put them in one orbit.  The power
-    walk of GF(q) proves that, and the split raises unless it does: g has
-    q - 1 distinct powers, so S, its even powers, is the orbit of 1 under
-    g^2 and the multipliers g^2 ... g^(q-1) are all of S; and -1 lies in
-    S, so S is closed under negation.  -1 is the constant p - 1, and the
-    constant term is an index's most significant digit, so its index is
-    q - q / p.  Each translate v + S is S's mask under _rotation.
+    walk of GF(q) proves that, or the split raises: g has q - 1 distinct
+    powers, so S, its even powers, is the orbit of 1 under g^2 and the
+    multipliers g^2 ... g^(q-1) are all of S; and S = -S, as it holds -1,
+    the constant p - 1 of index q - q / p (the constant term is the top digit).
     """
     field = _paley_field(q)
     radices, powers = (field.p,) * field.m, _power_walk(field)
-    x_mask = sum(1 << s for s in powers[::2])
-    if len(set(powers)) != q - 1 or not x_mask >> (q - q // field.p) & 1:
+    s_mask = sum(1 << s for s in powers[::2])
+    if len(set(powers)) != q - 1 or not s_mask >> (q - q // field.p) & 1:
         raise InvalidParamsError(f"the nonzero squares of GF({q}) do not give one edge orbit")
-    c = (x_mask & -x_mask).bit_length() - 1
-    y_mask = _rotation(radices, x_mask, c)
-    ny_mask = y_mask & ~x_mask & ~1
-    nx = _set_bits(x_mask & ~y_mask & ~(1 << c))
-    rows = tuple(_rotation(radices, x_mask, v) & ny_mask for v in nx)
-    return EdgeNeighborhood(0, c, nx, x_mask & y_mask, ny_mask, rows)
+    c = (s_mask & -s_mask).bit_length() - 1
+    return _split(0, c, partial(_rotation, radices, s_mask))
 
 
 def rook_graph(k: int) -> Graph:

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     InvalidParamsError,
@@ -276,8 +276,7 @@ class EdgeNeighborhood:
 
     delta holds the common neighbors and nx/ny the exclusive neighbors of
     x/y.  delta_mask and ny_mask are the neighbor-mask forms of delta and
-    ny, and rows is the local matching graph H(x, y): rows[i] =
-    masks[nx[i]] & ny_mask, the N_y neighbors of nx[i] as bits.  The
+    ny, and rows is the local matching graph H(x, y), built by _split.  The
     curvature paths read only nx, the masks and the rows, so the delta and
     ny tuples are built from their masks on first read.
     """
@@ -298,20 +297,25 @@ class EdgeNeighborhood:
         return _set_bits(self.ny_mask)
 
 
-def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
+def _split(x: VertexId, y: VertexId, mask_of: Callable[[VertexId], int]) -> EdgeNeighborhood:
     """Split the neighbours of the edge xy into delta, N_x and N_y, with H(x, y).
 
-    No set and no row is built: N_x is x's mask less the neighbours of y
-    and y itself, N_y the other way round, and delta is their AND.
+    mask_of(v) is v's neighbour mask, and no set is built: N_x is x's mask
+    less y's and y itself, N_y the other way round, delta is their AND, and
+    rows[i], the row of nx[i] in H(x, y), is the mask of nx[i] cut to N_y.
     """
-    if not g.has_edge(x, y):
-        raise NotAnEdgeError(f"({x},{y}) is not an edge")
-    masks = neighbor_masks(g)
-    gx, gy = masks[x], masks[y]
+    gx, gy = mask_of(x), mask_of(y)
     nx = _set_bits(gx & ~gy & ~(1 << y))
     ny_mask = gy & ~gx & ~(1 << x)
-    rows = tuple([masks[v] & ny_mask for v in nx])
+    rows = tuple([mask_of(v) & ny_mask for v in nx])
     return EdgeNeighborhood(x=x, y=y, nx=nx, delta_mask=gx & gy, ny_mask=ny_mask, rows=rows)
+
+
+def decompose_edge(g: Graph, x: VertexId, y: VertexId) -> EdgeNeighborhood:
+    """The _split of the edge xy of g, read off its neighbour masks."""
+    if not g.has_edge(x, y):
+        raise NotAnEdgeError(f"({x},{y}) is not an edge")
+    return _split(x, y, neighbor_masks(g).__getitem__)
 
 
 class RegularityKind(Enum):

@@ -177,6 +177,6 @@ def verify_corollary(
         subsets_tested=tested,
         failures=tuple(failures),
         mode=mode,
-        seed=seed,
+        seed=seed if mode == "sampled" else None,
         trials=trials if mode == "sampled" else None,
     )

@@ -102,6 +102,19 @@ def _errors_never_raised() -> list[str]:
     return [name for name in classes if name != "LlycurvError" and name not in raised]
 
 
+def _calls_of(name: str) -> list[str]:
+    """The top-level defs of `src/` that call `name`, once per call site."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            sites += [
+                f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Call) and name in _references(sub.func, strings=False)
+            ]
+    return sites
+
+
 def test_every_public_name_has_a_caller():
     assert _unreferenced(private=False) == []
 
@@ -116,6 +129,11 @@ def test_every_error_class_is_raised():
 
 def test_no_module_imports_a_name_it_never_uses():
     assert _unused_imports() == []
+
+
+def test_h_xy_has_one_builder():
+    # H(x, y) is built for a graph and for P(q) alike by graphs._split.
+    assert _calls_of("EdgeNeighborhood") == ["graphs._split"]
 
 
 PUBLIC_NAMES = [

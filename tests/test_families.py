@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import combinations
 from math import prod
 
@@ -28,7 +29,15 @@ from llycurv.families import (
     rook_graph,
 )
 from llycurv.fields import FieldElement, make_field
-from llycurv.graphs import Graph, SrgParams, bfs_distances, classify_regularity
+from llycurv.graphs import (
+    Graph,
+    SrgParams,
+    _split,
+    bfs_distances,
+    classify_regularity,
+    decompose_edge,
+    neighbor_masks,
+)
 from helpers import euler_is_nonzero_square, paley_automorphisms, poly_mul, random_regular_graph
 
 
@@ -313,6 +322,35 @@ def test_rotation_moves_a_mask_as_the_translation_list_moves_its_members(radices
         for s in range(n):
             image = families._translation(radices, s)
             assert families._rotation(radices, mask, s) == sum(1 << image[u] for u in members)
+
+
+@pytest.mark.parametrize(
+    "g, radices",
+    [
+        (rook_graph(4), (4, 4)),
+        (families.shrikhande_graph(), (4, 4)),
+        *((cocktail_party_graph(k), (k, 2)) for k in range(2, 7)),
+        (families.clebsch_graph(), (2,) * 4),
+        (families.cycle_graph(6), (6,)),
+        (families.complete_graph(5), (5,)),
+        (families.hypercube_graph(3), (2,) * 3),
+        (paley_graph(9), (3, 3)),
+        (paley_graph(25), (5, 5)),
+        (families._cayley_graph((3, 5), [1, 4, 5, 10]), (3, 5)),
+    ],
+    ids=[
+        "rook4", "shrikhande", *(f"cocktail_party{k}" for k in range(2, 7)), "clebsch",
+        "cycle6", "complete5", "hypercube3", "paley9", "paley25", "z3xz5",
+    ],
+)
+def test_rotations_of_s_split_every_root_edge_of_a_cayley_graph(g, radices):
+    # Vertex 0's mask is S, and v's is v + S, so rotations of S alone give
+    # every neighbour mask and the split of each edge (0, s).
+    masks = neighbor_masks(g)
+    mask_of = partial(families._rotation, radices, masks[0])
+    assert [mask_of(v) for v in range(g.n)] == list(masks)
+    for s in g.neighbors(0):
+        assert _split(0, s, mask_of) == decompose_edge(g, 0, s)
 
 
 def test_cayley_rows_equal_the_edge_list_build(monkeypatch):

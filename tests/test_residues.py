@@ -121,6 +121,8 @@ def test_verify_corollary_q13_exhaustive():
     assert report.subsets_tested == 67  # C(11,9)+C(11,10)+C(11,11)
     assert report.failures == ()
     assert report.pair == (0, 1)
+    # seed and trials are echoed in sampled mode only.
+    assert verify_corollary(13, "exhaustive", seed=5, trials=7) == report
 
 
 def test_verify_corollary_q17_exhaustive():

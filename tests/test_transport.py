@@ -35,7 +35,7 @@ from llycurv.families import (
 )
 from llycurv.fields import FieldElement, make_field
 from llycurv.graphio import load_graph
-from llycurv.graphs import Graph, decompose_edge
+from llycurv.graphs import Graph
 from llycurv.transport import (
     ProbabilityMeasure,
     idleness_identity_check,
@@ -57,6 +57,7 @@ from helpers import (
     poly_mul,
     poly_pow,
     random_regular_graph,
+    set_decompose_edge,
     squaring_square_index_set,
     uniform_measure_w1_oracle,
 )
@@ -490,11 +491,17 @@ def _forbid_field_products_and_translation_lists(monkeypatch):
 
 @pytest.mark.parametrize("q", PALEY_ORDERS_TO_257)
 def test_paley_root_split_equals_decompose_edge(monkeypatch, q):
-    # Every field, x, y, nx, delta_mask, ny_mask and rows, is compared.
+    # decompose_edge and the root split both build through graphs._split, so
+    # the reference is the split built through sets, compared field by field.
     g = paley_graph(q)
-    expected = decompose_edge(g, *_root_edge(g))
+    x, y = _root_edge(g)
+    expected = set_decompose_edge(g, x, y)
+    del expected["pxy"]
     _forbid_field_products_and_translation_lists(monkeypatch)
-    assert families._paley_root_split(q) == expected
+    split = families._paley_root_split(q)
+    assert (split.x, split.y) == (x, y)
+    assert {name: getattr(split, name) for name in expected} == expected
+    assert split.delta_mask == sum(1 << v for v in expected["delta"])
 
 
 def test_paley_root_split_catches_a_shifted_translation(monkeypatch):
