@@ -79,16 +79,6 @@ def _translation(radices: tuple[int, ...], s: int) -> list[int]:
     return image
 
 
-def _negation(radices: tuple[int, ...], s: int) -> int:
-    """Index of -s in Z_r1 x ... x Z_rk, digit by digit."""
-    neg, weight = 0, 1
-    for r in reversed(radices):
-        s, d = divmod(s, r)
-        neg += -d % r * weight
-        weight *= r
-    return neg
-
-
 def _rotation(radices: tuple[int, ...], mask: int, s: int) -> int:
     """The image of a vertex mask under u -> u + s in Z_r1 x ... x Z_rk.
 
@@ -118,14 +108,15 @@ def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Grap
     must not hold 0 or repeat an element; then row u, the images of u under
     the translations by S, is symmetric and loop-free, and is taken as it
     is once sorted.  The n |S| / 2 edges are checked against the bound
-    before anything is built.
+    before anything is built.  The check reads S as its mask: the indices
+    in 1..n-1 give one bit each, so S is valid iff it has |S| bits and
+    s + S holds 0, i.e. -s is in S, for each s in S (bit 0 of _rotation).
     """
     n = prod(radices)
     _check_edges(n * len(connection) // 2, f"a Cayley graph of order {n} and degree {len(connection)}")
-    members = set(connection)
-    if (
-        len(members) != len(connection)
-        or not all(0 < s < n and _negation(radices, s) in members for s in members)
+    s_mask = sum(1 << s for s in connection if 0 < s < n)
+    if s_mask.bit_count() != len(connection) or not all(
+        _rotation(radices, s_mask, s) & 1 for s in connection
     ):
         raise InvalidParamsError(
             f"a Cayley connection set needs distinct indices in 1..{n - 1}, closed under negation"

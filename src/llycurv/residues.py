@@ -37,12 +37,13 @@ def find_pattern_witness(
 
     w must see x as a square difference but not y, z the reverse, and w - z
     must be a nonzero square; equivalently (w, z) is an edge between the
-    exclusive neighborhoods of x and y inside S.
+    exclusive neighborhoods of x and y inside S.  The non-squares are
+    nonzero, so x and y are never w or z, even when S holds them.
     """
     squares = square_index_set(field)
     if (x - y).index not in squares:
         raise InvalidPairError("x - y must be a nonzero square")
-    members = sorted(subset, key=lambda e: e.index)
+    members = sorted((e for e in subset if e.index not in (x.index, y.index)), key=lambda e: e.index)
     side_x = [
         w
         for w in members

@@ -118,6 +118,15 @@ def test_non_sharp_graph_stdout_pinned(capsys, monkeypatch, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_cayley_family_stdout_pinned(capsys):
+    # the python-floor CI job checks the same hash on Python 3.10
+    code, out, _ = run(capsys, "gen", "--name", "shrikhande")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "003ed13bf7a90f30e4ae7df67289bbf39dab19058093845a3dbcda433490106b"
+    )
+
+
 def test_non_sharp_edge_witnesses_pinned(capsys, monkeypatch):
     monkeypatch.chdir(DATA)
     g = load_graph(_RRG40)

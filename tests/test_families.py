@@ -372,8 +372,14 @@ def test_cayley_rows_equal_the_edge_list_build(monkeypatch):
         ((4, 4), [1, 3, 4]),  # (1, 0) without (3, 0)
         ((5,), [1, 4, 1]),  # 1 twice
         ((5,), [1, 4, 6]),  # 6 is no index of Z_5
+        ((5,), [1, 4, -1]),  # a negative index, which no mask bit holds
+        ((4, 4), [4, 12, 16]),  # 16 is no index of Z_4 x Z_4
+        ((5,), [1, 4, 10**30]),  # far past n: no huge mask is built
     ],
-    ids=["not-closed", "zero", "not-closed-2d", "repeat", "out-of-range"],
+    ids=[
+        "not-closed", "zero", "not-closed-2d", "repeat",
+        "out-of-range", "negative", "out-of-range-2d", "huge",
+    ],
 )
 def test_cayley_rejects_a_bad_connection_set(monkeypatch, radices, connection):
     monkeypatch.setattr(families, "_translation", _forbidden)

@@ -106,8 +106,13 @@ def test_witness_matches_exhaustive_pair_search():
 
 
 def test_witness_single_element_subset_has_none():
+    # x = 0 and y = 1 are no pattern vertices: z = x would need x - z = 0
+    # to be a non-square, and w = y would need y - w = 0 to be one
     f = make_field(13)
-    assert find_pattern_witness(f, f.element(0), f.element(1), [f.element(2)]) is None
+    x, y = f.element(0), f.element(1)
+    assert find_pattern_witness(f, x, y, [f.element(2)]) is None
+    assert find_pattern_witness(f, x, y, [f.element(3), x]) is None
+    assert find_pattern_witness(f, x, y, [y, f.element(2)]) is None
 
 
 def test_witness_requires_square_difference_pair():
@@ -175,6 +180,21 @@ def test_exhaustive_failures_are_the_pattern_free_kept_subsets(monkeypatch, q, t
     reference = _reference_pattern_free(q, kept)
     assert report.subsets_tested == len(kept)
     assert reference and list(report.failures) == sorted(reference)
+
+
+@pytest.mark.parametrize("q", [13, 17])
+def test_reference_agrees_with_the_kernel_on_subsets_of_the_whole_field(q):
+    # the subsets may hold x and y; the kernel has no edge at their bits,
+    # and the reference must not take them for w or z
+    split = families._paley_root_split(q)
+    kernel = pattern_free_kernel(split)
+    f = make_field(q)
+    x, y = f.element(split.x), f.element(split.y)
+    rng = random.Random(q)
+    for _ in range(200):
+        subset = rng.sample(range(q), rng.randrange(q + 1))
+        witness = find_pattern_witness(f, x, y, [f.element(v) for v in subset])
+        assert (witness is None) == kernel(_mask(subset)), sorted(subset)
 
 
 def test_kernel_agrees_with_reference_on_gf25_samples():
