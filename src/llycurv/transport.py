@@ -41,11 +41,18 @@ from .matching import _bit_matching, _lex_first_matching
 
 @dataclass(frozen=True)
 class ProbabilityMeasure:
-    """Finitely supported measure; masses are positive fractions summing to 1."""
+    """Finitely supported measure; masses are positive fractions summing to 1.
+
+    Vertices must be ints and masses ints or Fractions: W1 indexes with the
+    vertices and clears the masses' denominators, and a float sum of 1.0
+    is no exact check.
+    """
 
     support: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
+        if any(type(v) is not int or type(mass) not in (int, Fraction) for v, mass in self.support):
+            raise InvalidParamsError("support vertices must be ints and masses ints or Fractions")
         verts = [v for v, _ in self.support]
         if verts != sorted(set(verts)):
             raise InvalidParamsError("support must be sorted with distinct vertices")
@@ -110,79 +117,48 @@ class CurvatureSpectrum:
 def _transportation(
     supplies: list[int], demands: list[int], cost: list[list[int]]
 ) -> tuple[int, list[list[int]]]:
-    """Integer transportation problem via successive shortest paths."""
+    """Integer transportation problem via successive shortest paths.
+
+    Row i is node i and column j is node nl + j.  The residual arcs are the
+    forward arcs (i, nl + j, cost[i][j]), in row-major order, then the
+    backward arcs (nl + j, i, -cost[i][j]) of the pairs carrying flow, in
+    column-major order.  Each round, Bellman-Ford from every row with supply
+    left finds a shortest path to the first column of least distance among
+    those with demand left, and the path's bottleneck is pushed along it.
+    """
     nl, nr = len(supplies), len(demands)
     flow = [[0] * nr for _ in range(nl)]
-    sup = list(supplies)
-    dem = list(demands)
-    while True:
-        sources = [i for i in range(nl) if sup[i] > 0]
-        if not sources:
-            break
-        # Bellman-Ford over the residual bipartite graph.
-        dist: list[int | None] = [None] * (nl + nr)
+    sup, dem = list(supplies), list(demands)
+    forward = [(i, nl + j, cost[i][j]) for i in range(nl) for j in range(nr)]
+    while any(s > 0 for s in sup):
+        backward = [(nl + j, i, -cost[i][j]) for j in range(nr) for i in range(nl) if flow[i][j]]
+        dist: list[int | None] = [0 if s > 0 else None for s in sup] + [None] * nr
         parent = [-1] * (nl + nr)
-        for i in sources:
-            dist[i] = 0
         for _ in range(nl + nr):
             changed = False
-            for i in range(nl):
-                di = dist[i]
-                if di is None:
-                    continue
-                row = cost[i]
-                for j in range(nr):
-                    nd = di + row[j]
-                    dj = dist[nl + j]
-                    if dj is None or nd < dj:
-                        dist[nl + j] = nd
-                        parent[nl + j] = i
-                        changed = True
-            for j in range(nr):
-                dj = dist[nl + j]
-                if dj is None:
-                    continue
-                for i in range(nl):
-                    if flow[i][j] > 0:
-                        nd = dj - cost[i][j]
-                        di = dist[i]
-                        if di is None or nd < di:
-                            dist[i] = nd
-                            parent[i] = nl + j
-                            changed = True
+            for u, v, c in forward + backward:
+                du, dv = dist[u], dist[v]
+                if du is not None and (dv is None or du + c < dv):
+                    dist[v] = du + c
+                    parent[v] = u
+                    changed = True
             if not changed:
                 break
-        target = None
-        best = None
-        for j in range(nr):
-            if dem[j] > 0 and dist[nl + j] is not None:
-                if best is None or dist[nl + j] < best:
-                    best = dist[nl + j]
-                    target = j
-        if target is None:
+        open_columns = [j for j in range(nr) if dem[j] > 0 and dist[nl + j] is not None]
+        if not open_columns:
             raise InfiniteDistanceError("no residual path between remaining supports")
-        # Trace back and find the bottleneck along the alternating path.
-        path: list[tuple[int, int, bool]] = []  # (i, j, forward)
-        node = nl + target
-        while True:
-            prev = parent[node]
-            if node >= nl:
-                path.append((prev, node - nl, True))
-                node = prev
+        target = min(open_columns, key=lambda j: dist[nl + j])
+        # A column is entered by a forward arc, a row by a backward one.
+        path, node = [], nl + target
+        while parent[node] != -1:
+            path.append(node)
+            node = parent[node]
+        bottleneck = min(sup[node], dem[target], *(flow[v][parent[v] - nl] for v in path if v < nl))
+        for v in path:
+            if v < nl:
+                flow[v][parent[v] - nl] -= bottleneck
             else:
-                if prev == -1:
-                    break
-                path.append((node, prev - nl, False))
-                node = prev
-        bottleneck = min(sup[node], dem[target])
-        for i, j, forward in path:
-            if not forward:
-                bottleneck = min(bottleneck, flow[i][j])
-        for i, j, forward in path:
-            if forward:
-                flow[i][j] += bottleneck
-            else:
-                flow[i][j] -= bottleneck
+                flow[parent[v]][v - nl] += bottleneck
         sup[node] -= bottleneck
         dem[target] -= bottleneck
     total = sum(flow[i][j] * cost[i][j] for i in range(nl) for j in range(nr))

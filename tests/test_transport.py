@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import random
 from fractions import Fraction as F
 from math import prod
@@ -293,6 +294,62 @@ def test_w1_disconnected_supports_raise():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(InfiniteDistanceError):
         wasserstein_w1(g, ProbabilityMeasure.point(0), ProbabilityMeasure.point(2))
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        ((0.0, F(1)),),  # a float vertex
+        ((True, F(1)),),  # a bool vertex
+        ((0, F(1, 2)), (1, 0.5)),  # a float mass
+        ((0, F(1, 3)), (1, 0.6666666666666666)),  # sums to the float 1.0
+        ((0, "1"),),  # a string mass
+    ],
+    ids=["float-vertex", "bool-vertex", "float-mass", "float-sum", "str-mass"],
+)
+def test_measure_rejects_what_w1_cannot_use(support):
+    with pytest.raises(InvalidParamsError):
+        ProbabilityMeasure(support)
+
+
+def _random_transportation(rng):
+    """Positive integer supplies and demands of equal total 2-9, costs 0-5."""
+
+    def parts(units, k):
+        cuts = sorted(rng.sample(range(1, units), k - 1))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, units])]
+
+    nl, nr = rng.randint(1, 5), rng.randint(1, 5)
+    units = rng.randint(max(2, nl, nr), 9)
+    cost = [[rng.randint(0, 5) for _ in range(nr)] for _ in range(nl)]
+    return parts(units, nl), parts(units, nr), cost
+
+
+def test_transportation_cost_is_least_against_unit_hungarian():
+    # Each unit of supply and demand becomes its own row or column, so the
+    # least total is a Hungarian assignment on the expanded square matrix.
+    rng = random.Random(34)
+    for _ in range(400):
+        supplies, demands, cost = _random_transportation(rng)
+        total, flow = transport._transportation(supplies, demands, cost)
+        rows = [i for i, s in enumerate(supplies) for _ in range(s)]
+        cols = [j for j, t in enumerate(demands) for _ in range(t)]
+        assert total == hungarian([[cost[i][j] for j in cols] for i in rows])[0]
+        assert all(f >= 0 for row in flow for f in row)
+        assert [sum(row) for row in flow] == supplies
+        assert [sum(col) for col in zip(*flow)] == demands
+        assert total == sum(f * c for fr, cr in zip(flow, cost) for f, c in zip(fr, cr))
+
+
+def test_transportation_plans_pinned():
+    # Demo 06 prints a plan, so which optimal plan is chosen is output.
+    rng = random.Random(2018)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        digest.update(repr(transport._transportation(*_random_transportation(rng))).encode())
+    assert digest.hexdigest() == (
+        "de91a646f56856ebb1aac1d40bbba0f8f956ec2e46daaa1c910928129e867897"
+    )
 
 
 # ----------------------------------------------------------------- idleness
