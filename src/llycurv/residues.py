@@ -119,9 +119,13 @@ def verify_corollary(
     iff no two-bit mask of an edge of H(x, y) lies inside it
     (pattern_free_kernel).  Exhaustive mode enumerates the removed set R,
     at most gamma - 1 of the q - 2 vertices of the universe, and tests
-    S = universe minus R.  find_pattern_witness is the independent
-    field-arithmetic reference.  The split's masks grow with q, so q is
-    checked against the Paley edge bound before it is factored.
+    S = universe minus R.  Sampled mode draws R too, from one random.Random
+    per run seeded from str(seed): each trial's size with weight
+    comb(q - 2, size), then R uniformly among the removed sets of that
+    size, so S is uniform given its size and over the whole family.
+    find_pattern_witness is the independent field-arithmetic reference.
+    The split's masks grow with q, so q is checked against the Paley edge
+    bound before it is factored.
     """
     _check_paley_size(q)
     if q <= 5 or q % 4 != 1 or prime_power_decomposition(q) is None:
@@ -160,14 +164,16 @@ def verify_corollary(
                 if pattern_free(s):
                     failures.append(_set_bits(s))
     else:
-        # Size s has weight comb(q - 2, s); a draw below the total lands in its
-        # slot of the running sums.  rng.sample picks positions in the
-        # universe, and each position holds its vertex's bit.
+        # The stream is seeded from the seed's decimal string: an int seed is
+        # reduced to abs(seed), which would make seeds 1 and -1 draw alike.
+        # Size s has weight comb(q - 2, s); a draw below the total lands in
+        # its slot of the running sums.  R, at most gamma - 1 bits, is a
+        # shorter draw than S.
+        rng = random.Random(str(seed))
         cumulative = list(accumulate(comb(len(bits), s) for s in sizes))
-        for counter in range(trials):
-            rng = random.Random(f"{seed}:{counter}")
+        for _ in range(trials):
             size = sizes[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
-            s = sum(rng.sample(bits, size))
+            s = full ^ sum(rng.sample(bits, len(bits) - size))
             tested += 1
             if pattern_free(s):
                 failures.append(_set_bits(s))

@@ -43,14 +43,19 @@ from .matching import _bit_matching, _lex_first_matching
 class ProbabilityMeasure:
     """Finitely supported measure; masses are positive fractions summing to 1.
 
-    Vertices must be ints and masses ints or Fractions: W1 indexes with the
-    vertices and clears the masses' denominators, and a float sum of 1.0
-    is no exact check.
+    The support must be a tuple of (vertex, mass) tuples, so the frozen
+    measure hashes.  Vertices must be ints and masses ints or Fractions: W1
+    indexes with the vertices and clears the masses' denominators, and a
+    float sum of 1.0 is no exact check.
     """
 
     support: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
+        if type(self.support) is not tuple or any(
+            type(entry) is not tuple or len(entry) != 2 for entry in self.support
+        ):
+            raise InvalidParamsError("support must be a tuple of (vertex, mass) tuples")
         if any(type(v) is not int or type(mass) not in (int, Fraction) for v, mass in self.support):
             raise InvalidParamsError("support vertices must be ints and masses ints or Fractions")
         verts = [v for v, _ in self.support]

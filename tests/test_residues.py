@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -332,37 +333,62 @@ def test_affine_symmetry_audit():
         assert (direct is None) == (transported is None)
 
 
+@pytest.fixture
+def always_free(monkeypatch):
+    # A kernel that finds every subset pattern-free makes the report list
+    # every subset a run tests, drawn or enumerated.
+    monkeypatch.setattr(residues, "pattern_free_kernel", lambda split: lambda subset: True)
+
+
 @pytest.mark.parametrize(
     "q, digests",
     [
         (13, (
-            "411e9f265e70bb5bdeea3f96fa5ffd0a759519317c54c618c166f3c2c4342e65",
-            "41823984f99682602727602bc0ec7f2cd398815c0f3e91303b9c847ea2918d42",
-            "50b2070884f72da71e9f1a841262e40efa8cfa895b59009e557048190f5b96d7",
+            "7d2c41798696f763ae6b959bf0616cac3710be84fba889608f5d8e8159d5f1bd",
+            "a9399eaead698b8cf3481143d3e69d4b8f71603d424857a88ce3ef911639aeea",
+            "6db4064f2300d5fbb32a4557a5fd6510a77490e44719ca371577255b58610001",
         )),
         (25, (
-            "799f806bab3c4d347da58c0bca4cc3af1cf08d635079b3ec95176d79c8d74434",
-            "32daaab18d30cbafe58f8ad2f820bbf41ed05b77e1c21a949db5484d3917f0c0",
-            "3f0a97364e55f818d9c45cb66b7f0776b4c7e9948e788ad8e55c1bdc8bc616dd",
+            "2c4b9547474d61fdbb802ed17e7021fae0406061455459ad77aaf64f79a29033",
+            "5230590bf7bbf6471cd612df1345b79155d9d39b687f4e09cee6267708b1c71b",
+            "0b0c327d12c55dfa3f248b6ae74e013d2d8e5bded1327880a20a6921cb35f687",
         )),
         (37, (
-            "ac733be5cc03e56cf8011c7a45518e6aba68c1669fffeaab2c82b5b9dc8f5647",
-            "f3043ad4262327a411b39e507574a1fd204bf0d66db0167b8d3ad0daa3dbd7a7",
-            "25517a014355072f6ed44fa62093ff457dd4dbe2dfa1a1ac89e85e68ec0e7e0e",
+            "a5240c68bbe8df164f1903f2e856155aeeccb00ff573c1021ea28a05742485fa",
+            "afde7d611ed62d3064c44c915593df05730dde6802ee4b91d9c773811ae380bc",
+            "3f18bacba3060cd2e506a3a9d473765f8234736b021ae7e23e173db6910108da",
         )),
         (61, (
-            "80d045f891471fff4df6db0d3c2bee7dfcb856e9311b94be4db6ea00bcac87a3",
-            "977b69b5f3409a55613813809204eccb693fba4a87cb8fa1d317a6776b7c7003",
-            "545a913e7394063c50655c438989bffd78225c38e7040b0b16236288a3f59cb5",
+            "32a3ef5f78f5e4f95582b2c7b10c55a3775c3f5df6c14f9a9f157ca07077ee5a",
+            "41224dd5da8339e92be847e01d53825ece6e69985d28ae50345b645822432952",
+            "9b007010aae08d6bc1af39fb760cbfd07da008e96e77383d8052ac6cdef2cfb6",
         )),
     ],
 )
-def test_sampled_corollary_draws_pinned(monkeypatch, q, digests):
-    # A kernel that finds every subset pattern-free makes the report list
-    # every drawn subset, so these digests pin the size and subset draws of
-    # seeds 0, 1 and 2 with 3,000 trials.
-    monkeypatch.setattr(residues, "pattern_free_kernel", lambda split: lambda subset: True)
+def test_sampled_corollary_draws_pinned(always_free, q, digests):
+    # The digests pin the size and subset draws of seeds 0, 1 and 2 with
+    # 3,000 trials.
     for seed, digest in enumerate(digests):
         report = verify_corollary(q, mode="sampled", seed=seed, trials=3000)
         assert report.subsets_tested == len(report.failures) == 3000
         assert hashlib.sha256(json.dumps(report.failures).encode()).hexdigest() == digest, seed
+
+
+def test_sampled_corollary_draws_each_qualifying_subset_uniformly(always_free):
+    # At q = 13 the family is the 67 subsets exhaustive mode enumerates, so
+    # 67,000 draws expect each 1,000 times; 800 and 1,200 are about 6.4
+    # standard deviations out.
+    family = verify_corollary(13).failures
+    assert len(family) == len(set(family)) == 67
+    counts = Counter(verify_corollary(13, mode="sampled", seed=7, trials=67_000).failures)
+    assert set(counts) == set(family)
+    assert all(800 <= n <= 1200 for n in counts.values()), sorted(counts.values())
+
+
+def test_sampled_corollary_seeds_of_opposite_sign_draw_apart(always_free):
+    # random.Random(n) seeds from abs(n); the run's stream is seeded from
+    # the seed's decimal string, so 1 and -1 stay two streams.
+    a = verify_corollary(29, mode="sampled", seed=1, trials=100)
+    b = verify_corollary(29, mode="sampled", seed=-1, trials=100)
+    assert len(a.failures) == len(b.failures) == 100
+    assert a.failures != b.failures

@@ -304,8 +304,14 @@ def test_w1_disconnected_supports_raise():
         ((0, F(1, 2)), (1, 0.5)),  # a float mass
         ((0, F(1, 3)), (1, 0.6666666666666666)),  # sums to the float 1.0
         ((0, "1"),),  # a string mass
+        ((0,),),  # an entry that is not a pair
+        (0, 1),  # a bare pair, not a tuple of pairs
+        [(0, 1)],  # a list, which the frozen measure cannot hash
     ],
-    ids=["float-vertex", "bool-vertex", "float-mass", "float-sum", "str-mass"],
+    ids=[
+        "float-vertex", "bool-vertex", "float-mass", "float-sum", "str-mass",
+        "short-entry", "bare-pair", "list-support",
+    ],
 )
 def test_measure_rejects_what_w1_cannot_use(support):
     with pytest.raises(InvalidParamsError):
