@@ -9,8 +9,11 @@ quadratic in the violator's edge count X has no real solution.
 The sweep decides each size b by the sign of one integer: with
 K = alpha |P_xy| (d-alpha-1), the coefficients cleared to A2 = 2K(b-1) a2,
 A1 = 2K a1 and A0 = 2K a0 are integers, and the discriminant has the sign
-of (b-1) A1^2 - 4 A2 A0.  Fractions are built from the same integers only
-when a transcript (`Certificate.sweep`, `obstruction_quadratic`) is read.
+of (b-1) A1^2 - 4 A2 A0, which is 4b times an integer quadratic R(b).  So
+the sweep visits no size: the first feasible b is 2 or the ceiling of a
+root of R, found with isqrt and exact sign tests (`_first_feasible`).
+Fractions are built from the same integers only when a transcript
+(`Certificate.sweep`, `obstruction_quadratic`) is read.
 
 All square-root comparisons are done by squaring behind sign guards; there
 is no floating point anywhere in this module.
@@ -181,6 +184,32 @@ def _cleared(terms: tuple[int, int, int, int, int], b: int) -> tuple[int, int, i
     return a2, a1, a0, (b - 1) * a1 * a1 - 4 * a2 * a0
 
 
+def _first_feasible(terms: tuple[int, int, int, int, int], last: int) -> int | None:
+    """The least b in 2..last whose quadratic admits a real edge count, or None.
+
+    Expanding `_cleared` gives (b-1) A1^2 - 4 A2 A0 = 4b R(b) with
+    R(b) = (u^2 - s w2) b^2 + (s w1 + s w2 - K w2 - u^2) b + w1 (K - s),
+    so for b >= 2 size b is feasible iff R(b) >= 0.  The least such b is 2
+    or else, as R(b - 1) < 0 <= R(b), the ceiling of a real root of R.
+    isqrt puts each root within 1/2 of a quotient, so the ceiling is one of
+    four integers around it, and each candidate is decided by the exact
+    sign of R.
+    """
+    k, s, u, w2, w1 = terms
+    a, b1, c = u * u - s * w2, s * w1 + s * w2 - k * w2 - u * u, w1 * (k - s)
+    if a:
+        disc = b1 * b1 - 4 * a * c
+        root = isqrt(disc) if disc >= 0 else None
+        floors = [] if root is None else [(-b1 + root) // (2 * a), (-b1 - root) // (2 * a)]
+    else:
+        floors = [-c // b1] if b1 else []
+    candidates = {2, *(f + i for f in floors for i in (-1, 0, 1, 2))}
+    for b in sorted(candidates):
+        if 2 <= b <= last and (a * b + b1) * b + c >= 0:
+            return b
+    return None
+
+
 def obstruction_quadratic(params: SrgParams, b: int) -> ObstructionQuadratic:
     """The exact-|P_xy| violator inequality at size b, in Fractions.
 
@@ -267,9 +296,10 @@ def certify_curvature(params: SrgParams) -> Certificate:
     and sweeps the obstruction quadratic over b = 2 .. floor((d-alpha)/2);
     larger subsets are covered by the half-size Hall reduction.  Each size
     is decided by the sign of the cleared integer discriminant, and the
-    sweep stops at the first feasible b.  Any non-excludable case yields an
-    inconclusive certificate, never a guess.  A sweep of more than
-    _SWEEP_BOUND sizes raises TooLargeError before any size is decided.
+    sweep stops at the first feasible b, which `_first_feasible` finds in
+    closed form.  Any non-excludable case yields an inconclusive
+    certificate, never a guess.  A sweep of more than _SWEEP_BOUND sizes
+    raises TooLargeError before any size is decided.
     """
     n, d, alpha, beta = params.as_tuple()
     report = evaluate_conditions(params)
@@ -303,12 +333,12 @@ def certify_curvature(params: SrgParams) -> Certificate:
             raise TooLargeError(
                 f"sweep of {last - 1} violator sizes exceeds the bound {_SWEEP_BOUND}"
             )
-        for b in range(2, last + 1):
-            if _cleared(terms, b)[3] >= 0:
-                return Certificate(
-                    params=params, conditions=report, outcome="inconclusive", b_one=rule,
-                    last_b=b, reason=f"quadratic admits a real edge count at b = {b}",
-                )
+        b = _first_feasible(terms, last)
+        if b is not None:
+            return Certificate(
+                params=params, conditions=report, outcome="inconclusive", b_one=rule,
+                last_b=b, reason=f"quadratic admits a real edge count at b = {b}",
+            )
     return Certificate(
         params=params, conditions=report, outcome="sharp_by_sweep", b_one=rule, last_b=last
     )

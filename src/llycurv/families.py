@@ -101,6 +101,19 @@ def _rotation(radices: tuple[int, ...], mask: int, s: int) -> int:
     return mask
 
 
+def _index_mask(n: int, indices: Collection[int]) -> int:
+    """The mask with bit s set for each s in indices that lies in 1..n-1.
+
+    The bits are set in a bytearray and read as one integer, where a sum of
+    1 << s would build an integer of up to n bits per index.
+    """
+    buf = bytearray(n // 8 + 1)
+    for s in indices:
+        if 0 < s < n:
+            buf[s >> 3] |= 1 << (s & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Graph:
     """Cayley graph of Z_r1 x ... x Z_rk: u ~ u + s for s in the connection set.
 
@@ -111,10 +124,14 @@ def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Grap
     before anything is built.  The check reads S as its mask: the indices
     in 1..n-1 give one bit each, so S is valid iff it has |S| bits and
     s + S holds 0, i.e. -s is in S, for each s in S (bit 0 of _rotation).
+    Vertex v's neighbour mask is the rotation of S's mask by v, which the
+    graph is handed for when its masks are read, once S outnumbers the
+    digits enough: a rotation costs a few big-integer operations a digit,
+    building a mask from its row one a member.
     """
     n = prod(radices)
     _check_edges(n * len(connection) // 2, f"a Cayley graph of order {n} and degree {len(connection)}")
-    s_mask = sum(1 << s for s in connection if 0 < s < n)
+    s_mask = _index_mask(n, connection)
     if s_mask.bit_count() != len(connection) or not all(
         _rotation(radices, s_mask, s) & 1 for s in connection
     ):
@@ -123,7 +140,8 @@ def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Grap
         )
     images = [_translation(radices, s) for s in connection]
     rows = tuple(map(tuple, map(sorted, zip(*images)))) if images else ((),) * n
-    return Graph._from_rows(rows)
+    dense = len(connection) > 4 * len(radices)
+    return Graph._from_rows(rows, partial(_rotation, radices, s_mask) if dense else None)
 
 
 def _intersection_graph(n: int, k: int, meet: int) -> Graph:
@@ -171,7 +189,7 @@ def _paley_root_split(q: int) -> EdgeNeighborhood:
     """
     field = _paley_field(q)
     radices, powers = (field.p,) * field.m, _power_walk(field)
-    s_mask = sum(1 << s for s in powers[::2])
+    s_mask = _index_mask(q, powers[::2])
     if len(set(powers)) != q - 1 or not s_mask >> (q - q // field.p) & 1:
         raise InvalidParamsError(f"the nonzero squares of GF({q}) do not give one edge orbit")
     c = (s_mask & -s_mask).bit_length() - 1

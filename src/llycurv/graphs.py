@@ -6,8 +6,9 @@ nothing mutates it.  It keeps whichever form it was built from and builds
 the other the first time a caller reads it.  It has three constructors:
 ``Graph(n, edges)`` validates every edge (range, no loop; duplicates and
 orientation are absorbed) and is the one for outside input and arbitrary
-callers; ``Graph._from_rows(rows)`` trusts rows that are already sorted,
-symmetric and loop-free (the Cayley families, after their own checks);
+callers; ``Graph._from_rows(rows, mask_of)`` trusts rows that are already
+sorted, symmetric and loop-free (the Cayley families, after their own
+checks, which may hand over a builder of each vertex's mask);
 and ``Graph._from_masks(masks)`` trusts masks that are already symmetric
 and loop-free (the graph6 reader).  The per-edge paths (degree, edge
 test, regularity, the decomposition around an edge, 2-balls) read the
@@ -89,7 +90,7 @@ class Graph:
     Equality and hashing compare the rows.
     """
 
-    __slots__ = ("n", "_rows", "_masks")
+    __slots__ = ("n", "_rows", "_masks", "_mask_of")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
@@ -105,19 +106,24 @@ class Graph:
         self.n = n
         self._rows: tuple[tuple[int, ...], ...] | None = tuple(tuple(sorted(s)) for s in adj)
         self._masks: tuple[int, ...] | None = None  # built by neighbor_masks
+        self._mask_of: Callable[[VertexId], int] | None = None
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> Graph:
+    def _from_rows(
+        cls, rows: tuple[tuple[int, ...], ...], mask_of: Callable[[VertexId], int] | None = None
+    ) -> Graph:
         """The graph with these adjacency rows, taken as they are.
 
         Nothing is checked: each row must be strictly increasing, w must
         be in row v exactly when v is in row w, and no row may hold its
-        own vertex.
+        own vertex.  mask_of(v), when given, must be the mask of row v;
+        neighbor_masks then builds the masks with it.
         """
         g = cls.__new__(cls)
         g.n = len(rows)
         g._rows = rows
         g._masks = None
+        g._mask_of = mask_of
         return g
 
     @classmethod
@@ -132,6 +138,7 @@ class Graph:
         g.n = len(masks)
         g._rows = None
         g._masks = masks
+        g._mask_of = None
         return g
 
     @property
@@ -200,10 +207,10 @@ def neighbor_masks(g: Graph) -> tuple[int, ...]:
 
     (masks[u] & masks[v]).bit_count() is the number of common neighbors of
     u and v, and masks[u] >> v & 1 tells whether uv is an edge.  A graph
-    read from graph6 is built from its masks; any other builds them from
-    its rows on first use and keeps them, as the graph never changes.
-    Masks of more than _MASK_BITS bits in all raise TooLargeError before
-    any is built.
+    read from graph6 is built from its masks; any other builds them on
+    first use, with the mask_of its constructor was given or else from its
+    rows, and keeps them, as the graph never changes.  Masks of more than
+    _MASK_BITS bits in all raise TooLargeError before any is built.
     """
     if g._masks is None:
         bits = sum(row[-1] + 1 for row in g._rows if row)
@@ -211,7 +218,10 @@ def neighbor_masks(g: Graph) -> tuple[int, ...]:
             raise TooLargeError(
                 f"neighbor masks of this graph need {bits} bits, above the bound {_MASK_BITS}"
             )
-        g._masks = tuple(sum(1 << w for w in row) for row in g._rows)
+        if g._mask_of is None:
+            g._masks = tuple(sum(1 << w for w in row) for row in g._rows)
+        else:
+            g._masks = tuple(map(g._mask_of, range(g.n)))
     return g._masks
 
 

@@ -2,8 +2,8 @@
 
 A bipartite graph is matched on bit rows: row i is an integer whose set
 bits are the columns of left vertex i.  The per-edge curvature engine
-takes its rows straight from `graphs.decompose_edge`, which builds
-H(x, y) as rows[i] = masks[nx[i]] & ny_mask, and `_bit_matching` finds a
+takes its rows straight from `graphs._split`, which builds H(x, y) as
+rows[i] = masks[nx[i]] & ny_mask, and `_bit_matching` finds a
 maximum matching with one integer operation per row visited (bit-parallel
 matching after Cheriyan and Mehlhorn, Algorithmica 15, 1996).  Its failed
 searches stay closed, and together they are the Koenig reach, so the same
@@ -49,8 +49,10 @@ def _bit_matching(
 
     The matching gives the column bit of each row, 0 when it is free.
     Without a starting matching each row first takes its lowest free bit.
-    Then every free row gets one alternating breadth-first search for a
-    free column, and the path found is flipped.  A search that fails
+    Then every free row takes the lowest free column of its own row, if it
+    has one, or else gets one alternating breadth-first search for a free
+    column, and the path found is flipped; the map from column bits to
+    their rows is built when the first search needs it.  A search that fails
     reaches only matched columns whose rows see nothing else, and a later
     flip never enters them, so its columns stay closed: later searches
     start with them seen, and the row stays free (Kuhn).  The closed
@@ -72,9 +74,19 @@ def _bit_matching(
         taken = sum(match)  # distinct bits
     if all(match):
         return match, set(), 0
-    owner = {b: i for i, b in enumerate(match) if b}
+    owner: dict[int, int] | None = None
     closed = 0
     for root in [i for i, b in enumerate(match) if not b]:
+        free = rows[root] & ~taken
+        if free:  # the root's own row holds a free column: no search
+            b = free & -free
+            match[root] = b
+            taken |= b
+            if owner is not None:
+                owner[b] = root
+            continue
+        if owner is None:
+            owner = {b: i for i, b in enumerate(match) if b}
         r, b, parent = _augmenting_path(rows, owner, taken, root, closed)
         if r is None:
             closed |= sum(parent)  # distinct bits

@@ -5,17 +5,22 @@ flow after clearing denominators, and the curvature of an edge of a
 d-regular graph comes from the minimum-cost bijection between the punctured
 neighborhoods N_x and N_y under costs in {1, 2, 3}.  That bijection is
 decided by unweighted maximum matchings on integer bit rows, H1 being the
-rows of H(x, y) that `graphs.decompose_edge` builds: a perfect matching
-of the distance-1 pairs H1 decides the edge outright, and otherwise the
+rows of H(x, y) that `graphs._split` builds: a perfect matching of the
+distance-1 pairs H1 decides the edge outright, and otherwise the
 decomposition theorem of Kao, Lam, Sung and Ting gives the cost as
 3m - nu(H1) - nu(H_delta), H_delta's rows built from bits against the
 Koenig cover of H1, which `matching._bit_matching` returns with the
-matching (its failed searches are the cover's reach).  The witness, the
-lexicographically first optimal bijection, is found on the same bit rows
-(`matching._lex_first_matching`).  The two routes are deliberately
-independent so they can cross-check each other through the identity
-kappa = (d+1)/d * kappa_{1/(d+1)}.  A spectrum solves each contiguous chunk
-of edges in one call, which builds each vertex's 2-ball once for the chunk.
+matching (its failed searches are the cover's reach).  H_delta's matching
+starts from H1's, and most of its free rows take a free column of their
+own row with no search.  The witness, the lexicographically first optimal
+bijection, is found on the same bit rows (`matching._lex_first_matching`).
+The two routes are deliberately independent so they can cross-check each
+other through the identity kappa = (d+1)/d * kappa_{1/(d+1)}.  A spectrum
+solves each contiguous chunk of edges in one call: each edge, taken from
+g.edges(), is split once straight from the neighbour masks, and the chunk
+builds each vertex's 2-ball and each Fraction k/d of a kappa or bound
+once, in tables it drops on return.  lly_curvature splits its one edge
+through `graphs.decompose_edge`, which checks the edge.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .errors import (
@@ -35,7 +41,16 @@ from .errors import (
     NotRegularError,
 )
 from .families import _paley_root_split
-from .graphs import Graph, _two_ball, bfs_distances, decompose_edge, is_connected
+from .graphs import (
+    EdgeNeighborhood,
+    Graph,
+    _split,
+    _two_ball,
+    bfs_distances,
+    decompose_edge,
+    is_connected,
+    neighbor_masks,
+)
 from .matching import _bit_matching, _lex_first_matching
 
 
@@ -267,15 +282,18 @@ def _two_matching_assignment(
 
 
 def _edge_report(
-    g: Graph, x: int, y: int, want_witness: bool, balls: list[int]
+    g: Graph,
+    parts: EdgeNeighborhood,
+    want_witness: bool,
+    balls: list[int],
+    over: Callable[[int], Fraction],
 ) -> CurvatureReport:
-    """lly_curvature on a graph already known to be regular.
+    """lly_curvature of a split edge of a graph already known to be regular.
 
-    balls[v] is the 2-ball of v, or 0 until some edge needs it; the caller
-    owns the list and decides how many edges share it.
+    balls[v] is the 2-ball of v, or 0 until some edge needs it, and over(k)
+    is the Fraction k/d; the caller owns both and decides how many edges
+    share them.
     """
-    parts = decompose_edge(g, x, y)
-    d = g.degree(x)
     nx, ymask = parts.nx, parts.ny_mask
 
     def near(i: int) -> int:
@@ -288,17 +306,17 @@ def _edge_report(
         return ball & ymask
 
     min_cost, bits = _two_matching_assignment(parts.rows, near, ymask, want_witness)
-    kappa = Fraction(d + 1 - min_cost, d)
     delta_size = parts.delta_mask.bit_count()
-    upper = Fraction(2 + delta_size, d)
+    d = len(nx) + delta_size + 1  # x's neighbours: N_x, delta and y
     witness = None if bits is None else tuple((v, b.bit_length() - 1) for v, b in zip(nx, bits))
     return CurvatureReport(
-        x=x,
-        y=y,
-        kappa=kappa,
+        x=parts.x,
+        y=parts.y,
+        kappa=over(d + 1 - min_cost),
         delta_size=delta_size,
-        upper_bound=upper,
-        sharp=kappa == upper,
+        upper_bound=over(2 + delta_size),
+        # kappa = (2 + delta)/d exactly when C = d - 1 - delta = |N_x|
+        sharp=min_cost == len(nx),
         min_bijection_cost=min_cost,
         witness=witness,
     )
@@ -316,7 +334,9 @@ def lly_curvature(g: Graph, x: int, y: int, want_witness: bool = False) -> Curva
     """
     if not g.is_regular():
         raise NotRegularError("Lin-Lu-Yau curvature is only computed for regular graphs")
-    return _edge_report(g, x, y, want_witness, [0] * g.n)
+    parts = decompose_edge(g, x, y)
+    over = partial(Fraction, denominator=g.degree(x))
+    return _edge_report(g, parts, want_witness, [0] * g.n, over)
 
 
 def paley_kappa(q: int) -> Fraction:
@@ -333,13 +353,18 @@ def paley_kappa(q: int) -> Fraction:
 
 
 def _spectrum_chunk(g: Graph, edges: Sequence[tuple[int, int]]) -> list[CurvatureReport]:
-    """The reports of a run of edges, which share one list of 2-balls.
+    """The reports of a run of edges of g, which share one list of 2-balls.
 
-    Each ball is built the first time an edge needs it and dropped with
-    the list when the chunk returns; nothing is kept on the graph.
+    Each edge is split once, straight from the neighbour masks: the edges
+    come from g.edges(), so none needs decompose_edge's checks.  Each ball
+    is built the first time an edge needs it, and each Fraction k/d the
+    first time a kappa or bound needs it (d is fixed on a regular graph);
+    both are dropped when the chunk returns, and nothing is kept on the graph.
     """
     balls = [0] * g.n
-    return [_edge_report(g, x, y, False, balls) for x, y in edges]
+    mask_of = neighbor_masks(g).__getitem__
+    over = cache(partial(Fraction, denominator=g.degree(edges[0][0])))
+    return [_edge_report(g, _split(x, y, mask_of), False, balls, over) for x, y in edges]
 
 
 def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:

@@ -18,6 +18,9 @@ check behind `transport.paley_kappa`, the field-arithmetic search
 (`canonical_pair`) that of the pair `residues.verify_corollary` reads off
 P(q), and the squaring of every element (`squaring_square_index_set`)
 that of the squares `fields.square_index_set` reads off the power walk.
+The size-by-size sweep of the cleared discriminant
+(`swept_first_feasible`) is the reference of `certify._first_feasible`'s
+closed form.
 Products and powers of polynomials reduced mod the field's modulus
 (`poly_mul`, `poly_pow`) are the references of `FieldElement`'s `*` and
 `**`, which read the walk's log table, and the Euler criterion on them
@@ -47,6 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from llycurv import families
+from llycurv.certify import _cleared
 from llycurv.errors import InvalidOrderError, InvalidParamsError, LlycurvError, TooLargeError
 from llycurv.fields import FieldElement, FiniteField, Poly, _index, _poly_mod, _power_walk, _trim
 from llycurv.graphs import (
@@ -351,6 +355,14 @@ def fraction_obstruction_quadratic(params, b: int) -> tuple[Fraction, ...]:
         + half * (b * b - b) * (1 - max(alpha, beta))
     )
     return a2, a1, a0, a1 * a1 - 4 * a2 * a0
+
+
+def swept_first_feasible(terms: tuple[int, int, int, int, int], last: int) -> int | None:
+    """The least b in 2..last whose cleared discriminant is >= 0, size by size."""
+    for b in range(2, last + 1):
+        if _cleared(terms, b)[3] >= 0:
+            return b
+    return None
 
 
 def matrix_srg_identity(g: Graph, params) -> bool:

@@ -206,6 +206,40 @@ def test_bit_matching_reach_is_the_separate_koenig_reach():
         assert m - len(reached_hk) + cover_hk.bit_count() == nu, rows
 
 
+def test_bit_matching_from_a_starting_matching_is_maximum_with_the_koenig_reach():
+    # The H_delta call: the start is a maximum matching of rows h1, and
+    # each row of h_delta holds its h1 row and more, so a free row may hold
+    # a free column of its own, which it takes with no search.  Half the
+    # instances start from an arbitrary sub-matching of Hopcroft-Karp's
+    # matching of h_delta instead.  The result must be a matching of
+    # h_delta that keeps every started row matched, of Hopcroft-Karp's
+    # size, with the reach and cover of one search from its free rows.
+    rng = random.Random(36)
+    own_row_roots = 0
+    for trial in range(2000):
+        m = rng.randint(1, 12)
+        p = rng.choice((1 / 8, 1 / 4, 1 / 2))
+        h1 = [sum(1 << j for j in range(m) if rng.random() < p) for _ in range(m)]
+        h_delta = [row | sum(1 << j for j in range(m) if rng.random() < p) for row in h1]
+        adj = [[j for j in range(m) if row >> j & 1] for row in h_delta]
+        if trial % 2:
+            hk = _hopcroft_karp(adj, m)[0]
+            start = [1 << j if j != -1 and rng.random() < 0.6 else 0 for j in hk]
+        else:
+            start = _bit_matching(h1)[0]
+        taken = sum(start)
+        own_row_roots += any(not b and row & ~taken for b, row in zip(start, h_delta))
+        match, reached, cover = _bit_matching(h_delta, list(start))
+        assert all(c == 0 or (c & h_delta[i] and c.bit_count() == 1) for i, c in enumerate(match))
+        assert len({c for c in match if c}) == m - match.count(0), h_delta
+        assert all(c for b, c in zip(start, match) if b), (h_delta, start)
+        nu = m - match.count(0)
+        assert nu == sum(j != -1 for j in _hopcroft_karp(adj, m)[0]), (h_delta, start)
+        assert (reached, cover) == _bit_reach(h_delta, match), (h_delta, start)
+        assert m - len(reached) + cover.bit_count() == nu, (h_delta, start)
+    assert own_row_roots >= 500, own_row_roots
+
+
 def test_two_matching_assignment_on_bit_rows_above_bit_zero():
     # the columns are the set bits of ymask, and the witness gives each row's bit
     cost = [[1, 3, 2], [2, 1, 3], [3, 2, 3]]

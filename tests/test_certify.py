@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,7 @@ from llycurv.graphs import SrgParams
 from llycurv.spectral import integral_multiplicities
 from llycurv.transport import curvature_spectrum
 
-from helpers import fraction_obstruction_quadratic, ndj_scan_tuples
+from helpers import fraction_obstruction_quadratic, ndj_scan_tuples, swept_first_feasible
 
 
 def test_conditions_conference_gamma7():
@@ -146,15 +147,43 @@ def test_sweep_bound(monkeypatch):
     # before any size is decided
     at_bound = SrgParams(648000, 140000 + 2 * (certify._SWEEP_BOUND + 1), 140000, 144000)
     above = SrgParams(648000, 140000 + 2 * (certify._SWEEP_BOUND + 2), 140000, 144000)
-    monkeypatch.setattr(certify, "_cleared", lambda terms, b: (0, 0, 0, 0))
+    monkeypatch.setattr(certify, "_first_feasible", lambda terms, last: 2)
     assert certify_curvature(at_bound).last_b == 2
 
     def fail(*args):
         raise AssertionError("sweep work before the bound check")
 
-    monkeypatch.setattr(certify, "_cleared", fail)
+    monkeypatch.setattr(certify, "_first_feasible", fail)
     with pytest.raises(TooLargeError):
         certify_curvature(above)
+
+
+def test_first_feasible_matches_the_size_by_size_sweep():
+    # small ranges make R's leading and linear coefficients vanish often
+    rng = random.Random(18)
+    kinds = {"zero_a": 0, "zero_a_b": 0, "negative_a": 0, "found": 0, "none": 0}
+    for _ in range(10_000):
+        r = rng.choice((2, 5, 40, 10**4, 10**9))
+        terms = tuple(rng.randint(-r, r) for _ in range(5))
+        last = rng.randint(1, 80)
+        expected = swept_first_feasible(terms, last)
+        assert certify._first_feasible(terms, last) == expected, (terms, last)
+        k, s, u, w2, w1 = terms
+        a, b1 = u * u - s * w2, s * w1 + s * w2 - k * w2 - u * u
+        kinds["zero_a"] += a == 0
+        kinds["zero_a_b"] += a == 0 and b1 == 0
+        kinds["negative_a"] += a < 0
+        kinds["found" if expected else "none"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_closed_form_sweep_matches_the_size_by_size_sweep_up_to_4096(monkeypatch):
+    rows = scan_parameters(4096)
+    assert len(rows) == 43814
+    monkeypatch.setattr(certify, "_first_feasible", swept_first_feasible)
+    swept = [certify_curvature(row.params) for row in rows]
+    assert [(c.outcome, c.last_b) for c in rows] == [(c.outcome, c.last_b) for c in swept]
+    assert {c.outcome for c in rows if c.last_b > 2} == {"inconclusive", "sharp_by_sweep"}
 
 
 def test_b_one_rules():

@@ -732,7 +732,7 @@ def _fail(*args):
 def test_certify_sweep_bound_exits_2(capsys, monkeypatch):
     # the (324, 152, 70, 72) shape scaled by 10^7 needs 4.1e8 sweep sizes
     monkeypatch.setattr(certify, "obstruction_quadratic", _fail)
-    monkeypatch.setattr(certify, "_cleared", _fail)
+    monkeypatch.setattr(certify, "_first_feasible", _fail)
     code, out, err = run(
         capsys, "certify", "--params", "3240000000,1520000000,700000000,720000000",
         "--sweep-transcript",

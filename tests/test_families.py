@@ -364,6 +364,21 @@ def test_cayley_rows_equal_the_edge_list_build(monkeypatch):
     assert len(orders) == 28
 
 
+def test_cayley_masks_by_rotation_equal_the_masks_summed_from_the_rows():
+    # A Cayley graph whose S outnumbers four times its digits builds v's
+    # mask as S's mask rotated by v; the others sum 1 << w over row v.
+    # Either way the masks are the rows'.
+    orders = [q for q in range(5, 201, 4) if prime_power_decomposition(q)]
+    graphs = [entry.graph for entry in catalog()] + [paley_graph(q) for q in orders]
+    graphs += [rook_graph(7), cocktail_party_graph(9), families.hypercube_graph(6)]
+    rotated = 0
+    for g in graphs:
+        rotated += g._mask_of is not None
+        assert neighbor_masks(g) == tuple(sum(1 << w for w in row) for row in g._adj), g
+    assert rotated == 32  # P(q) for q >= 13, cocktail_party(6), rook(7) and cocktail_party(9)
+    assert paley_graph(9)._mask_of is None and rook_graph(7)._mask_of is not None
+
+
 @pytest.mark.parametrize(
     "radices, connection",
     [

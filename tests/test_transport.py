@@ -691,6 +691,34 @@ def test_curvature_spectrum_rejects_non_automorphism():
             _edge_orbits(g, list(g.edges()), maps)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [entry.graph for entry in catalog()]
+    + [load_graph(Path(__file__).parent / "data" / "rrg40_8.g6")]
+    + [paley_graph(q) for q in range(5, 62, 4) if prime_power_decomposition(q)],
+    ids=repr,
+)
+def test_spectrum_reports_equal_lly_curvature_field_for_field(g):
+    # The spectrum splits each edge itself and shares its 2-balls and
+    # Fractions across the chunk; lly_curvature splits through
+    # decompose_edge.  Every report must be the same, and sharp must mean
+    # kappa reaching the bound.
+    reports = curvature_spectrum(g).reports
+    assert [(r.x, r.y) for r in reports] == list(g.edges())
+    for r in reports:
+        assert r == lly_curvature(g, r.x, r.y), (r.x, r.y)
+        assert r.sharp == (r.kappa == r.upper_bound), (r.x, r.y)
+
+
+def test_curvature_spectrum_splits_its_edges_without_decompose_edge(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a spectrum edge went through decompose_edge")
+
+    expected = curvature_spectrum(petersen_graph())
+    monkeypatch.setattr(transport, "decompose_edge", fail)
+    assert curvature_spectrum(petersen_graph()) == expected
+
+
 def test_curvature_spectrum_deterministic_and_parallel_equal():
     g = paley_graph(13)
     seq = curvature_spectrum(g, processes=1)
