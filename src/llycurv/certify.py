@@ -188,22 +188,27 @@ def _first_feasible(terms: tuple[int, int, int, int, int], last: int) -> int | N
     """The least b in 2..last whose quadratic admits a real edge count, or None.
 
     Expanding `_cleared` gives (b-1) A1^2 - 4 A2 A0 = 4b R(b) with
-    R(b) = (u^2 - s w2) b^2 + (s w1 + s w2 - K w2 - u^2) b + w1 (K - s),
-    so for b >= 2 size b is feasible iff R(b) >= 0.  The least such b is 2
+    R(b) = A b^2 + B b + C, A = u^2 - s w2, B = s w1 + s w2 - K w2 - u^2 and
+    C = w1 (K - s) (a, b1 and c below; D = B^2 - 4AC), so for b >= 2 size b
+    is feasible iff R(b) >= 0.  The least such b is 2
     or else, as R(b - 1) < 0 <= R(b), the ceiling of a real root of R.
-    isqrt puts each root within 1/2 of a quotient, so the ceiling is one of
-    four integers around it, and each candidate is decided by the exact
+    Since isqrt(D) <= sqrt(D) < isqrt(D) + 1, each root lies less than
+    1/(2|A|) from (-B +- isqrt(D)) / (2A), a multiple of 1/(2|A|), on the
+    side that keeps its ceiling at that quotient's floor or one above (the
+    linear case's -C/B is exact).  Each candidate is decided by the exact
     sign of R.
     """
     k, s, u, w2, w1 = terms
     a, b1, c = u * u - s * w2, s * w1 + s * w2 - k * w2 - u * u, w1 * (k - s)
+    floors = []
     if a:
         disc = b1 * b1 - 4 * a * c
-        root = isqrt(disc) if disc >= 0 else None
-        floors = [] if root is None else [(-b1 + root) // (2 * a), (-b1 - root) // (2 * a)]
-    else:
-        floors = [-c // b1] if b1 else []
-    candidates = {2, *(f + i for f in floors for i in (-1, 0, 1, 2))}
+        if disc >= 0:
+            root = isqrt(disc)
+            floors = [(-b1 + root) // (2 * a), (-b1 - root) // (2 * a)]
+    elif b1:
+        floors = [-c // b1]
+    candidates = {2, *floors, *(f + 1 for f in floors)}
     for b in sorted(candidates):
         if 2 <= b <= last and (a * b + b1) * b + c >= 0:
             return b

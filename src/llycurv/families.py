@@ -124,10 +124,10 @@ def _cayley_graph(radices: tuple[int, ...], connection: Collection[int]) -> Grap
     before anything is built.  The check reads S as its mask: the indices
     in 1..n-1 give one bit each, so S is valid iff it has |S| bits and
     s + S holds 0, i.e. -s is in S, for each s in S (bit 0 of _rotation).
-    Vertex v's neighbour mask is the rotation of S's mask by v, which the
-    graph is handed for when its masks are read, once S outnumbers the
-    digits enough: a rotation costs a few big-integer operations a digit,
-    building a mask from its row one a member.
+    Vertex v's neighbour mask is S's mask rotated by v.  When S has more
+    than four members a digit, the graph is handed that rotation to build
+    its masks with: a rotation costs a few big-integer operations a digit,
+    a mask summed from its row one a member.
     """
     n = prod(radices)
     _check_edges(n * len(connection) // 2, f"a Cayley graph of order {n} and degree {len(connection)}")
