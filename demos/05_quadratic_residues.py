@@ -31,8 +31,8 @@ print("one witness in detail, q = 13, x = 0, y = 1")
 f = make_field(13)
 squares = sorted(square_index_set(f))
 print(f"nonzero squares mod 13: {squares}")
-subset = [f.element(v) for v in range(13) if v not in (0, 1, 6, 7)]
-w, z = find_pattern_witness(f, f.element(0), f.element(1), subset)
-print(f"S = everything but {{0, 1, 6, 7}} -> witness w = {w.index}, z = {z.index}")
-print(f"checks: 0-w = {(f.element(0)-w).index}, w-z = {(w-z).index}, z-1 = {(z-f.element(1)).index} are squares;")
-print(f"        0-z = {(f.element(0)-z).index}, 1-w = {(f.element(1)-w).index} are not")
+subset = [v for v in range(13) if v not in (0, 1, 6, 7)]
+w, z = find_pattern_witness(f, 0, 1, subset)  # elements of GF(13) are their indices
+print(f"S = everything but {{0, 1, 6, 7}} -> witness w = {w}, z = {z}")
+print(f"checks: 0-w = {-w % 13}, w-z = {(w - z) % 13}, z-1 = {(z - 1) % 13} are squares;")
+print(f"        0-z = {-z % 13}, 1-w = {(1 - w) % 13} are not")

@@ -25,7 +25,7 @@ from .families import (
     paley_gamma_orders,
     paley_graph,
 )
-from .fields import FieldElement, FiniteField, is_nonzero_square, make_field
+from .fields import FiniteField, is_nonzero_square, make_field
 from .graphio import from_graph6, from_json, load_graph, to_graph6, to_json
 from .graphs import (
     EdgeNeighborhood,

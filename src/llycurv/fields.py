@@ -1,12 +1,14 @@
-"""Finite field arithmetic GF(p^m) with a canonical modulus.
+"""Finite fields GF(p^m) with a canonical modulus; an element is its index.
 
-Elements are coefficient tuples over GF(p), constant term first, and add
-digit by digit.  The modulus is pinned to the first monic irreducible of
-its degree in a fixed enumeration (constant term varying fastest), so
+The base-p digits of an index are the element's coefficients over GF(p),
+constant term most significant (_index), so indices subtract digit by
+digit (_subtract).  The modulus is pinned to the first monic irreducible
+of its degree in a fixed enumeration (constant term varying fastest), so
 element numbering, and therefore every graph built on top, is
 reproducible: GF(9) always uses t^2 + 1 and GF(25) always t^2 + 2.  The
-one multiplication is the power walk read as an antilog table: a product
-adds the logs of its nonzero factors (_log_table).
+one multiplication is the step of the walk over the powers of the first
+primitive element (_power_walk), whose even powers are the nonzero
+squares (square_index_set).
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ def _index(coeffs: Poly, p: int) -> int:
     return val
 
 
+def _subtract(p: int, a: int, b: int) -> int:
+    """Index of a - b: the base-p digits of the two indices subtract mod p."""
+    diff, place = 0, 1
+    while a or b:
+        diff += (a % p - b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return diff
+
+
 def _poly_mod(coeffs: list[int], modulus: Poly, p: int) -> Poly:
     m = len(modulus) - 1  # modulus is monic of degree m
     for i in range(len(coeffs) - 1, m - 1, -1):
@@ -92,54 +103,6 @@ def _canonical_modulus(p: int, m: int) -> Poly:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """Element of GF(p^m) as a length-m coefficient tuple, constant first."""
-
-    field: "FiniteField"
-    coeffs: tuple[int, ...]
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        f = self.field
-        return FieldElement(f, tuple((a + b) % f.p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        f = self.field
-        return FieldElement(f, tuple((a - b) % f.p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "FieldElement":
-        f = self.field
-        return FieldElement(f, tuple((-a) % f.p for a in self.coeffs))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        f = self.field
-        if self.is_zero or other.is_zero:
-            return f.zero
-        powers, log = _log_table(f)
-        return f.from_index(powers[(log[self.index] + log[other.index]) % (f.q - 1)])
-
-    def __pow__(self, exp: int) -> "FieldElement":
-        f = self.field
-        if exp < 0:
-            raise ValueError("negative exponents unsupported; use a ** (q - 2) for inverses")
-        if self.is_zero:
-            return f.one if exp == 0 else f.zero
-        powers, log = _log_table(f)
-        return f.from_index(powers[log[self.index] * exp % (f.q - 1)])
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    @property
-    def index(self) -> int:
-        """Canonical numbering: constant term most significant."""
-        return _index(self.coeffs, self.field.p)
-
-    def __repr__(self) -> str:
-        return f"FieldElement{self.coeffs}"
-
-
-@dataclass(frozen=True)
 class FiniteField:
     """GF(p^m) with the canonical modulus; build via make_field()."""
 
@@ -151,37 +114,9 @@ class FiniteField:
     def q(self) -> int:
         return self.p**self.m
 
-    def element(self, coeffs: tuple[int, ...] | list[int] | int) -> FieldElement:
-        if isinstance(coeffs, int):
-            if self.m == 1:
-                return FieldElement(self, (coeffs % self.p,))
-            raise ValueError("integer construction only valid for prime fields")
-        vec = tuple(c % self.p for c in coeffs)
-        if len(vec) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(vec)}")
-        return FieldElement(self, vec)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.m)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
-
-    def from_index(self, i: int) -> FieldElement:
-        if not (0 <= i < self.q):
-            raise ValueError(f"index {i} out of range for GF({self.q})")
-        digits = []
-        for _ in range(self.m):
-            digits.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(reversed(digits)))
-
-    def elements(self) -> Iterator[FieldElement]:
-        """All field elements in canonical index order."""
-        for i in range(self.q):
-            yield self.from_index(i)
+    def elements(self) -> range:
+        """The element indices 0..q-1, in canonical order."""
+        return range(self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -252,19 +187,6 @@ def _power_walk(field: FiniteField) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _log_table(field: FiniteField) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(powers, log): _power_walk's antilog table and its inverse, log[powers[k]] = k.
-
-    Kept apart from the walk, so that reading the squares builds no log.
-    """
-    powers = _power_walk(field)
-    log = [0] * field.q  # log[0] is never read: a zero factor is handled first
-    for k, e in enumerate(powers):
-        log[e] = k
-    return powers, tuple(log)
-
-
-@lru_cache(maxsize=None)
 def square_index_set(field: FiniteField) -> frozenset[int]:
     """Indices of the nonzero squares, the even powers g^(2k) of _power_walk.
 
@@ -278,6 +200,6 @@ def square_index_set(field: FiniteField) -> frozenset[int]:
     return frozenset(powers if field.p == 2 else powers[::2])
 
 
-def is_nonzero_square(field: FiniteField, a: FieldElement) -> bool:
-    """a != 0 and a is one of square_index_set's powers."""
-    return a.index in square_index_set(field)
+def is_nonzero_square(field: FiniteField, a: int) -> bool:
+    """The element of index a is nonzero and one of square_index_set's powers."""
+    return a in square_index_set(field)

@@ -5,7 +5,10 @@ GF(q) \\ {x, y} with |S| >= 3(q-1)/4 must contain w, z with x-w, w-z, z-y
 nonzero squares while x-z, y-w are non-squares.  Checked exhaustively for
 small q and by seeded sampling otherwise, as a statement about the Paley
 graph P(q): the pattern is an edge between the exclusive neighborhoods of
-the edge xy inside S.
+the edge xy inside S.  Elements are their indices throughout: a run tests
+subsets as bitmasks of indices against the root split of P(q), and
+find_pattern_witness reads one subset's witness off index differences
+(fields._subtract) and the squares (square_index_set).
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 from typing import Callable, Iterable
 
-from .errors import InvalidOrderError, InvalidPairError, TooLargeError
+from .errors import InvalidOrderError, InvalidPairError, InvalidVertexError, TooLargeError
 from .families import _check_paley_size, _paley_root_split, prime_power_decomposition
-from .fields import FieldElement, FiniteField, square_index_set
+from .fields import FiniteField, _subtract, square_index_set
 from .graphs import EdgeNeighborhood, _set_bits
 
 # Subsets tested per run, in either mode.  Exhaustive mode runs at q = 29
@@ -28,35 +31,31 @@ _SUBSET_BOUND = 10**6
 
 
 def find_pattern_witness(
-    field: FiniteField,
-    x: FieldElement,
-    y: FieldElement,
-    subset: Iterable[FieldElement],
-) -> tuple[FieldElement, FieldElement] | None:
-    """First (w, z) in canonical index order realizing the pattern, if any.
+    field: FiniteField, x: int, y: int, subset: Iterable[int]
+) -> tuple[int, int] | None:
+    """First (w, z) in index order realizing the pattern in S, if any.
 
-    w must see x as a square difference but not y, z the reverse, and w - z
-    must be a nonzero square; equivalently (w, z) is an edge between the
-    exclusive neighborhoods of x and y inside S.  The non-squares are
-    nonzero, so x and y are never w or z, even when S holds them.
+    x, y, S and the witness are element indices, 0..q-1.  w must see x as
+    a square difference but not y, z the reverse, and w - z must be a
+    nonzero square; equivalently (w, z) is an edge between the exclusive
+    neighborhoods of x and y inside S.  The non-squares are nonzero, so x
+    and y are never w or z, even when S holds them.
     """
-    squares = square_index_set(field)
-    if (x - y).index not in squares:
+    members = sorted(v for v in subset if v != x and v != y)
+    if min(x, y, *members[:1]) < 0 or max(x, y, *members[-1:]) >= field.q:
+        raise InvalidVertexError(f"element indices of {field!r} lie in 0..{field.q - 1}")
+    p, squares = field.p, square_index_set(field)
+    if _subtract(p, x, y) not in squares:
         raise InvalidPairError("x - y must be a nonzero square")
-    members = sorted((e for e in subset if e.index not in (x.index, y.index)), key=lambda e: e.index)
     side_x = [
-        w
-        for w in members
-        if (x - w).index in squares and (y - w).index not in squares
+        w for w in members if _subtract(p, x, w) in squares and _subtract(p, y, w) not in squares
     ]
     side_y = [
-        z
-        for z in members
-        if (z - y).index in squares and (x - z).index not in squares
+        z for z in members if _subtract(p, z, y) in squares and _subtract(p, x, z) not in squares
     ]
     for w in side_x:
         for z in side_y:
-            if (w - z).index in squares:
+            if _subtract(p, w, z) in squares:
                 return (w, z)
     return None
 
@@ -122,8 +121,10 @@ def verify_corollary(
     S = universe minus R.  Sampled mode draws R too, from one random.Random
     per run seeded from str(seed): each trial's size with weight
     comb(q - 2, size), then R uniformly among the removed sets of that
-    size, so S is uniform given its size and over the whole family.
-    find_pattern_witness is the independent field-arithmetic reference.
+    size, so S is uniform given its size and over the whole family.  Both
+    modes yield their removed sets into one loop.  find_pattern_witness
+    decides a subset from element indices instead, by index subtraction
+    and the squares, and the tests check the two against each other.
     The split's masks grow with q, so q is checked against the Paley edge
     bound before it is factored.
     """
@@ -154,29 +155,30 @@ def verify_corollary(
     pattern_free = pattern_free_kernel(split)
     bits = [1 << v for v in range(q) if v != x and v != y]  # the universe, one bit each
     full = sum(bits)
-    failures: list[tuple[int, ...]] = []
-    tested = 0
     if mode == "exhaustive":
-        for size in sizes:
-            for removed in combinations(bits, len(bits) - size):
-                s = full ^ sum(removed)
-                tested += 1
-                if pattern_free(s):
-                    failures.append(_set_bits(s))
+        removed_sets = chain.from_iterable(combinations(bits, len(bits) - size) for size in sizes)
     else:
         # The stream is seeded from the seed's decimal string: an int seed is
         # reduced to abs(seed), which would make seeds 1 and -1 draw alike.
         # Size s has weight comb(q - 2, s); a draw below the total lands in
-        # its slot of the running sums.  R, at most gamma - 1 bits, is a
-        # shorter draw than S.
+        # its slot of the running sums, and sample's arguments, that draw
+        # included, are evaluated before it draws R.  R, at most gamma - 1
+        # bits, is a shorter draw than S.
         rng = random.Random(str(seed))
         cumulative = list(accumulate(comb(len(bits), s) for s in sizes))
-        for _ in range(trials):
-            size = sizes[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
-            s = full ^ sum(rng.sample(bits, len(bits) - size))
-            tested += 1
-            if pattern_free(s):
-                failures.append(_set_bits(s))
+        removed_sets = (
+            rng.sample(
+                bits, len(bits) - sizes[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+            )
+            for _ in range(trials)
+        )
+    failures: list[tuple[int, ...]] = []
+    tested = 0
+    for removed in removed_sets:
+        s = full ^ sum(removed)
+        tested += 1
+        if pattern_free(s):
+            failures.append(_set_bits(s))
     failures.sort()
     return CorollaryReport(
         q=q,

@@ -21,10 +21,15 @@ that of the squares `fields.square_index_set` reads off the power walk.
 The size-by-size sweep of the cleared discriminant
 (`swept_first_feasible`) is the reference of `certify._first_feasible`'s
 closed form.
-Products and powers of polynomials reduced mod the field's modulus
-(`poly_mul`, `poly_pow`) are the references of `FieldElement`'s `*` and
-`**`, which read the walk's log table, and the Euler criterion on them
-(`euler_is_nonzero_square`) that of `fields.is_nonzero_square`.
+`src/` handles a GF(q) element as its index; here it is also a
+coefficient tuple (`Element`), which subtracts coefficient by
+coefficient, the reference of `fields._subtract`.  Products and powers
+of polynomials reduced mod the field's modulus (`poly_mul`, `poly_pow`)
+are the references of the product and power read off the power walk
+(`table_product`, `table_power`), the Euler criterion on them
+(`euler_is_nonzero_square`) that of `fields.is_nonzero_square`, and the
+witness search on coefficient tuples (`coefficient_pattern_witness`)
+that of `residues.find_pattern_witness`.
 Hopcroft-Karp on index lists (`_hopcroft_karp`) and the column-by-column
 `lex_first_maximum_reference` are the references of
 `max_matching`, which runs the engine of `matching.local_perfect_matching`
@@ -43,6 +48,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, permutations, product
 from math import gcd
 from typing import Sequence
@@ -51,8 +57,14 @@ import numpy as np
 
 from llycurv import families
 from llycurv.certify import _cleared
-from llycurv.errors import InvalidOrderError, InvalidParamsError, LlycurvError, TooLargeError
-from llycurv.fields import FieldElement, FiniteField, Poly, _index, _poly_mod, _power_walk, _trim
+from llycurv.errors import (
+    InvalidOrderError,
+    InvalidPairError,
+    InvalidParamsError,
+    LlycurvError,
+    TooLargeError,
+)
+from llycurv.fields import FiniteField, Poly, _index, _poly_mod, _power_walk, _trim, square_index_set
 from llycurv.graphs import (
     Graph,
     RegularityClass,
@@ -691,9 +703,47 @@ def paley_automorphisms(q: int) -> tuple[tuple[int, ...], ...]:
     p, m = field.p, field.m
     # t^k has the index p^(m-1-k): the constant term is the leading digit.
     maps = [tuple(families._translation((p,) * m, p ** (m - 1 - k))) for k in range(m)]
-    square = field.from_index(_power_walk(field)[2])
-    maps.append(tuple(poly_mul(square, e).index for e in field.elements()))
+    square = Element.of(field, _power_walk(field)[2])
+    maps.append(tuple(poly_mul(square, Element.of(field, e)).index for e in field.elements()))
     return tuple(maps)
+
+
+@dataclass(frozen=True)
+class Element:
+    """An element of GF(p^m) as its m coefficients over GF(p), constant term first.
+
+    The tests' polynomial form of the elements that `src/` handles as
+    indices: elements add and subtract coefficient by coefficient, and
+    `poly_mul` and `poly_pow` multiply them mod the field's modulus.
+    """
+
+    field: FiniteField
+    coeffs: tuple[int, ...]
+
+    @classmethod
+    def of(cls, field: FiniteField, index: int) -> "Element":
+        """The element numbered index: its base-p digits, constant term most significant."""
+        digits = []
+        for _ in range(field.m):
+            index, digit = divmod(index, field.p)
+            digits.append(digit)
+        return cls(field, tuple(reversed(digits)))
+
+    @property
+    def index(self) -> int:
+        return _index(self.coeffs, self.field.p)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __add__(self, other: "Element") -> "Element":
+        p = self.field.p
+        return Element(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "Element") -> "Element":
+        p = self.field.p
+        return Element(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
 
 def _poly_mulmod(a: Poly, b: Poly, modulus: Poly, p: int) -> Poly:
@@ -722,26 +772,46 @@ def _pad(field: FiniteField, coeffs: Poly) -> tuple[int, ...]:
     return tuple(coeffs) + (0,) * (field.m - len(coeffs))
 
 
-def poly_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """a * b as polynomials mod the field's modulus: the reference of FieldElement.__mul__."""
+def poly_mul(a: Element, b: Element) -> Element:
+    """a * b as polynomials mod the field's modulus."""
     f = a.field
     prod = _poly_mulmod(_trim(list(a.coeffs)), _trim(list(b.coeffs)), f.modulus, f.p)
-    return FieldElement(f, _pad(f, prod))
+    return Element(f, _pad(f, prod))
 
 
-def poly_pow(a: FieldElement, exp: int) -> FieldElement:
-    """a ** exp by square-and-multiply on polynomials: the reference of FieldElement.__pow__."""
+def poly_pow(a: Element, exp: int) -> Element:
+    """a ** exp by square-and-multiply on polynomials."""
     f = a.field
-    return FieldElement(f, _pad(f, _poly_powmod(_trim(list(a.coeffs)), exp, f.modulus, f.p)))
+    return Element(f, _pad(f, _poly_powmod(_trim(list(a.coeffs)), exp, f.modulus, f.p)))
 
 
-def euler_is_nonzero_square(field: FiniteField, a: FieldElement) -> bool:
-    """Euler criterion: a != 0 and a^((q-1)/2) = 1, by poly_pow."""
-    if a.is_zero:
+def euler_is_nonzero_square(field: FiniteField, a: int) -> bool:
+    """Euler criterion on the element of index a: a != 0 and a^((q-1)/2) = 1, by poly_pow."""
+    if a == 0:
         return False
     if field.q % 2 == 0:
         return True  # every element of a characteristic-2 field is a square
-    return poly_pow(a, (field.q - 1) // 2) == field.one
+    return poly_pow(Element.of(field, a), (field.q - 1) // 2).coeffs == _pad(field, (1,))
+
+
+@lru_cache(maxsize=None)
+def _walk_logs(field: FiniteField) -> dict[int, int]:
+    return {e: k for k, e in enumerate(_power_walk(field))}
+
+
+def table_product(field: FiniteField, a: int, b: int) -> int:
+    """Index of a * b read off the power walk: the logs of nonzero factors add mod q - 1."""
+    if a == 0 or b == 0:
+        return 0
+    log = _walk_logs(field)
+    return _power_walk(field)[(log[a] + log[b]) % (field.q - 1)]
+
+
+def table_power(field: FiniteField, a: int, exp: int) -> int:
+    """Index of a ** exp, exp >= 0, read off the power walk: the log of a times exp."""
+    if a == 0:
+        return _power_walk(field)[0] if exp == 0 else 0
+    return _power_walk(field)[_walk_logs(field)[a] * exp % (field.q - 1)]
 
 
 def squaring_square_index_set(field: FiniteField) -> frozenset[int]:
@@ -795,8 +865,8 @@ def _edge_orbits(
     return roots
 
 
-def canonical_pair(field: FiniteField) -> tuple[FieldElement, FieldElement]:
-    """(0, c) with c the index-smallest nonzero square.
+def canonical_pair(field: FiniteField) -> tuple[int, int]:
+    """(0, c) with c the index-smallest nonzero square, by the Euler criterion.
 
     Affine maps t -> a t + b with a a nonzero square act transitively on
     square-difference pairs, so verifying one pair verifies them all.
@@ -804,10 +874,33 @@ def canonical_pair(field: FiniteField) -> tuple[FieldElement, FieldElement]:
     transitivity for every Paley order q <= 101, with generators verified
     as automorphisms of P(q).
     """
-    for e in field.elements():
-        if euler_is_nonzero_square(field, e):
-            return field.zero, e
+    for c in field.elements():
+        if euler_is_nonzero_square(field, c):
+            return 0, c
     raise InvalidOrderError(f"GF({field.q}) has no nonzero square")
+
+
+def coefficient_pattern_witness(
+    field: FiniteField, x: int, y: int, subset: Sequence[int]
+) -> tuple[int, int] | None:
+    """residues.find_pattern_witness on coefficient tuples, in and out as indices.
+
+    Every difference is taken coefficient by coefficient on Elements and
+    numbered by _index before it is looked up among the squares, where
+    the index version subtracts the indices digit by digit.
+    """
+    squares = square_index_set(field)
+    xe, ye = Element.of(field, x), Element.of(field, y)
+    if (xe - ye).index not in squares:
+        raise InvalidPairError("x - y must be a nonzero square")
+    members = [Element.of(field, v) for v in sorted(subset) if v != x and v != y]
+    side_x = [w for w in members if (xe - w).index in squares and (ye - w).index not in squares]
+    side_y = [z for z in members if (z - ye).index in squares and (xe - z).index not in squares]
+    for w in side_x:
+        for z in side_y:
+            if (w - z).index in squares:
+                return (w.index, z.index)
+    return None
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:

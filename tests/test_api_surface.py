@@ -136,6 +136,21 @@ def test_h_xy_has_one_builder():
     assert _calls_of("EdgeNeighborhood") == ["graphs._split"]
 
 
+def test_no_class_in_src_does_field_arithmetic():
+    # A GF(q) element is its index in src/: fields._subtract and the power
+    # walk's step are its arithmetic, and no class overloads an operator.
+    operators = {"__add__", "__sub__", "__neg__", "__mul__", "__pow__"}
+    overloaded = [
+        f"{path.stem}.{node.name}.{sub.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for sub in node.body
+        if isinstance(sub, ast.FunctionDef) and sub.name in operators
+    ]
+    assert overloaded == []
+
+
 PUBLIC_NAMES = [
     "CatalogEntry",
     "Certificate",
@@ -145,7 +160,6 @@ PUBLIC_NAMES = [
     "CurvatureSpectrum",
     "EdgeNeighborhood",
     "Eigenvalue",
-    "FieldElement",
     "FiniteField",
     "Graph",
     "LlycurvError",

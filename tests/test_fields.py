@@ -13,7 +13,15 @@ from llycurv import fields
 from llycurv.errors import NotPrimeError, TooLargeError
 from llycurv.families import prime_power_decomposition
 from llycurv.fields import is_nonzero_square, is_prime, make_field
-from helpers import euler_is_nonzero_square, poly_mul, poly_pow, squaring_square_index_set
+from helpers import (
+    Element,
+    euler_is_nonzero_square,
+    poly_mul,
+    poly_pow,
+    squaring_square_index_set,
+    table_power,
+    table_product,
+)
 
 # The canonical modulus of every GF(p^m) with m >= 2 and p^m <= 2^16,
 # recorded with Rabin's irreducibility test, an independent route to the
@@ -25,7 +33,7 @@ def test_make_field_prime():
     f = make_field(13)
     assert (f.p, f.m, f.q) == (13, 1, 13)
     assert f.modulus == (0, 1)
-    assert f.element(9) + f.element(7) == f.element(3)
+    assert fields._subtract(13, 3, 7) == 9  # 9 + 7 = 16 = 3 mod 13
 
 
 def test_make_field_gf9_modulus():
@@ -139,16 +147,16 @@ def test_is_prime_small_values():
 def test_euler_criterion_examples():
     f = make_field(13)
     for is_square in (is_nonzero_square, euler_is_nonzero_square):
-        assert is_square(f, f.element(4))
-        assert not is_square(f, f.element(2))  # 2^6 = 64 = 12 mod 13
-        assert not is_square(f, f.zero)
+        assert is_square(f, 4)
+        assert not is_square(f, 2)  # 2^6 = 64 = 12 mod 13
+        assert not is_square(f, 0)
 
 
 def test_gf9_generator_square_status_matches_brute_force():
     f = make_field(3, 2)
-    squares = {poly_mul(e, e).index for e in f.elements() if not e.is_zero}
-    t = f.element((0, 1))
-    assert is_nonzero_square(f, t) == euler_is_nonzero_square(f, t) == (t.index in squares)
+    squares = {poly_mul(Element.of(f, i), Element.of(f, i)).index for i in range(1, 9)}
+    t = fields._index((0, 1), 3)
+    assert is_nonzero_square(f, t) == euler_is_nonzero_square(f, t) == (t in squares)
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (3, 2), (5, 2), (7, 2)], ids=["13", "9", "25", "49"])
@@ -157,7 +165,7 @@ def test_euler_criterion_matches_squaring_everywhere(p, m):
     f = make_field(p, m)
     squares = squaring_square_index_set(f)
     for e in f.elements():
-        assert euler_is_nonzero_square(f, e) == (e.index in squares) == is_nonzero_square(f, e)
+        assert euler_is_nonzero_square(f, e) == (e in squares) == is_nonzero_square(f, e)
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (3, 2), (5, 2), (7, 2)], ids=["13", "9", "25", "49"])
@@ -171,24 +179,38 @@ def test_square_count_is_half(p, m):
     "p,m", [(2, 3), (3, 2), (5, 2), (7, 2)], ids=["8", "9", "25", "49"]
 )
 def test_field_axioms_exhaustive(p, m):
+    """The power walk's product makes the indices, added digit by digit, a field.
+
+    The walk lists g^0, ..., g^(q-2), and its product g^i g^j = g^(i+j)
+    adds exponents mod q - 1, so it commutes and associates, with g^0 as
+    one and g^(q-1-k) as the inverse of g^k.  One walk step is the map
+    x -> g x, and a = g^k multiplies as that step taken k times.  So once
+    the step is additive on every pair, multiplication by every a is, and
+    a (b + c) = a b + a c holds for every triple: q^2 pairs check the
+    distributive law that q^3 triples would check directly.  Addition is
+    digit-wise mod p, an abelian group; a map that keeps differences keeps
+    sums.  test_table_product_and_power_match_polynomials checks that
+    this field is the one of the canonical modulus.
+    """
     f = make_field(p, m)
-    elems = list(f.elements())
-    for a in elems:
-        for b in elems:
-            assert a + b == b + a
-            assert a * b == b * a
-            for c in elems:
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
+    powers = fields._power_walk(f)
+    step = [0] * f.q
+    for k, e in enumerate(powers):
+        step[e] = powers[(k + 1) % (f.q - 1)]
+    assert sorted(powers) == list(range(1, f.q))
+    for a in f.elements():
+        for b in f.elements():
+            assert step[fields._subtract(p, a, b)] == fields._subtract(p, step[a], step[b])
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (3, 2), (5, 2), (7, 2)], ids=["13", "9", "25", "49"])
 def test_inverse_existence(p, m):
+    # a^(q-1) = 1 for every nonzero a, by polynomials: the modulus is irreducible.
     f = make_field(p, m)
-    for e in f.elements():
-        if e.is_zero:
-            continue
-        assert e * e ** (f.q - 2) == f.one
+    one = Element(f, (1,) + (0,) * (m - 1))
+    for e in range(1, f.q):
+        a = Element.of(f, e)
+        assert poly_mul(a, poly_pow(a, f.q - 2)) == one
 
 
 @pytest.mark.parametrize("modulus", [(0, 0, 1), (2, 0, 1)], ids=["t^2", "t^2-1"])
@@ -196,12 +218,8 @@ def test_power_walk_refuses_a_reducible_modulus(modulus):
     # Modulo t^2 the powers of t reach 0, and modulo t^2 - 1 = (t - 1)(t + 1)
     # the idempotent (1 + t)/2 is its own square: neither returns to 1, so
     # the walk stops after q steps and finds no element of order q - 1.
-    # A product reads the walk too.
-    field = fields.FiniteField(3, 2, modulus)
-    t = field.element((0, 1))
-    for read in (fields.square_index_set, lambda field: t * t):
-        with pytest.raises(ValueError, match="reducible"):
-            read(field)
+    with pytest.raises(ValueError, match="reducible"):
+        fields.square_index_set(fields.FiniteField(3, 2, modulus))
 
 
 # q = 8, 9, 13, 25, 27, 49, 121 and 125 on every pair, then two fields near
@@ -211,37 +229,45 @@ TABLE_FIELDS = [(2, 3), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2), (11, 2), (5, 3)
 
 def _pairs(f):
     if f.q <= 125:
-        elements = list(f.elements())
-        return [(a, b) for a in elements for b in elements]
+        return [(a, b) for a in f.elements() for b in f.elements()]
     rng = random.Random(f.q)
-    return [(f.from_index(rng.randrange(f.q)), f.from_index(rng.randrange(f.q))) for _ in range(2000)]
+    return [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
 
 
 @pytest.mark.parametrize("p,m", TABLE_FIELDS, ids=[str(p**m) for p, m in TABLE_FIELDS])
 def test_table_product_and_power_match_polynomials(p, m):
-    # Each base a takes the q exponents a.index .. a.index + q - 1, which
-    # pass q - 1, where the table wraps.
+    # Each base a takes the q exponents a .. a + q - 1, which pass q - 1,
+    # where the table wraps.
     f = make_field(p, m)
     for a, b in _pairs(f):
-        assert a * b == poly_mul(a, b)
-        assert a ** (a.index + b.index) == poly_pow(a, a.index + b.index)
+        x, y = Element.of(f, a), Element.of(f, b)
+        assert table_product(f, a, b) == poly_mul(x, y).index
+        assert table_power(f, a, a + b) == poly_pow(x, a + b).index
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS, ids=[str(p**m) for p, m in TABLE_FIELDS])
+def test_index_subtraction_matches_coefficients(p, m):
+    f = make_field(p, m)
+    for a, b in _pairs(f):
+        assert fields._subtract(p, a, b) == (Element.of(f, a) - Element.of(f, b)).index
 
 
 @pytest.mark.parametrize("p,m", TABLE_FIELDS, ids=[str(p**m) for p, m in TABLE_FIELDS])
 def test_frobenius_is_a_permutation_preserving_sum_and_product(p, m):
     # x -> x^p by the polynomial reference, on every element a pair reaches:
-    # every element of the small fields, so there it is a permutation.
+    # every element of the small fields, so there it is a permutation.  A
+    # map that keeps differences keeps sums.
     f = make_field(p, m)
     images = {}
 
     def frobenius(e):
-        if e.index not in images:
-            images[e.index] = poly_pow(e, p).index
-        return f.from_index(images[e.index])
+        if e not in images:
+            images[e] = poly_pow(Element.of(f, e), p).index
+        return images[e]
 
     for a, b in _pairs(f):
-        assert frobenius(a + b) == frobenius(a) + frobenius(b)
-        assert frobenius(a * b) == frobenius(a) * frobenius(b)
+        assert frobenius(fields._subtract(p, a, b)) == fields._subtract(p, frobenius(a), frobenius(b))
+        assert frobenius(table_product(f, a, b)) == table_product(f, frobenius(a), frobenius(b))
     assert len(set(images.values())) == len(images)
     assert f.q > 125 or sorted(images) == list(range(f.q))
 
@@ -268,13 +294,16 @@ def test_prime_power_walk_agrees_with_pow(p):
 def test_index_ordering_constant_term_most_significant():
     f = make_field(3, 2)
     # coeffs (c0, c1) with index 3*c0 + c1
-    assert f.element((2, 1)).index == 7
-    assert f.from_index(7).coeffs == (2, 1)
-    assert [e.index for e in f.elements()] == list(range(9))
+    assert fields._index((2, 1), 3) == 7
+    assert Element.of(f, 7).coeffs == (2, 1)
+    assert list(f.elements()) == list(range(9))
 
 
 def test_subtraction_and_negation():
-    f = make_field(5, 2)
-    a, b = f.from_index(17), f.from_index(9)
-    assert a - b == a + (-b)
-    assert (a - a).is_zero
+    # In GF(25), 17 = (3, 2) and 9 = (1, 4), constant term first.
+    a, b = 17, 9
+    minus_b = fields._subtract(5, 0, b)
+    assert fields._subtract(5, a, b) == 13  # (2, 3)
+    assert minus_b == 21  # (4, 1)
+    assert fields._subtract(5, fields._subtract(5, a, b), minus_b) == a  # (a - b) - (-b)
+    assert fields._subtract(5, a, a) == 0

@@ -11,7 +11,13 @@ from itertools import combinations
 import pytest
 
 from llycurv import families, residues
-from llycurv.errors import InvalidOrderError, InvalidPairError, InvalidParamsError, TooLargeError
+from llycurv.errors import (
+    InvalidOrderError,
+    InvalidPairError,
+    InvalidParamsError,
+    InvalidVertexError,
+    TooLargeError,
+)
 from llycurv.families import paley_graph, prime_power_decomposition
 from llycurv.fields import is_nonzero_square, make_field
 from llycurv.graphs import Graph, decompose_edge
@@ -27,9 +33,9 @@ from llycurv.residues import (
 from helpers import (
     _edge_orbits,
     canonical_pair,
+    coefficient_pattern_witness,
     euler_is_nonzero_square,
     paley_automorphisms,
-    poly_mul,
     squaring_square_index_set,
 )
 
@@ -40,7 +46,7 @@ def test_square_index_set_agrees_with_euler_criterion():
         squares = square_index_set(f)
         assert squares == squaring_square_index_set(f)
         for e in f.elements():
-            assert (e.index in squares) == euler_is_nonzero_square(f, e) == is_nonzero_square(f, e)
+            assert (e in squares) == euler_is_nonzero_square(f, e) == is_nonzero_square(f, e)
 
 
 def test_subset_threshold_exact():
@@ -51,53 +57,49 @@ def test_subset_threshold_exact():
 
 def test_canonical_pair_q13():
     f = make_field(13)
-    x, y = canonical_pair(f)
-    assert (x.index, y.index) == (0, 1)  # 1 is the smallest square mod 13
+    assert canonical_pair(f) == (0, 1)  # 1 is the smallest square mod 13
 
 
 @pytest.mark.parametrize("q", [q for q in range(9, 50, 4) if prime_power_decomposition(q)])
 def test_verify_corollary_reads_the_canonical_pair_from_the_graph(q):
-    x, y = canonical_pair(make_field(*prime_power_decomposition(q)))
     report = verify_corollary(q, mode="sampled", seed=0, trials=1)
-    assert report.pair == (x.index, y.index)
+    assert report.pair == canonical_pair(make_field(*prime_power_decomposition(q)))
 
 
 def test_witness_exists_for_a_maximal_subset_q13():
     f = make_field(13)
-    x, y = f.element(0), f.element(1)
-    subset = [f.element(v) for v in range(13) if v not in (0, 1, 6, 7)]
+    x, y = 0, 1
+    subset = [v for v in range(13) if v not in (0, 1, 6, 7)]
     assert len(subset) == 9
     witness = find_pattern_witness(f, x, y, subset)
     assert witness is not None
     w, z = witness
     squares = square_index_set(f)
-    assert (x - w).index in squares
-    assert (w - z).index in squares
-    assert (z - y).index in squares
-    assert (x - z).index not in squares
-    assert (y - w).index not in squares
+    assert (x - w) % 13 in squares
+    assert (w - z) % 13 in squares
+    assert (z - y) % 13 in squares
+    assert (x - z) % 13 not in squares
+    assert (y - w) % 13 not in squares
 
 
 def test_witness_matches_exhaustive_pair_search():
     f = make_field(13)
-    x, y = f.element(0), f.element(1)
+    x, y = 0, 1
     squares = square_index_set(f)
     rng = random.Random(4)
     universe = [v for v in range(13) if v not in (0, 1)]
     for _ in range(40):
-        subset_idx = rng.sample(universe, rng.randrange(2, 10))
-        subset = [f.element(v) for v in subset_idx]
+        subset = rng.sample(universe, rng.randrange(2, 10))
         got = find_pattern_witness(f, x, y, subset)
         brute = None
-        for wi in sorted(subset_idx):
-            for zi in sorted(subset_idx):
-                w, z = f.element(wi), f.element(zi)
+        for w in sorted(subset):
+            for z in sorted(subset):
                 if (
-                    (x - w).index in squares
-                    and (w - z).index in squares
-                    and (z - y).index in squares
-                    and (x - z).index not in squares
-                    and (y - w).index not in squares
+                    (x - w) % 13 in squares
+                    and (w - z) % 13 in squares
+                    and (z - y) % 13 in squares
+                    and (x - z) % 13 not in squares
+                    and (y - w) % 13 not in squares
                 ):
                     brute = (w, z)
                     break
@@ -110,16 +112,57 @@ def test_witness_single_element_subset_has_none():
     # x = 0 and y = 1 are no pattern vertices: z = x would need x - z = 0
     # to be a non-square, and w = y would need y - w = 0 to be one
     f = make_field(13)
-    x, y = f.element(0), f.element(1)
-    assert find_pattern_witness(f, x, y, [f.element(2)]) is None
-    assert find_pattern_witness(f, x, y, [f.element(3), x]) is None
-    assert find_pattern_witness(f, x, y, [y, f.element(2)]) is None
+    assert find_pattern_witness(f, 0, 1, [2]) is None
+    assert find_pattern_witness(f, 0, 1, [3, 0]) is None
+    assert find_pattern_witness(f, 0, 1, [1, 2]) is None
 
 
 def test_witness_requires_square_difference_pair():
     f = make_field(13)
     with pytest.raises(InvalidPairError):
-        find_pattern_witness(f, f.element(0), f.element(2), [])  # 2 is a non-square
+        find_pattern_witness(f, 0, 2, [])  # 2 is a non-square
+
+
+@pytest.mark.parametrize("x, y, subset", [(0, 14, []), (-12, 1, []), (0, 1, [2, 13]), (0, 1, [-1, 2])])
+def test_witness_refuses_indices_outside_the_field(x, y, subset):
+    # An index outside 0..12 names no element of GF(13).
+    with pytest.raises(InvalidVertexError):
+        find_pattern_witness(make_field(13), x, y, subset)
+
+
+def test_index_witness_matches_coefficient_tuples_on_every_subset_q13():
+    # Every subset of GF(13), x and y included, around the root pair.
+    f = make_field(13)
+    outcomes = set()
+    for mask in range(1 << 13):
+        subset = [v for v in range(13) if mask >> v & 1]
+        witness = find_pattern_witness(f, 0, 1, subset)
+        assert witness == coefficient_pattern_witness(f, 0, 1, subset), subset
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q", [25, 49, 81])
+def test_index_witness_matches_coefficient_tuples_on_seeded_pairs(q):
+    # (x, y) is drawn from the whole field, so it is rarely the root pair,
+    # and about half the pairs have a non-square difference, which both
+    # refuse.
+    f = make_field(*prime_power_decomposition(q))
+    rng = random.Random(q)
+    outcomes = Counter()
+    for _ in range(300):
+        x, y = rng.randrange(q), rng.randrange(q)
+        subset = rng.sample(range(q), rng.randrange(q + 1))
+        try:
+            expected = coefficient_pattern_witness(f, x, y, subset)
+        except InvalidPairError:
+            outcomes["refused"] += 1
+            with pytest.raises(InvalidPairError):
+                find_pattern_witness(f, x, y, subset)
+            continue
+        assert find_pattern_witness(f, x, y, subset) == expected, (x, y, sorted(subset))
+        outcomes["none" if expected is None else "witness"] += 1
+    assert set(outcomes) == {"refused", "none", "witness"}, outcomes
 
 
 def test_verify_corollary_q13_exhaustive():
@@ -151,11 +194,7 @@ def _mask(subset):
 def _reference_pattern_free(q, subsets):
     f = make_field(*prime_power_decomposition(q))
     x, y = canonical_pair(f)
-    elements = list(f.elements())  # element v has index v
-    return [
-        s for s in subsets
-        if find_pattern_witness(f, x, y, [elements[v] for v in s]) is None
-    ]
+    return [s for s in subsets if find_pattern_witness(f, x, y, s) is None]
 
 
 @pytest.mark.parametrize("q, sizes", [(13, (6, 7, 8, 9)), (17, (9, 10, 11, 12))])
@@ -190,11 +229,10 @@ def test_reference_agrees_with_the_kernel_on_subsets_of_the_whole_field(q):
     split = families._paley_root_split(q)
     kernel = pattern_free_kernel(split)
     f = make_field(q)
-    x, y = f.element(split.x), f.element(split.y)
     rng = random.Random(q)
     for _ in range(200):
         subset = rng.sample(range(q), rng.randrange(q + 1))
-        witness = find_pattern_witness(f, x, y, [f.element(v) for v in subset])
+        witness = find_pattern_witness(f, split.x, split.y, subset)
         assert (witness is None) == kernel(_mask(subset)), sorted(subset)
 
 
@@ -202,8 +240,8 @@ def test_kernel_agrees_with_reference_on_gf25_samples():
     # GF(25) is not a prime field: vertex v of P(25) must be element v
     f = make_field(5, 2)
     x, y = canonical_pair(f)
-    kernel = pattern_free_kernel(decompose_edge(paley_graph(25), x.index, y.index))
-    universe = [v for v in range(25) if v not in (x.index, y.index)]
+    kernel = pattern_free_kernel(decompose_edge(paley_graph(25), x, y))
+    universe = [v for v in range(25) if v not in (x, y)]
     rng = random.Random(25)
     subsets = [
         tuple(sorted(rng.sample(universe, rng.randrange(8, 19)))) for _ in range(2000)
@@ -288,19 +326,18 @@ def test_witness_is_uncovered_local_matching_edge():
     f = make_field(q)
     g = paley_graph(q)
     x, y = canonical_pair(f)
-    parts = decompose_edge(g, x.index, y.index)
-    _, result = local_perfect_matching(g, x.index, y.index)
+    parts = decompose_edge(g, x, y)
+    _, result = local_perfect_matching(g, x, y)
     assert result.perfect
     rng = random.Random(6)
-    universe = [v for v in range(q) if v not in (x.index, y.index)]
+    universe = [v for v in range(q) if v not in (x, y)]
     for _ in range(30):
-        subset_idx = sorted(rng.sample(universe, subset_threshold(q)))
-        subset = [f.element(v) for v in subset_idx]
+        subset = sorted(rng.sample(universe, subset_threshold(q)))
         witness = find_pattern_witness(f, x, y, subset)
         assert witness is not None
         w, z = witness
-        assert w.index in parts.nx and z.index in parts.ny
-        assert g.has_edge(w.index, z.index)
+        assert w in parts.nx and z in parts.ny
+        assert g.has_edge(w, z)
 
 
 @pytest.mark.parametrize("q", [q for q in range(5, 102, 4) if prime_power_decomposition(q)])
@@ -318,16 +355,15 @@ def test_affine_symmetry_audit():
     q = 13
     f = make_field(q)
     squares = sorted(square_index_set(f))
-    x, y = f.element(0), f.element(1)
+    x, y = 0, 1
     rng = random.Random(15)
     universe = [v for v in range(q) if v not in (0, 1)]
     for _ in range(100):
-        a = f.element(rng.choice(squares))
-        b = f.element(rng.randrange(q))
-        subset_idx = rng.sample(universe, rng.randrange(2, 11))
-        subset = [f.element(v) for v in subset_idx]
-        image_x, image_y = poly_mul(a, x) + b, poly_mul(a, y) + b
-        image_subset = [poly_mul(a, s) + b for s in subset]
+        a = rng.choice(squares)
+        b = rng.randrange(q)
+        subset = rng.sample(universe, rng.randrange(2, 11))
+        image_x, image_y = (a * x + b) % q, (a * y + b) % q
+        image_subset = [(a * s + b) % q for s in subset]
         direct = find_pattern_witness(f, x, y, subset)
         transported = find_pattern_witness(f, image_x, image_y, image_subset)
         assert (direct is None) == (transported is None)

@@ -34,7 +34,7 @@ from llycurv.families import (
     rook_graph,
     shrikhande_graph,
 )
-from llycurv.fields import FieldElement, make_field
+from llycurv.fields import make_field
 from llycurv.graphio import load_graph
 from llycurv.graphs import Graph
 from llycurv.transport import (
@@ -48,6 +48,7 @@ from llycurv.transport import (
     wasserstein_w1,
 )
 from helpers import (
+    Element,
     _edge_orbits,
     all_optimal_assignments,
     brute_force_assignment,
@@ -539,15 +540,13 @@ def _root_edge(g):
 PALEY_ORDERS_TO_257 = [q for q in range(5, 258, 4) if prime_power_decomposition(q)]
 
 
-def _forbid_field_products_and_translation_lists(monkeypatch):
-    # The split and paley_kappa need neither, and the walk runs afresh.
+def _forbid_translation_lists(monkeypatch):
+    # The split and paley_kappa need none, and the walk runs afresh.  No
+    # class in src/ multiplies field elements (test_api_surface.py).
     def forbidden(*args):
-        raise AssertionError("a field product or a translation list was built")
+        raise AssertionError("a translation list was built")
 
     monkeypatch.setattr(families, "_translation", forbidden)
-    monkeypatch.setattr(FieldElement, "__mul__", forbidden)
-    monkeypatch.setattr(FieldElement, "__pow__", forbidden)
-    monkeypatch.setattr(fields, "_log_table", forbidden)
     fields._power_walk.cache_clear()
     fields.square_index_set.cache_clear()
 
@@ -560,7 +559,7 @@ def test_paley_root_split_equals_decompose_edge(monkeypatch, q):
     x, y = _root_edge(g)
     expected = set_decompose_edge(g, x, y)
     del expected["pxy"]
-    _forbid_field_products_and_translation_lists(monkeypatch)
+    _forbid_translation_lists(monkeypatch)
     split = families._paley_root_split(q)
     assert (split.x, split.y) == (x, y)
     assert {name: getattr(split, name) for name in expected} == expected
@@ -587,7 +586,7 @@ def test_paley_root_split_catches_a_shifted_translation(monkeypatch):
 def test_paley_kappa_equals_lly_curvature(monkeypatch, q):
     g = paley_graph(q)
     expected = lly_curvature(g, *_root_edge(g)).kappa
-    _forbid_field_products_and_translation_lists(monkeypatch)
+    _forbid_translation_lists(monkeypatch)
     assert paley_kappa(q) == expected
 
 
@@ -596,7 +595,7 @@ def _first_primitive(field):
     # polynomial powers.
     q = field.q
     return next(
-        e for e in field.elements()
+        e for e in (Element.of(field, i) for i in field.elements())
         if not e.is_zero and len({poly_pow(e, k).index for k in range(q - 1)}) == q - 1
     )
 
@@ -608,7 +607,7 @@ def test_power_walk_lists_the_powers_of_the_first_primitive(q):
     assert fields._power_walk(field) == tuple(poly_pow(g, k).index for k in range(q - 1))
     squares = fields.square_index_set(field)
     assert squares == squaring_square_index_set(field)
-    assert squares == {e.index for e in field.elements() if euler_is_nonzero_square(field, e)}
+    assert squares == {e for e in field.elements() if euler_is_nonzero_square(field, e)}
 
 
 @pytest.mark.parametrize("q", PALEY_ORDERS_TO_101)
@@ -627,8 +626,8 @@ def test_one_orbit_check_agrees_with_the_edge_walk(monkeypatch, q):
         monkeypatch.setattr(families, "_power_walk", lambda field: walk)
         with pytest.raises(InvalidParamsError, match="one edge orbit"):
             families._paley_root_split(q)
-    primitive = field.from_index(powers[1])
-    times_g = tuple(poly_mul(primitive, e).index for e in field.elements())
+    primitive = Element.of(field, powers[1])
+    times_g = tuple(poly_mul(primitive, Element.of(field, e)).index for e in field.elements())
     with pytest.raises(InvalidParamsError, match="neighbors"):
         _edge_orbits(g, edges, [*paley_automorphisms(q)[:-1], times_g])
 
