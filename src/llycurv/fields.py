@@ -19,7 +19,7 @@ from itertools import islice, product
 from operator import mul
 from typing import Iterator
 
-from .errors import NotPrimeError, TooLargeError
+from .errors import InvalidVertexError, NotPrimeError, TooLargeError
 
 _FIELD_BOUND = 2**16
 
@@ -201,5 +201,10 @@ def square_index_set(field: FiniteField) -> frozenset[int]:
 
 
 def is_nonzero_square(field: FiniteField, a: int) -> bool:
-    """The element of index a is nonzero and one of square_index_set's powers."""
+    """The element of index a is nonzero and one of square_index_set's powers.
+
+    An index outside 0..q-1 names no element and raises InvalidVertexError.
+    """
+    if not 0 <= a < field.q:
+        raise InvalidVertexError(f"element indices of {field!r} lie in 0..{field.q - 1}")
     return a in square_index_set(field)

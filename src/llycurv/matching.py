@@ -7,10 +7,16 @@ rows[i] = masks[nx[i]] & ny_mask, and `_bit_matching` finds a
 maximum matching with one integer operation per row visited (bit-parallel
 matching after Cheriyan and Mehlhorn, Algorithmica 15, 1996).  Its failed
 searches stay closed, and together they are the Koenig reach, so the same
-call returns the minimum vertex cover.  `_lex_first_matching` turns a
-perfect matching of bit rows into the lexicographically first one; it and
-`_bit_matching` share one alternating search, `_augmenting_path`, and one
-path flip, `_flip`.  `local_perfect_matching` solves H(x, y)'s rows as
+call returns the minimum vertex cover.  After the greedy pass its work
+grows with the free rows and what their searches reach, not with the row
+count: the free rows are the 0s of the matching list, found by
+list.index, a column's row is its bit's place in that list, so no map
+from columns to rows is built, and a free row that is empty, or whose
+columns are all closed, stays free and reached with no search.
+`_lex_first_matching` turns a perfect matching of bit rows into the
+lexicographically first one; it and `_bit_matching` share one alternating
+search, `_augmenting_path`, and one path flip, `_flip`.
+`local_perfect_matching` solves H(x, y)'s rows as
 `decompose_edge` builds them, whose column bits are N_y's vertices, so it
 answers in vertices: a matched bit b is the vertex b.bit_length() - 1.
 `_lex_first_maximum` pads the rows to a perfect instance, so the pairs
@@ -47,20 +53,23 @@ def _bit_matching(
 ) -> tuple[list[int], set[int], int]:
     """Maximum matching of bit rows, with the rows and column bits of its Koenig reach.
 
-    The matching gives the column bit of each row, 0 when it is free.
-    Without a starting matching each row first takes its lowest free bit.
-    Then every free row takes the lowest free column of its own row, if it
-    has one, or else gets one alternating breadth-first search for a free
-    column, and the path found is flipped; the map from column bits to
-    their rows is built when the first search needs it.  A search that fails
-    reaches only matched columns whose rows see nothing else, and a later
-    flip never enters them, so its columns stay closed: later searches
-    start with them seen, and the row stays free (Kuhn).  The closed
-    columns, and the free rows with the rows matched to those columns, are
-    then what alternating paths from the free rows reach: the reached rows
-    Z have |Z| - (free rows) columns, the Hall deficiency certificate, and
-    (rows not reached) + (columns reached) is a minimum vertex cover
-    (Koenig's theorem).
+    The matching gives the column bit of each row, 0 when it is free; a
+    given starting matching is extended in place.  Without one each row
+    first takes its lowest free bit.  Then every free row, found as the
+    next 0 of the list (a flip frees no row), takes the lowest free column
+    of its own row, if it has one, or else gets one alternating
+    breadth-first search for a free column, and the path found is flipped.
+    A search that fails reaches only matched columns whose rows see
+    nothing else, and a later flip never enters them, so its columns stay
+    closed: later searches start with them seen, and the row stays free
+    (Kuhn).  A free row with no column outside the closed ones, an empty
+    row first of all, would fail at once, so it stays free with no
+    search.  The closed columns, and the free rows with the rows matched
+    to those columns, are then what alternating paths from the free rows
+    reach: the reached rows Z have |Z| - (free rows) columns, the Hall
+    deficiency certificate, and (rows not reached) + (columns reached) is
+    a minimum vertex cover (Koenig's theorem), so the matching leaves
+    |Z| - |cover| rows free.
     """
     if match is None:
         match = []
@@ -72,33 +81,33 @@ def _bit_matching(
             taken |= b
     else:
         taken = sum(match)  # distinct bits
-    if all(match):
-        return match, set(), 0
-    owner: dict[int, int] | None = None
     closed = 0
-    for root in [i for i, b in enumerate(match) if not b]:
-        free = rows[root] & ~taken
-        if free:  # the root's own row holds a free column: no search
-            b = free & -free
+    stuck = []  # the free rows that stay free
+    root = -1
+    for _ in range(match.count(0)):
+        # A flip frees no row, so the next free row is the next 0 of match.
+        root = match.index(0, root + 1)
+        row = rows[root]
+        b = row & ~taken
+        if b:  # the root's own row holds a free column: no search
+            b &= -b
             match[root] = b
             taken |= b
-            if owner is not None:
-                owner[b] = root
             continue
-        if owner is None:
-            owner = {b: i for i, b in enumerate(match) if b}
-        r, b, parent = _augmenting_path(rows, owner, taken, root, closed)
-        if r is None:
-            closed |= sum(parent)  # distinct bits
-        else:
-            taken |= b
-            _flip(match, owner, root, r, b, parent)
-    reached = {i for i, b in enumerate(match) if not b}
+        if row & ~closed:
+            r, b, parent = _augmenting_path(rows, match, taken, root, closed)
+            if r is not None:
+                taken |= b
+                _flip(match, root, r, b, parent)
+                continue
+            closed = b  # a failed search returns the columns it saw
+        stuck.append(root)  # an empty or closed row needs no search
+    reached = set(stuck)
     cover = closed
     while closed:
         b = closed & -closed
         closed ^= b
-        reached.add(owner[b])
+        reached.add(match.index(b))
     return match, reached, cover
 
 
@@ -115,7 +124,6 @@ def _lex_first_matching(rows: Sequence[int], match: Sequence[int]) -> list[int]:
     depend on the starting matching.
     """
     match = list(match)
-    owner = {b: i for i, b in enumerate(match)}
     fixed = 0
     for i, row in enumerate(rows):
         c = match[i]
@@ -123,28 +131,29 @@ def _lex_first_matching(rows: Sequence[int], match: Sequence[int]) -> list[int]:
         while lower:
             b = lower & -lower
             lower ^= b
-            root = owner[b]
-            r, free, parent = _augmenting_path(rows, owner, ~c, root, fixed | b)
+            root = match.index(b)
+            r, free, parent = _augmenting_path(rows, match, ~c, root, fixed | b)
             if r is not None:
-                _flip(match, owner, root, r, free, parent)
-                match[i], owner[b], c = b, i, b
+                _flip(match, root, r, free, parent)
+                match[i] = c = b
                 break
         fixed |= c
     return match
 
 
 def _augmenting_path(
-    rows: Sequence[int], owner: dict[int, int], taken: int, root: int, seen: int = 0
+    rows: Sequence[int], match: list[int], taken: int, root: int, seen: int = 0
 ) -> tuple[int | None, int, dict[int, int]]:
     """Alternating breadth-first search from a row for a row that sees a free column.
 
     A column is free when its bit is not in taken; the search never enters
-    the columns already in seen.  Returns that row, the free column's bit
+    the columns already in seen, and a column's row is its place in match.
+    Returns that row, the free column's bit
     and the parent map (column bit -> the row whose search reached it), or,
-    when no row sees a free column, None, 0 and the parent map, whose keys
-    are then every column the search reached.  The visited columns are one
-    integer, so a row costs one AND whatever its degree, and each row is
-    tested for a free column as soon as it is reached.
+    when no row sees a free column, None, the seen columns (those given
+    and every column the search reached) and the parent map.  The seen
+    columns are one integer, so a row costs one AND whatever its degree,
+    and each row is tested for a free column as soon as it is reached.
     """
     parent: dict[int, int] = {}
     free = rows[root] & ~taken
@@ -158,24 +167,21 @@ def _augmenting_path(
             b = new & -new
             new ^= b
             parent[b] = r
-            w = owner[b]
+            w = match.index(b)
             free = rows[w] & ~taken
             if free:
                 return w, free & -free, parent
             queue.append(w)
-    return None, 0, parent
+    return None, seen, parent
 
 
-def _flip(
-    match: list[int], owner: dict[int, int], root: int, r: int, b: int, parent: dict[int, int]
-) -> None:
+def _flip(match: list[int], root: int, r: int, b: int, parent: dict[int, int]) -> None:
     """Flip the augmenting path from root to row r and its free bit b.
 
     r takes b, and each row back up the path takes the column of the row
     after it, until the root.
     """
     while True:
-        owner[b] = r
         match[r], b = b, match[r]
         if r == root:
             return

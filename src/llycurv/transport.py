@@ -11,16 +11,20 @@ decomposition theorem of Kao, Lam, Sung and Ting gives the cost as
 3m - nu(H1) - nu(H_delta), H_delta's rows built from bits against the
 Koenig cover of H1, which `matching._bit_matching` returns with the
 matching (its failed searches are the cover's reach).  H_delta's matching
-starts from H1's, and most of its free rows take a free column of their
-own row with no search.  The witness, the lexicographically first optimal
+continues in H1's matching list, and most of its free rows take a free
+column of their own row with no search; each matching's free-row count is
+its reach less its cover, so the cost is m plus the two counts, with no
+walk over the rows.  The witness, the lexicographically first optimal
 bijection, is found on the same bit rows (`matching._lex_first_matching`).
 The two routes are deliberately independent so they can cross-check each
 other through the identity kappa = (d+1)/d * kappa_{1/(d+1)}.  A spectrum
 solves each contiguous chunk of edges in one call: each edge, taken from
 g.edges(), is split once straight from the neighbour masks, and the chunk
 builds each vertex's 2-ball and each Fraction k/d of a kappa or bound
-once, in tables it drops on return.  lly_curvature splits its one edge
-through `graphs.decompose_edge`, which checks the edge.
+once, in tables it drops on return.  d is fixed, so the least kappa is
+that of the largest integer cost, and no Fractions are compared.
+lly_curvature splits its one edge through `graphs.decompose_edge`, which
+checks the edge.
 """
 
 from __future__ import annotations
@@ -251,7 +255,7 @@ def _two_matching_assignment(
     m = len(h1)
     # Koenig: C1 is the rows not reached plus the columns reached (R).
     match, reached, cover = _bit_matching(h1)
-    if all(match):
+    if not reached:  # no free row: H1 is perfect
         if not want_witness:
             return m, None
         return m, _lex_first_matching(h1, match)
@@ -259,10 +263,13 @@ def _two_matching_assignment(
     # near(i) outside R are at cost 2; a row in C1 keeps only its H1 pairs
     # whose column is outside R.  H1's matching lies in H_delta: a reached
     # row keeps its H1 row, and the column matched to an unreached row is
-    # not reached.
-    h_delta = [h1[i] | (near(i) & ~cover) if i in reached else h1[i] & ~cover for i in range(m)]
-    match_delta, reached_delta, cover_delta = _bit_matching(h_delta, list(match))
-    cost = 3 * m - (m - match.count(0)) - (m - match_delta.count(0))
+    # not reached, so H_delta's matching continues in H1's list.
+    keep = ~cover
+    h_delta = [row | near(i) & keep if i in reached else row & keep for i, row in enumerate(h1)]
+    _, reached_delta, cover_delta = _bit_matching(h_delta, match)
+    # Koenig again: a matching leaves |reached| - |cover| rows free, and
+    # 3m - nu(H1) - nu(H_delta) is m plus the free rows of both matchings.
+    cost = m + len(reached) - cover.bit_count() + len(reached_delta) - cover_delta.bit_count()
     if not want_witness:
         return cost, None
     # Column bits by their dual 0, 1 or 2, and each row's pairs by their
@@ -393,7 +400,9 @@ def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             runs = pool.map(_spectrum_chunk, [g] * len(chunks), chunks, chunksize=1)
             reports = tuple(r for run in runs for r in run)
-    return CurvatureSpectrum(reports=reports, min_kappa=min(r.kappa for r in reports))
+    # d is fixed, so the least kappa (d + 1 - C)/d is that of the largest cost C.
+    d, worst = g.degree(0), max(r.min_bijection_cost for r in reports)
+    return CurvatureSpectrum(reports=reports, min_kappa=Fraction(d + 1 - worst, d))
 
 
 def idleness_identity_check(g: Graph, x: int, y: int) -> tuple[Fraction, Fraction]:

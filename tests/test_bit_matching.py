@@ -281,3 +281,33 @@ def test_lex_first_matching_ignores_its_start_and_equals_the_list_pass():
         if m <= 6:
             cost = [[0 if j in row else 1 for j in range(m)] for row in tight]
             assert tuple(expected) == min(all_optimal_assignments(cost))
+
+
+def test_bit_matching_on_sparse_rows_equals_the_references():
+    # Rows sparse enough that many are empty and some instances hold no
+    # pair at all, so free rows that need no search (an empty row, or one
+    # whose columns a failed search has closed) are common.  From scratch
+    # and from a seeded sub-matching of Hopcroft-Karp's, `_bit_matching`
+    # must keep every started row matched, reach Hopcroft-Karp's size, and
+    # give the reach and cover of `_bit_reach`, one search from the free
+    # rows of its own matching; an empty row is free and reached.
+    rng = random.Random(38)
+    empty_rows = all_empty = 0
+    for _ in range(2000):
+        m = rng.randint(1, 12)
+        p = rng.choice((1 / 20, 1 / 8, 1 / 4))
+        rows = [sum(1 << j for j in range(m) if rng.random() < p) for _ in range(m)]
+        empty_rows += rows.count(0)
+        all_empty += not any(rows)
+        adj = [[j for j in range(m) if row >> j & 1] for row in rows]
+        hk = _hopcroft_karp(adj, m)[0]
+        nu = sum(j != -1 for j in hk)
+        start = [1 << j if j != -1 and rng.random() < 0.5 else 0 for j in hk]
+        for given in (None, start):
+            match, reached, cover = _bit_matching(rows, None if given is None else list(given))
+            assert all(c == 0 or (c & rows[i] and c.bit_count() == 1) for i, c in enumerate(match))
+            assert len({c for c in match if c}) == m - match.count(0) == nu, (rows, given)
+            assert given is None or all(c for b, c in zip(given, match) if b), (rows, given)
+            assert (reached, cover) == _bit_reach(rows, match), (rows, given)
+            assert all(i in reached for i, row in enumerate(rows) if not row), (rows, given)
+    assert empty_rows >= 4000 and all_empty >= 200, (empty_rows, all_empty)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from llycurv import fields
-from llycurv.errors import NotPrimeError, TooLargeError
+from llycurv.errors import InvalidVertexError, NotPrimeError, TooLargeError
 from llycurv.families import prime_power_decomposition
 from llycurv.fields import is_nonzero_square, is_prime, make_field
 from helpers import (
@@ -166,6 +166,18 @@ def test_euler_criterion_matches_squaring_everywhere(p, m):
     squares = squaring_square_index_set(f)
     for e in f.elements():
         assert euler_is_nonzero_square(f, e) == (e in squares) == is_nonzero_square(f, e)
+
+
+@pytest.mark.parametrize("p,m", [(13, 1), (5, 2)], ids=["13", "25"])
+def test_is_nonzero_square_refuses_indices_outside_the_field(p, m):
+    # Every index 0..q-1 reads its membership in square_index_set; one step
+    # past either end, and far past it, names no element and is refused.
+    f = make_field(p, m)
+    squares = fields.square_index_set(f)
+    assert [is_nonzero_square(f, a) for a in range(f.q)] == [a in squares for a in range(f.q)]
+    for a in (-1, f.q, 100, -f.q):
+        with pytest.raises(InvalidVertexError):
+            is_nonzero_square(f, a)
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (3, 2), (5, 2), (7, 2)], ids=["13", "9", "25", "49"])

@@ -424,6 +424,28 @@ def test_lly_upper_bound_never_exceeded():
             assert r.sharp == (r.kappa == r.upper_bound)
 
 
+def test_spectrum_equals_lly_curvature_edge_by_edge():
+    # Sparse random regular graphs leave many H1 rows empty, so the
+    # spectrum's matchings take the no-search paths.  Each report must
+    # equal lly_curvature's, which splits its edge through decompose_edge,
+    # in g.edges() order, and min_kappa, read off the largest bijection
+    # cost, must be the least kappa, whether one edge has it or several.
+    from llycurv.graphs import decompose_edge
+
+    shares = []
+    graphs = [(10, 3, 0), (16, 3, 1), (12, 4, 2), (18, 4, 3)]
+    graphs += [(14, 5, 4), (16, 6, 5), (20, 5, 7), (24, 6, 8)]
+    for n, d, seed in graphs:
+        g = random_regular_graph(n, d, seed)
+        spec = curvature_spectrum(g)
+        assert list(spec.reports) == [lly_curvature(g, x, y) for x, y in g.edges()], (n, d)
+        least = min(r.kappa for r in spec.reports)
+        assert spec.min_kappa == least, (n, d)
+        shares.append(sum(r.kappa == least for r in spec.reports))
+        assert any(0 in decompose_edge(g, x, y).rows for x, y in g.edges()), (n, d)
+    assert shares.count(1) >= 2 and sum(k >= 2 for k in shares) >= 4, shares
+
+
 def test_lly_bijection_costs_capped_at_three():
     # replacing true distances with min(d, 3) never changes the optimum,
     # checked by re-solving with uncapped distances on a graph of diameter > 3
