@@ -54,8 +54,8 @@ def _bit_matching(
     """Maximum matching of bit rows, with the rows and column bits of its Koenig reach.
 
     The matching gives the column bit of each row, 0 when it is free; a
-    given starting matching is extended in place.  Without one each row
-    first takes its lowest free bit.  Then every free row, found as the
+    given starting matching is extended in place.  Without one it starts
+    from `_greedy_matching`.  Then every free row, found as the
     next 0 of the list (a flip frees no row), takes the lowest free column
     of its own row, if it has one, or else gets one alternating
     breadth-first search for a free column, and the path found is flipped.
@@ -72,13 +72,7 @@ def _bit_matching(
     |Z| - |cover| rows free.
     """
     if match is None:
-        match = []
-        taken = 0
-        for row in rows:
-            b = row & ~taken
-            b &= -b  # the lowest free bit, or 0
-            match.append(b)
-            taken |= b
+        match, taken = _greedy_matching(rows)
     else:
         taken = sum(match)  # distinct bits
     closed = 0
@@ -109,6 +103,23 @@ def _bit_matching(
         closed ^= b
         reached.add(match.index(b))
     return match, reached, cover
+
+
+def _greedy_matching(rows: Sequence[int]) -> tuple[list[int], int]:
+    """The greedy matching of bit rows: each row in order takes its lowest free bit.
+
+    Returns the matching, 0 for a free row, and the column bits it takes.
+    `_bit_matching` starts from it, and its free rows bound the free rows
+    of a maximum matching from above.
+    """
+    match = []
+    taken = 0
+    for row in rows:
+        b = row & ~taken
+        b &= -b  # the lowest free bit, or 0
+        match.append(b)
+        taken |= b
+    return match, taken
 
 
 def _lex_first_matching(rows: Sequence[int], match: Sequence[int]) -> list[int]:

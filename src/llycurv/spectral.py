@@ -25,7 +25,7 @@ from .errors import (
     TooLargeError,
 )
 from .graphs import Graph, SrgParams, classify_regularity, is_connected
-from .transport import curvature_spectrum
+from .transport import _worst_cost
 
 _EIG_TOL = 1e-9
 # numerical_lambda2 holds several dense n x n float64 matrices at once, 8n^2
@@ -170,12 +170,18 @@ class SharpnessReport:
 def lichnerowicz_report(g: Graph, processes: int = 1) -> SharpnessReport:
     """Compare min-edge curvature against lambda2, exactly when possible.
 
-    For strongly regular graphs the comparison is exact: a rational
-    curvature can only equal lambda2 when D is a perfect square.  Otherwise
-    sharpness falls back to a 1e-9 numerical window.
+    The least kappa is (d + 1 - C)/d for the largest least bijection cost C
+    over the edges, which `transport._worst_cost` finds with the checks and
+    the process chunks of `curvature_spectrum` but no per-edge report: an
+    edge whose bounds m + f1 <= C <= m + 2 f1 (f1 the free rows of H1's
+    maximum matching) cannot pass the largest C found so far is dropped
+    before H_delta is built.  For strongly regular graphs the comparison is
+    exact: a rational curvature can only equal lambda2 when D is a perfect
+    square.  Otherwise sharpness falls back to a 1e-9 numerical window.
     """
-    spectrum = curvature_spectrum(g, processes=processes)
-    min_kappa = spectrum.min_kappa
+    worst = _worst_cost(g, processes=processes)
+    d = g.degree(0)
+    min_kappa = Fraction(d + 1 - worst, d)
     rc = classify_regularity(g)
     bound = (
         Fraction(2 + rc.params.alpha, rc.params.d)

@@ -22,7 +22,11 @@ solves each contiguous chunk of edges in one call: each edge, taken from
 g.edges(), is split once straight from the neighbour masks, and the chunk
 builds each vertex's 2-ball and each Fraction k/d of a kappa or bound
 once, in tables it drops on return.  d is fixed, so the least kappa is
-that of the largest integer cost, and no Fractions are compared.
+that of the largest integer cost, and no Fractions are compared.  The
+least kappa alone (`_worst_cost`) builds no report: H_delta holds H1's
+matching, so an edge's cost lies between m plus H1's free rows and m plus
+twice them, and an edge whose upper bound cannot pass the largest cost
+already proved stops there, most before H_delta is built.
 lly_curvature splits its one edge through `graphs.decompose_edge`, which
 checks the edge.
 """
@@ -34,7 +38,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     DisconnectedError,
@@ -55,7 +59,10 @@ from .graphs import (
     is_connected,
     neighbor_masks,
 )
-from .matching import _bit_matching, _lex_first_matching
+from .matching import _bit_matching, _greedy_matching, _lex_first_matching
+
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -259,14 +266,7 @@ def _two_matching_assignment(
         if not want_witness:
             return m, None
         return m, _lex_first_matching(h1, match)
-    # A reached row has all of its H1 columns in R, so the columns of
-    # near(i) outside R are at cost 2; a row in C1 keeps only its H1 pairs
-    # whose column is outside R.  H1's matching lies in H_delta: a reached
-    # row keeps its H1 row, and the column matched to an unreached row is
-    # not reached, so H_delta's matching continues in H1's list.
-    keep = ~cover
-    h_delta = [row | near(i) & keep if i in reached else row & keep for i, row in enumerate(h1)]
-    _, reached_delta, cover_delta = _bit_matching(h_delta, match)
+    _, reached_delta, cover_delta = _bit_matching(_h_delta(h1, near, reached, cover), match)
     # Koenig again: a matching leaves |reached| - |cover| rows free, and
     # 3m - nu(H1) - nu(H_delta) is m plus the free rows of both matchings.
     cost = m + len(reached) - cover.bit_count() + len(reached_delta) - cover_delta.bit_count()
@@ -288,20 +288,28 @@ def _two_matching_assignment(
     return cost, _lex_first_matching(tight, match_tight)
 
 
-def _edge_report(
-    g: Graph,
-    parts: EdgeNeighborhood,
-    want_witness: bool,
-    balls: list[int],
-    over: Callable[[int], Fraction],
-) -> CurvatureReport:
-    """lly_curvature of a split edge of a graph already known to be regular.
+def _h_delta(
+    h1: Sequence[int], near: Callable[[int], int], reached: set[int], cover: int
+) -> list[int]:
+    """The rows of H_delta, from H1's rows and the Koenig reach and cover of its matching.
 
-    balls[v] is the 2-ball of v, or 0 until some edge needs it, and over(k)
-    is the Fraction k/d; the caller owns both and decides how many edges
-    share them.
+    C1 is the rows not reached plus the columns reached (R).  A reached row
+    has all of its H1 columns in R, so the columns of near(i) outside R are
+    at cost 2; a row in C1 keeps only its H1 pairs whose column is outside
+    R.  H1's matching lies in H_delta: a reached row keeps its H1 row, and
+    the column matched to an unreached row is not reached, so H_delta's
+    matching continues in H1's list.
     """
-    nx, ymask = parts.nx, parts.ny_mask
+    keep = ~cover
+    return [row | near(i) & keep if i in reached else row & keep for i, row in enumerate(h1)]
+
+
+def _near(g: Graph, balls: list[int], nx: Sequence[int], ymask: int) -> Callable[[int], int]:
+    """near(i), the columns of ymask within distance 2 of nx[i].
+
+    balls[v] is the 2-ball of v, or 0 until some edge needs it; the caller
+    owns the list and decides how many edges share it.
+    """
 
     def near(i: int) -> int:
         # v -> u costs 1 when adjacent, 2 when they share a neighbor, else 3
@@ -312,6 +320,23 @@ def _edge_report(
             ball = balls[v] = _two_ball(g, v)
         return ball & ymask
 
+    return near
+
+
+def _edge_report(
+    g: Graph,
+    parts: EdgeNeighborhood,
+    want_witness: bool,
+    balls: list[int],
+    over: Callable[[int], Fraction],
+) -> CurvatureReport:
+    """lly_curvature of a split edge of a graph already known to be regular.
+
+    balls is `_near`'s list of 2-balls and over(k) is the Fraction k/d; the
+    caller owns both and decides how many edges share them.
+    """
+    nx, ymask = parts.nx, parts.ny_mask
+    near = _near(g, balls, nx, ymask)
     min_cost, bits = _two_matching_assignment(parts.rows, near, ymask, want_witness)
     delta_size = parts.delta_mask.bit_count()
     d = len(nx) + delta_size + 1  # x's neighbours: N_x, delta and y
@@ -374,13 +399,48 @@ def _spectrum_chunk(g: Graph, edges: Sequence[tuple[int, int]]) -> list[Curvatur
     return [_edge_report(g, _split(x, y, mask_of), False, balls, over) for x, y in edges]
 
 
-def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
-    """One curvature report per edge (sorted edge order) plus the minimum.
+def _worst_chunk_cost(g: Graph, edges: Sequence[tuple[int, int]]) -> int:
+    """The largest least bijection cost C over a run of edges of g.
 
-    The edges are cut into at most processes contiguous chunks, one per
-    worker, so their reports come back in edge order; with one process
-    the whole edge list is one chunk.  processes is capped at the core
-    count and at the number of edges.
+    C = m + f1 + f2, f1 and f2 the free rows of the maximum matchings of H1
+    and H_delta, and H_delta holds H1's matching, so f2 <= f1 and
+    m + f1 <= C <= m + 2 f1; the free rows of the greedy pass bound f1 from
+    above.  The edges are taken in order against the largest C proved so
+    far, worst: an edge stops at the first upper bound that does not pass
+    worst, and H1's matching raises worst to m + f1 before H_delta is
+    built.  The edges are split and their 2-balls kept as in
+    `_spectrum_chunk`.
+    """
+    balls = [0] * g.n
+    mask_of = neighbor_masks(g).__getitem__
+    worst = 0
+    for x, y in edges:
+        parts = _split(x, y, mask_of)
+        h1 = parts.rows
+        m = len(h1)
+        match, _ = _greedy_matching(h1)
+        if m + 2 * match.count(0) <= worst:
+            continue
+        _, reached, cover = _bit_matching(h1, match)
+        f1 = len(reached) - cover.bit_count()
+        worst = max(worst, m + f1)
+        if m + 2 * f1 <= worst:
+            continue
+        near = _near(g, balls, parts.nx, parts.ny_mask)
+        _, reached_delta, cover_delta = _bit_matching(_h_delta(h1, near, reached, cover), match)
+        worst = max(worst, m + f1 + len(reached_delta) - cover_delta.bit_count())
+    return worst
+
+
+def _map_chunks(
+    solve: Callable[[Graph, list[tuple[int, int]]], _T], g: Graph, processes: int
+) -> list[_T]:
+    """solve(g, chunk) for each contiguous chunk of g's edges, in edge order.
+
+    g must be regular, have an edge and be connected.  The edges are cut
+    into at most processes chunks, one per worker; with one process the
+    whole edge list is one chunk.  processes is capped at the core count
+    and at the number of edges.
     """
     if not g.is_regular():
         raise NotRegularError("curvature spectrum needs a regular graph")
@@ -391,18 +451,34 @@ def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
         raise DisconnectedError("curvature spectrum needs a connected graph")
     processes = min(processes, os.cpu_count() or 1, len(edges))
     if processes <= 1 or len(edges) < 4:
-        reports = tuple(_spectrum_chunk(g, edges))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+        return [solve(g, edges)]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-        size = -(-len(edges) // processes)
-        chunks = [edges[i : i + size] for i in range(0, len(edges), size)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            runs = pool.map(_spectrum_chunk, [g] * len(chunks), chunks, chunksize=1)
-            reports = tuple(r for run in runs for r in run)
+    size = -(-len(edges) // processes)
+    chunks = [edges[i : i + size] for i in range(0, len(edges), size)]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(solve, [g] * len(chunks), chunks, chunksize=1))
+
+
+def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
+    """One curvature report per edge (sorted edge order) plus the minimum.
+
+    The edges are solved in contiguous chunks (`_map_chunks`), so their
+    reports come back in edge order.
+    """
+    reports = tuple(r for run in _map_chunks(_spectrum_chunk, g, processes) for r in run)
     # d is fixed, so the least kappa (d + 1 - C)/d is that of the largest cost C.
     d, worst = g.degree(0), max(r.min_bijection_cost for r in reports)
     return CurvatureSpectrum(reports=reports, min_kappa=Fraction(d + 1 - worst, d))
+
+
+def _worst_cost(g: Graph, processes: int = 1) -> int:
+    """The largest least bijection cost C over the edges of g, the C of its least kappa.
+
+    It takes curvature_spectrum's checks and chunks, and each chunk gives
+    its largest C (`_worst_chunk_cost`), so no edge gets a report.
+    """
+    return max(_map_chunks(_worst_chunk_cost, g, processes))
 
 
 def idleness_identity_check(g: Graph, x: int, y: int) -> tuple[Fraction, Fraction]:

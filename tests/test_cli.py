@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from llycurv import certify, cli, families, graphio, residues, spectral
+from llycurv import certify, cli, families, graphio, residues, spectral, transport
 from llycurv.cli import main
 from llycurv.graphio import load_graph, to_graph6, to_json
 from llycurv.graphs import Graph
@@ -116,6 +116,22 @@ def test_non_sharp_graph_stdout_pinned(capsys, monkeypatch, argv, sha256):
     code, out, _ = run(capsys, argv[0], "--graph", _RRG40, *argv[1:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_sharpness_builds_no_curvature_report(capsys, monkeypatch):
+    # The least kappa comes from the largest edge cost alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("sharpness built a curvature report")
+
+    monkeypatch.setattr(transport, "curvature_spectrum", refuse)
+    monkeypatch.setattr(cli, "curvature_spectrum", refuse)
+    monkeypatch.setattr(transport, "_edge_report", refuse)
+    monkeypatch.chdir(DATA)
+    code, out, _ = run(capsys, "sharpness", "--graph", _RRG40)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fe5397efddc9e6f29472484db36ebb26ffa81c4464bd0a83c57e57a75f8313f1"
+    )
 
 
 def test_cayley_family_stdout_pinned(capsys):
@@ -474,6 +490,34 @@ def _command_bytes(capsys, argv) -> bytes:
 @pytest.mark.parametrize("argv, sha256", _PINNED, ids=_PINNED_IDS)
 def test_command_bytes_pinned(pin_dir, capsys, argv, sha256):
     assert hashlib.sha256(_command_bytes(capsys, argv)).hexdigest() == sha256
+
+
+# The graph-level refusals of the whole-graph commands, recorded while both
+# `curvature` and `sharpness` built a full curvature spectrum.
+_GRAPH_REFUSALS = [
+    (
+        {"n": 3, "edges": [[0, 1], [1, 2]]},
+        '{"error": "NotRegularError", "message": "curvature spectrum needs a regular graph"}\n',
+    ),
+    (
+        {"n": 3, "edges": []},
+        '{"error": "InvalidParamsError", "message": "graph has no edges"}\n',
+    ),
+    (
+        {"n": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]},
+        '{"error": "DisconnectedError", "message": "curvature spectrum needs a connected graph"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["curvature", "sharpness"])
+@pytest.mark.parametrize(
+    "doc, err", _GRAPH_REFUSALS, ids=["irregular", "edgeless", "disconnected"]
+)
+def test_whole_graph_refusals_pinned(tmp_path, capsys, command, doc, err):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(doc))
+    assert run(capsys, command, "--graph", str(gpath)) == (2, "", err)
 
 
 @pytest.mark.parametrize(

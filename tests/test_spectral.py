@@ -136,7 +136,8 @@ def test_srg_verdict_matches_matrix_identity():
 
 
 def test_import_loads_no_numpy():
-    # nor the process pool, which only `curvature_spectrum` with processes > 1 uses
+    # nor the process pool, which only `curvature_spectrum` and
+    # `lichnerowicz_report` start, and only with processes > 1
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, llycurv; print('numpy' in sys.modules, 'concurrent.futures.process' in sys.modules)"
@@ -145,6 +146,14 @@ def test_import_loads_no_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False False"
+
+
+_RRG40 = load_graph(Path(__file__).parent / "data" / "rrg40_8.g6")
+
+
+@pytest.mark.parametrize("g", [_RRG40, paley_graph(13)], ids=["rrg40_8", "paley13"])
+def test_lichnerowicz_report_pool_matches_one_process(g):
+    assert lichnerowicz_report(g, processes=2) == lichnerowicz_report(g, processes=1)
 
 
 def test_numerical_lambda2_complete_graph():

@@ -36,7 +36,9 @@ from llycurv.families import (
 )
 from llycurv.fields import make_field
 from llycurv.graphio import load_graph
-from llycurv.graphs import Graph
+from llycurv.graphs import Graph, decompose_edge
+from llycurv.matching import _bit_matching
+from llycurv.spectral import lichnerowicz_report
 from llycurv.transport import (
     ProbabilityMeasure,
     idleness_identity_check,
@@ -529,11 +531,73 @@ def test_curvature_spectrum_caps_processes(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     g = complete_graph(4)  # 6 edges
     seq = curvature_spectrum(g, processes=1)
+    # sharpness takes the spectrum's chunks and pool
+    report = lichnerowicz_report(g, processes=1)
     monkeypatch.setattr(transport.os, "cpu_count", lambda: 64)
     assert curvature_spectrum(g, processes=8) == seq
+    assert lichnerowicz_report(g, processes=8) == report
     monkeypatch.setattr(transport.os, "cpu_count", lambda: 3)
     assert curvature_spectrum(g, processes=8) == seq
-    assert seen == [6, 3]
+    assert lichnerowicz_report(g, processes=8) == report
+    assert seen == [6, 6, 3, 3]
+
+
+def _worst_kappa(g):
+    # The least kappa from the pruned search's largest cost C.
+    d = g.degree(0)
+    return F(d + 1 - transport._worst_cost(g), d)
+
+
+_WORST_COST_GRAPHS = (
+    [(entry.name, entry.graph) for entry in catalog()]
+    + [(f"paley({q})", paley_graph(q)) for q in range(5, 102, 4) if prime_power_decomposition(q)]
+    + [("K2", complete_graph(2))]
+    + [("rrg40_8", load_graph(Path(__file__).parent / "data" / "rrg40_8.g6"))]
+)
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in _WORST_COST_GRAPHS], ids=[name for name, _ in _WORST_COST_GRAPHS]
+)
+def test_worst_cost_gives_the_spectrum_min_kappa(g):
+    assert _worst_kappa(g) == curvature_spectrum(g).min_kappa
+
+
+def test_worst_cost_gives_the_spectrum_min_kappa_on_random_regular_graphs():
+    instances = [
+        (n, d, seed)
+        for n in range(5, 31)
+        for d in range(2, min(n, 12))
+        if n * d % 2 == 0
+        for seed in (0, 1)
+    ]
+    assert len(instances) >= 300
+    tied = 0
+    for n, d, seed in instances:
+        g = random_regular_graph(n, d, seed)
+        spectrum = curvature_spectrum(g)
+        assert _worst_kappa(g) == spectrum.min_kappa, (n, d, seed)
+        costs = [r.min_bijection_cost for r in spectrum.reports]
+        tied += costs.count(max(costs)) > 1
+    # Most have several worst edges, so an edge whose bound only ties the
+    # largest cost so far is dropped.
+    assert tied > len(instances) // 2
+
+
+def test_worst_cost_needs_h_delta_on_the_lone_worst_edge():
+    # random_regular_graph(10, 4, 0) has one edge of the largest cost C = 7,
+    # and on it H_delta's matching leaves a row free: every edge has
+    # m + f1 <= 6, so a search that stops at H1's matching reads 6.
+    g = random_regular_graph(10, 4, 0)
+    costs = [r.min_bijection_cost for r in curvature_spectrum(g).reports]
+    assert max(costs) == 7 and costs.count(7) == 1
+    lower = []
+    for x, y in g.edges():
+        rows = decompose_edge(g, x, y).rows
+        _, reached, cover = _bit_matching(rows)
+        lower.append(len(rows) + len(reached) - cover.bit_count())
+    assert max(lower) == 6
+    assert transport._worst_cost(g) == 7
 
 
 def _assert_orbits_share_kappa(g, maps):
