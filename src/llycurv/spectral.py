@@ -173,9 +173,10 @@ def lichnerowicz_report(g: Graph, processes: int = 1) -> SharpnessReport:
     The least kappa is (d + 1 - C)/d for the largest least bijection cost C
     over the edges, which `transport._worst_cost` finds with the checks and
     the process chunks of `curvature_spectrum` but no per-edge report: an
-    edge whose bounds m + f1 <= C <= m + 2 f1 (f1 the free rows of H1's
-    maximum matching) cannot pass the largest C found so far is dropped
-    before H_delta is built.  For strongly regular graphs the comparison is
+    edge whose upper bounds on C (the cost of a bijection built on the
+    greedy pass, then m + 2 f1, f1 the free rows of H1's maximum matching)
+    cannot pass the largest C found so far is dropped before H_delta is
+    built.  For strongly regular graphs the comparison is
     exact: a rational curvature can only equal lambda2 when D is a perfect
     square.  Otherwise sharpness falls back to a 1e-9 numerical window.
     """

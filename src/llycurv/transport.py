@@ -25,8 +25,10 @@ once, in tables it drops on return.  d is fixed, so the least kappa is
 that of the largest integer cost, and no Fractions are compared.  The
 least kappa alone (`_worst_cost`) builds no report: H_delta holds H1's
 matching, so an edge's cost lies between m plus H1's free rows and m plus
-twice them, and an edge whose upper bound cannot pass the largest cost
-already proved stops there, most before H_delta is built.
+twice them, and the greedy pass's pairs, completed through the 2-balls,
+give a bijection whose cost bounds it too.  An edge whose upper bound
+cannot pass the largest cost already proved stops there, most before
+H1's matching is completed.
 lly_curvature splits its one edge through `graphs.decompose_edge`, which
 checks the edge.
 """
@@ -399,17 +401,42 @@ def _spectrum_chunk(g: Graph, edges: Sequence[tuple[int, int]]) -> list[Curvatur
     return [_edge_report(g, _split(x, y, mask_of), False, balls, over) for x, y in edges]
 
 
+def _greedy_bijection_cost(
+    match: Sequence[int], taken: int, near: Callable[[int], int], ymask: int
+) -> int:
+    """The cost of a bijection N_x -> N_y built on the greedy pass, an upper bound on C.
+
+    match and taken are `_greedy_matching`'s, so its pairs cost 1.  Its
+    free rows, in order, each take the lowest column of near(i) still open,
+    at cost 2, and the t rows left over pair with the t columns left over
+    at cost at most 3; |N_x| = |N_y| on a regular graph, so that is a
+    bijection, of cost at most m + f + t for f free rows.  A free row sees
+    no free column of H1 (it took the lowest free bit of its own row, and
+    columns are only taken later), so none of its pairs costs 1.
+    """
+    open_cols = ymask & ~taken
+    cost = len(match)
+    for i, b in enumerate(match):
+        if not b:
+            b = near(i) & open_cols
+            open_cols ^= b & -b
+            cost += 1 if b else 2
+    return cost
+
+
 def _worst_chunk_cost(g: Graph, edges: Sequence[tuple[int, int]]) -> int:
     """The largest least bijection cost C over a run of edges of g.
 
     C = m + f1 + f2, f1 and f2 the free rows of the maximum matchings of H1
     and H_delta, and H_delta holds H1's matching, so f2 <= f1 and
-    m + f1 <= C <= m + 2 f1; the free rows of the greedy pass bound f1 from
-    above.  The edges are taken in order against the largest C proved so
-    far, worst: an edge stops at the first upper bound that does not pass
-    worst, and H1's matching raises worst to m + f1 before H_delta is
-    built.  The edges are split and their 2-balls kept as in
-    `_spectrum_chunk`.
+    m + f1 <= C <= m + 2 f1; the free rows f of the greedy pass bound f1
+    from above, and the bijection `_greedy_bijection_cost` builds on that
+    pass costs at most m + f + t, t <= f its rows with no open column in
+    their 2-ball.  The edges are taken in order against the largest C
+    proved so far, worst: an edge stops at the first upper bound that does
+    not pass worst (m + 2 f, then m + f + t, then m + 2 f1), and H1's
+    matching raises worst to m + f1 before H_delta is built.  The edges are
+    split and their 2-balls kept as in `_spectrum_chunk`.
     """
     balls = [0] * g.n
     mask_of = neighbor_masks(g).__getitem__
@@ -418,15 +445,17 @@ def _worst_chunk_cost(g: Graph, edges: Sequence[tuple[int, int]]) -> int:
         parts = _split(x, y, mask_of)
         h1 = parts.rows
         m = len(h1)
-        match, _ = _greedy_matching(h1)
+        match, taken = _greedy_matching(h1)
         if m + 2 * match.count(0) <= worst:
+            continue
+        near = _near(g, balls, parts.nx, parts.ny_mask)
+        if _greedy_bijection_cost(match, taken, near, parts.ny_mask) <= worst:
             continue
         _, reached, cover = _bit_matching(h1, match)
         f1 = len(reached) - cover.bit_count()
         worst = max(worst, m + f1)
         if m + 2 * f1 <= worst:
             continue
-        near = _near(g, balls, parts.nx, parts.ny_mask)
         _, reached_delta, cover_delta = _bit_matching(_h_delta(h1, near, reached, cover), match)
         worst = max(worst, m + f1 + len(reached_delta) - cover_delta.bit_count())
     return worst

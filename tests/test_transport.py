@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import importlib
 import random
 from fractions import Fraction as F
 from math import prod
@@ -37,7 +38,7 @@ from llycurv.families import (
 from llycurv.fields import make_field
 from llycurv.graphio import load_graph
 from llycurv.graphs import Graph, decompose_edge
-from llycurv.matching import _bit_matching
+from llycurv.matching import _bit_matching, _greedy_matching
 from llycurv.spectral import lichnerowicz_report
 from llycurv.transport import (
     ProbabilityMeasure,
@@ -563,14 +564,17 @@ def test_worst_cost_gives_the_spectrum_min_kappa(g):
     assert _worst_kappa(g) == curvature_spectrum(g).min_kappa
 
 
+_RANDOM_REGULAR = [
+    (n, d, seed)
+    for n in range(5, 31)
+    for d in range(2, min(n, 12))
+    if n * d % 2 == 0
+    for seed in (0, 1)
+]
+
+
 def test_worst_cost_gives_the_spectrum_min_kappa_on_random_regular_graphs():
-    instances = [
-        (n, d, seed)
-        for n in range(5, 31)
-        for d in range(2, min(n, 12))
-        if n * d % 2 == 0
-        for seed in (0, 1)
-    ]
+    instances = _RANDOM_REGULAR
     assert len(instances) >= 300
     tied = 0
     for n, d, seed in instances:
@@ -598,6 +602,78 @@ def test_worst_cost_needs_h_delta_on_the_lone_worst_edge():
         lower.append(len(rows) + len(reached) - cover.bit_count())
     assert max(lower) == 6
     assert transport._worst_cost(g) == 7
+
+
+def _bound_beside_cost(g):
+    # (_greedy_bijection_cost, C) for each edge of g, C from the spectrum.
+    balls = [0] * g.n
+    out = []
+    for r in curvature_spectrum(g).reports:
+        parts = decompose_edge(g, r.x, r.y)
+        match, taken = _greedy_matching(parts.rows)
+        near = transport._near(g, balls, parts.nx, parts.ny_mask)
+        bound = transport._greedy_bijection_cost(match, taken, near, parts.ny_mask)
+        out.append((bound, r.min_bijection_cost))
+    return out
+
+
+def test_greedy_bijection_cost_is_never_below_the_least_cost():
+    # The bound is the cost of a feasible bijection, so it is never below C
+    # on any edge; on most it is C itself.  A bound that left out the
+    # 2-ball pairs (m + f) or charged them 1 falls below C on some edge.
+    graphs = [g for _, g in _WORST_COST_GRAPHS] + [
+        random_regular_graph(n, d, seed) for n, d, seed in _RANDOM_REGULAR
+    ]
+    pairs = [pair for g in graphs for pair in _bound_beside_cost(g)]
+    assert [pair for pair in pairs if pair[0] < pair[1]] == []
+    assert len(pairs) == 34_732
+    assert sum(bound == cost for bound, cost in pairs) == 23_177
+
+
+RRG200_20 = Path(__file__).parent / "data" / "rrg200_20.g6"
+
+
+def test_rrg200_20_is_the_bench_graph_of_seed_1(monkeypatch):
+    """tests/data/rrg200_20.g6 is bench/gen.py's
+    gen.graph6(gen.circulant_swap_regular(200, 20, seed="1")), the graph of
+    the rrg-fallback workload at seed 1, stored because
+    helpers.random_regular_graph takes about a minute at this size."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    assert RRG200_20.read_text() == gen.graph6(gen.circulant_swap_regular(200, 20, seed="1")) + "\n"
+
+
+def test_worst_cost_stages_on_rrg200_20(monkeypatch):
+    # The largest C of the bench graph, and how many of its 2,000 edges
+    # each check of the search stops: the greedy pass's m + 2 f, the greedy
+    # bijection's m + f + t, and H1's m + 2 f1; the rest build H_delta.
+    g = load_graph(RRG200_20)
+    assert max(r.min_bijection_cost for r in curvature_spectrum(g).reports) == 28
+    calls = dict.fromkeys(["_greedy_matching", "_greedy_bijection_cost", "_bit_matching", "_h_delta"], 0)
+
+    def counted(name):
+        fn = getattr(transport, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(transport, name, counted(name))
+    assert transport._worst_cost(g) == 28
+    edges = calls["_greedy_matching"]
+    past_greedy = calls["_greedy_bijection_cost"]
+    built_delta = calls["_h_delta"]
+    completed_h1 = calls["_bit_matching"] - built_delta
+    assert (edges, edges - past_greedy, past_greedy - completed_h1, completed_h1, built_delta) == (
+        2000,
+        697,
+        1278,
+        25,
+        24,
+    )
 
 
 def _assert_orbits_share_kappa(g, maps):
