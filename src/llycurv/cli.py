@@ -29,7 +29,13 @@ from .families import family_names, named_graph, paley_gamma_orders, paley_graph
 from .graphs import SrgParams, classify_regularity
 from .matching import local_perfect_matching
 from .residues import verify_corollary
-from .spectral import Eigenvalue, lichnerowicz_report, numerical_lambda2, srg_spectrum
+from .spectral import (
+    Eigenvalue,
+    _refuse_dense,
+    lichnerowicz_report,
+    numerical_lambda2,
+    srg_spectrum,
+)
 from .transport import CurvatureReport, curvature_spectrum, lly_curvature, paley_kappa
 
 
@@ -212,6 +218,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> dict[str, Any]:
             "multiplicities": [report.m1, report.m2, report.m3],
         }
     g = graphio.load_graph(args.graph)
+    _refuse_dense(g)  # numerical_lambda2's bound, before the classification
     rc = classify_regularity(g)
     payload = {"n": g.n, "lambda2_numerical": numerical_lambda2(g)}
     if rc.is_strongly_regular and rc.params is not None:

@@ -25,7 +25,7 @@ from .errors import (
     TooLargeError,
 )
 from .graphs import Graph, SrgParams, classify_regularity, is_connected
-from .transport import _worst_cost
+from .transport import _spectrum_edges, _worst_cost
 
 _EIG_TOL = 1e-9
 # numerical_lambda2 holds several dense n x n float64 matrices at once, 8n^2
@@ -130,13 +130,18 @@ def srg_spectrum(params: SrgParams) -> SpectrumReport:
     )
 
 
-def numerical_lambda2(g: Graph) -> float:
-    """Smallest nonzero eigenvalue of the normalized Laplacian, to < 1e-9."""
+def _refuse_dense(g: Graph) -> None:
+    """Raise TooLargeError when g is above numerical_lambda2's bound."""
     if g.n > _DENSE_VERTICES:
         raise TooLargeError(
             f"numerical lambda2 on {g.n} vertices needs dense {g.n} x {g.n} matrices; "
             f"the bound is {_DENSE_VERTICES} vertices"
         )
+
+
+def numerical_lambda2(g: Graph) -> float:
+    """Smallest nonzero eigenvalue of the normalized Laplacian, to < 1e-9."""
+    _refuse_dense(g)
     if g.n < 2:
         raise InvalidParamsError("need at least two vertices")
     if not is_connected(g):
@@ -173,13 +178,19 @@ def lichnerowicz_report(g: Graph, processes: int = 1) -> SharpnessReport:
     The least kappa is (d + 1 - C)/d for the largest least bijection cost C
     over the edges, which `transport._worst_cost` finds with the checks and
     the process chunks of `curvature_spectrum` but no per-edge report: an
-    edge whose upper bounds on C (the cost of a bijection built on the
-    greedy pass, then m + 2 f1, f1 the free rows of H1's maximum matching)
-    cannot pass the largest C found so far is dropped before H_delta is
-    built.  For strongly regular graphs the comparison is
+    edge whose upper bounds on C (m + 2 f, f the free rows of the greedy
+    pass, then the cost of a bijection built on that pass) cannot pass the
+    largest C found so far is dropped before H1's matching is completed.
+    For strongly regular graphs the comparison is
     exact: a rational curvature can only equal lambda2 when D is a perfect
     square.  Otherwise sharpness falls back to a 1e-9 numerical window.
     """
+    if g.n > _DENSE_VERTICES:
+        # Past numerical_lambda2's bound only a strongly regular graph has an
+        # answer: refuse any other before the search, once its checks pass.
+        _spectrum_edges(g)
+        if not classify_regularity(g).is_strongly_regular:
+            _refuse_dense(g)
     worst = _worst_cost(g, processes=processes)
     d = g.degree(0)
     min_kappa = Fraction(d + 1 - worst, d)

@@ -24,11 +24,11 @@ builds each vertex's 2-ball and each Fraction k/d of a kappa or bound
 once, in tables it drops on return.  d is fixed, so the least kappa is
 that of the largest integer cost, and no Fractions are compared.  The
 least kappa alone (`_worst_cost`) builds no report: H_delta holds H1's
-matching, so an edge's cost lies between m plus H1's free rows and m plus
-twice them, and the greedy pass's pairs, completed through the 2-balls,
-give a bijection whose cost bounds it too.  An edge whose upper bound
-cannot pass the largest cost already proved stops there, most before
-H1's matching is completed.
+matching, so an edge's cost is at most m plus twice the greedy pass's
+free rows, and the greedy pass's pairs, completed through the 2-balls,
+give a bijection whose cost bounds it too.  An edge whose bounds cannot
+pass the largest cost already proved stops there; only the rest are
+solved, by the same two matchings as a spectrum edge.
 lly_curvature splits its one edge through `graphs.decompose_edge`, which
 checks the edge.
 """
@@ -428,49 +428,33 @@ def _worst_chunk_cost(g: Graph, edges: Sequence[tuple[int, int]]) -> int:
     """The largest least bijection cost C over a run of edges of g.
 
     C = m + f1 + f2, f1 and f2 the free rows of the maximum matchings of H1
-    and H_delta, and H_delta holds H1's matching, so f2 <= f1 and
-    m + f1 <= C <= m + 2 f1; the free rows f of the greedy pass bound f1
+    and H_delta (`_two_matching_assignment`), and H_delta holds H1's
+    matching, so C <= m + 2 f1; the free rows f of the greedy pass bound f1
     from above, and the bijection `_greedy_bijection_cost` builds on that
     pass costs at most m + f + t, t <= f its rows with no open column in
     their 2-ball.  The edges are taken in order against the largest C
-    proved so far, worst: an edge stops at the first upper bound that does
-    not pass worst (m + 2 f, then m + f + t, then m + 2 f1), and H1's
-    matching raises worst to m + f1 before H_delta is built.  The edges are
-    split and their 2-balls kept as in `_spectrum_chunk`.
+    proved so far, worst: an edge stops when m + 2 f, then m + f + t, does
+    not pass worst, and `_two_matching_assignment` solves the rest.  The
+    edges are split and their 2-balls kept as in `_spectrum_chunk`.
     """
     balls = [0] * g.n
     mask_of = neighbor_masks(g).__getitem__
     worst = 0
     for x, y in edges:
         parts = _split(x, y, mask_of)
-        h1 = parts.rows
-        m = len(h1)
-        match, taken = _greedy_matching(h1)
-        if m + 2 * match.count(0) <= worst:
+        rows, ymask = parts.rows, parts.ny_mask
+        match, taken = _greedy_matching(rows)
+        if len(rows) + 2 * match.count(0) <= worst:
             continue
-        near = _near(g, balls, parts.nx, parts.ny_mask)
-        if _greedy_bijection_cost(match, taken, near, parts.ny_mask) <= worst:
+        near = _near(g, balls, parts.nx, ymask)
+        if _greedy_bijection_cost(match, taken, near, ymask) <= worst:
             continue
-        _, reached, cover = _bit_matching(h1, match)
-        f1 = len(reached) - cover.bit_count()
-        worst = max(worst, m + f1)
-        if m + 2 * f1 <= worst:
-            continue
-        _, reached_delta, cover_delta = _bit_matching(_h_delta(h1, near, reached, cover), match)
-        worst = max(worst, m + f1 + len(reached_delta) - cover_delta.bit_count())
+        worst = max(worst, _two_matching_assignment(rows, near, ymask, False)[0])
     return worst
 
 
-def _map_chunks(
-    solve: Callable[[Graph, list[tuple[int, int]]], _T], g: Graph, processes: int
-) -> list[_T]:
-    """solve(g, chunk) for each contiguous chunk of g's edges, in edge order.
-
-    g must be regular, have an edge and be connected.  The edges are cut
-    into at most processes chunks, one per worker; with one process the
-    whole edge list is one chunk.  processes is capped at the core count
-    and at the number of edges.
-    """
+def _spectrum_edges(g: Graph) -> list[tuple[int, int]]:
+    """g's edges, once g is checked to be regular, to have an edge and to be connected."""
     if not g.is_regular():
         raise NotRegularError("curvature spectrum needs a regular graph")
     edges = list(g.edges())
@@ -478,6 +462,19 @@ def _map_chunks(
         raise InvalidParamsError("graph has no edges")
     if not is_connected(g):
         raise DisconnectedError("curvature spectrum needs a connected graph")
+    return edges
+
+
+def _map_chunks(
+    solve: Callable[[Graph, list[tuple[int, int]]], _T], g: Graph, processes: int
+) -> list[_T]:
+    """solve(g, chunk) for each contiguous chunk of `_spectrum_edges(g)`, in edge order.
+
+    The edges are cut into at most processes chunks, one per worker; with
+    one process the whole edge list is one chunk.  processes is capped at
+    the core count and at the number of edges.
+    """
+    edges = _spectrum_edges(g)
     processes = min(processes, os.cpu_count() or 1, len(edges))
     if processes <= 1 or len(edges) < 4:
         return [solve(g, edges)]

@@ -19,6 +19,7 @@ from llycurv.graphio import load_graph, to_graph6, to_json
 from llycurv.graphs import Graph
 from llycurv.families import (
     cycle_graph,
+    hypercube_graph,
     paley_graph,
     petersen_graph,
     rook_graph,
@@ -1022,6 +1023,63 @@ def test_numerical_lambda2_bound_exits_2_before_numpy(tmp_path, capsys, monkeypa
     monkeypatch.setitem(sys.modules, "numpy", None)
     code, out, err = run(capsys, command, "--graph", str(path))
     assert (code, out, json.loads(err)["error"]) == (2, "", "TooLargeError")
+
+
+def _past_dense_bound(kind):
+    # (n, file text) of a graph of each kind above numerical_lambda2's
+    # bound of 4,096 vertices.
+    if kind == "hypercube13":  # regular and connected, not strongly regular
+        return 8192, to_graph6(hypercube_graph(13)) + "\n"
+    n = spectral._DENSE_VERTICES + 2
+    half = n // 2
+    edges = {
+        "irregular": [[v, v + 1] for v in range(n - 1)],
+        "edgeless": [],
+        "disconnected": [[b + v, b + (v + 1) % half] for b in (0, half) for v in range(half)],
+    }[kind]
+    return n, json.dumps({"n": n, "edges": edges})
+
+
+def _dense_refusal(n):
+    return (
+        '{"error": "TooLargeError", "message": "numerical lambda2 on %d vertices needs dense '
+        '%d x %d matrices; the bound is 4096 vertices"}\n' % (n, n, n)
+    )
+
+
+@pytest.mark.parametrize("command", ["sharpness", "spectrum"])
+@pytest.mark.parametrize(
+    "kind, sharpness_err",
+    [("hypercube13", _dense_refusal(8192))]
+    + [(kind, err) for kind, (_, err) in zip(["irregular", "edgeless", "disconnected"], _GRAPH_REFUSALS)],
+    ids=["hypercube13", "irregular", "edgeless", "disconnected"],
+)
+def test_dense_bound_refuses_before_the_whole_graph_work(
+    tmp_path, capsys, monkeypatch, command, kind, sharpness_err
+):
+    # Past the bound only a strongly regular graph has an answer, so
+    # sharpness refuses any other before its search, once the search's own
+    # checks have passed, and spectrum before the classification.  Each
+    # exits 2 with the message it gave when it refused after both.
+    n, text = _past_dense_bound(kind)
+    path = tmp_path / "g"
+    path.write_text(text)
+    monkeypatch.setattr(spectral, "_worst_cost", _fail)
+    monkeypatch.setattr(cli, "classify_regularity", _fail)
+    err = sharpness_err if command == "sharpness" else _dense_refusal(n)
+    assert run(capsys, command, "--graph", str(path)) == (2, "", err)
+
+
+def test_sharpness_answers_a_strongly_regular_graph_past_the_dense_bound(tmp_path, capsys, monkeypatch):
+    # With the bound lowered below P(13)'s 13 vertices, sharpness still
+    # answers it, byte for byte, from its closed-form spectrum.
+    path = tmp_path / "p13.g6"
+    path.write_text(to_graph6(paley_graph(13)) + "\n")
+    answer = run(capsys, "sharpness", "--graph", str(path))
+    assert answer[0] == 0
+    monkeypatch.setattr(spectral, "_DENSE_VERTICES", 12)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert run(capsys, "sharpness", "--graph", str(path)) == answer
 
 
 def test_config_echoed_in_output(capsys):

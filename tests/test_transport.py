@@ -573,12 +573,17 @@ _RANDOM_REGULAR = [
 ]
 
 
-def test_worst_cost_gives_the_spectrum_min_kappa_on_random_regular_graphs():
+@pytest.fixture(scope="module")
+def random_regular():
+    # The graphs of _RANDOM_REGULAR, built once for the tests that share them.
+    return [random_regular_graph(n, d, seed) for n, d, seed in _RANDOM_REGULAR]
+
+
+def test_worst_cost_gives_the_spectrum_min_kappa_on_random_regular_graphs(random_regular):
     instances = _RANDOM_REGULAR
     assert len(instances) >= 300
     tied = 0
-    for n, d, seed in instances:
-        g = random_regular_graph(n, d, seed)
+    for (n, d, seed), g in zip(instances, random_regular):
         spectrum = curvature_spectrum(g)
         assert _worst_kappa(g) == spectrum.min_kappa, (n, d, seed)
         costs = [r.min_bijection_cost for r in spectrum.reports]
@@ -617,13 +622,11 @@ def _bound_beside_cost(g):
     return out
 
 
-def test_greedy_bijection_cost_is_never_below_the_least_cost():
+def test_greedy_bijection_cost_is_never_below_the_least_cost(random_regular):
     # The bound is the cost of a feasible bijection, so it is never below C
     # on any edge; on most it is C itself.  A bound that left out the
     # 2-ball pairs (m + f) or charged them 1 falls below C on some edge.
-    graphs = [g for _, g in _WORST_COST_GRAPHS] + [
-        random_regular_graph(n, d, seed) for n, d, seed in _RANDOM_REGULAR
-    ]
+    graphs = [g for _, g in _WORST_COST_GRAPHS] + random_regular
     pairs = [pair for g in graphs for pair in _bound_beside_cost(g)]
     assert [pair for pair in pairs if pair[0] < pair[1]] == []
     assert len(pairs) == 34_732
@@ -643,10 +646,20 @@ def test_rrg200_20_is_the_bench_graph_of_seed_1(monkeypatch):
     assert RRG200_20.read_text() == gen.graph6(gen.circulant_swap_regular(200, 20, seed="1")) + "\n"
 
 
+@pytest.mark.parametrize("seed", ["2", "3", "7", "11", "13"])
+def test_worst_cost_gives_the_spectrum_largest_cost_on_bench_rrg200_20(monkeypatch, seed):
+    # rrg-fallback's rrg(200, 20) of further bench seeds, built by bench/gen.py.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    g = Graph(200, gen.edge_list(gen.circulant_swap_regular(200, 20, seed=seed)))
+    assert transport._worst_cost(g) == max(r.min_bijection_cost for r in curvature_spectrum(g).reports)
+
+
 def test_worst_cost_stages_on_rrg200_20(monkeypatch):
     # The largest C of the bench graph, and how many of its 2,000 edges
-    # each check of the search stops: the greedy pass's m + 2 f, the greedy
-    # bijection's m + f + t, and H1's m + 2 f1; the rest build H_delta.
+    # each check of the search stops: the greedy pass's m + 2 f and the
+    # greedy bijection's m + f + t; the rest complete H1's matching, and
+    # every one of them has a free row left, so each builds H_delta.
     g = load_graph(RRG200_20)
     assert max(r.min_bijection_cost for r in curvature_spectrum(g).reports) == 28
     calls = dict.fromkeys(["_greedy_matching", "_greedy_bijection_cost", "_bit_matching", "_h_delta"], 0)
@@ -672,7 +685,7 @@ def test_worst_cost_stages_on_rrg200_20(monkeypatch):
         697,
         1278,
         25,
-        24,
+        25,
     )
 
 
