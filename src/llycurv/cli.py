@@ -221,7 +221,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> dict[str, Any]:
     _refuse_dense(g)  # numerical_lambda2's bound, before the classification
     rc = classify_regularity(g)
     payload = {"n": g.n, "lambda2_numerical": numerical_lambda2(g)}
-    if rc.is_strongly_regular and rc.params is not None:
+    if rc.is_strongly_regular:
         report = srg_spectrum(rc.params)
         payload["params"] = list(rc.params.as_tuple())
         payload["lambda2"] = _eig(report.lambda2)

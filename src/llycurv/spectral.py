@@ -175,48 +175,31 @@ class SharpnessReport:
 def lichnerowicz_report(g: Graph, processes: int = 1) -> SharpnessReport:
     """Compare min-edge curvature against lambda2, exactly when possible.
 
-    The least kappa is (d + 1 - C)/d for the largest least bijection cost C
-    over the edges, which `transport._worst_cost` finds with the checks and
-    the process chunks of `curvature_spectrum` but no per-edge report: an
-    edge whose upper bounds on C (m + 2 f, f the free rows of the greedy
-    pass, then the cost of a bijection built on that pass) cannot pass the
-    largest C found so far is dropped before H1's matching is completed.
-    For strongly regular graphs the comparison is
-    exact: a rational curvature can only equal lambda2 when D is a perfect
-    square.  Otherwise sharpness falls back to a 1e-9 numerical window.
+    One order on every graph: the search's checks
+    (`transport._spectrum_edges`), then `classify_regularity`, then the
+    refusal of a graph above numerical_lambda2's bound that is not strongly
+    regular, and only then the search on the checked edges.  The least
+    kappa is (d + 1 - C)/d for the largest least bijection cost C over the
+    edges, which `transport._worst_cost` finds; `_worst_chunk_cost` gives
+    the bounds that drop an edge early.  For strongly regular graphs the
+    comparison is exact: a rational curvature can only equal lambda2 when
+    D is a perfect square.  Otherwise sharpness falls back to a 1e-9
+    numerical window.
     """
-    if g.n > _DENSE_VERTICES:
-        # Past numerical_lambda2's bound only a strongly regular graph has an
-        # answer: refuse any other before the search, once its checks pass.
-        _spectrum_edges(g)
-        if not classify_regularity(g).is_strongly_regular:
-            _refuse_dense(g)
-    worst = _worst_cost(g, processes=processes)
-    d = g.degree(0)
-    min_kappa = Fraction(d + 1 - worst, d)
+    edges = _spectrum_edges(g)
     rc = classify_regularity(g)
-    bound = (
-        Fraction(2 + rc.params.alpha, rc.params.d)
-        if rc.is_amply_regular and rc.params is not None
-        else None
-    )
-    if rc.is_strongly_regular and rc.params is not None:
+    if not rc.is_strongly_regular:
+        _refuse_dense(g)
+    d = g.degree(0)
+    min_kappa = Fraction(d + 1 - _worst_cost(g, edges, processes), d)
+    if rc.is_strongly_regular:
         lam = srg_spectrum(rc.params).lambda2
-        return SharpnessReport(
-            min_kappa=min_kappa,
-            lambda2_exact=lam,
-            lambda2_float=lam.to_float(),
-            sharp=lam.equals_fraction(min_kappa),
-            bound_kappa=bound,
-        )
-    lam_float = numerical_lambda2(g)
-    return SharpnessReport(
-        min_kappa=min_kappa,
-        lambda2_exact=None,
-        lambda2_float=lam_float,
-        sharp=abs(float(min_kappa) - lam_float) < _EIG_TOL,
-        bound_kappa=bound,
-    )
+        lam_float, sharp = lam.to_float(), lam.equals_fraction(min_kappa)
+    else:
+        lam, lam_float = None, numerical_lambda2(g)
+        sharp = abs(float(min_kappa) - lam_float) < _EIG_TOL
+    bound = Fraction(2 + rc.params.alpha, rc.params.d) if rc.is_amply_regular else None
+    return SharpnessReport(min_kappa, lam, lam_float, sharp, bound)
 
 
 @dataclass(frozen=True)

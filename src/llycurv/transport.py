@@ -466,15 +466,18 @@ def _spectrum_edges(g: Graph) -> list[tuple[int, int]]:
 
 
 def _map_chunks(
-    solve: Callable[[Graph, list[tuple[int, int]]], _T], g: Graph, processes: int
+    solve: Callable[[Graph, list[tuple[int, int]]], _T],
+    g: Graph,
+    edges: list[tuple[int, int]],
+    processes: int,
 ) -> list[_T]:
-    """solve(g, chunk) for each contiguous chunk of `_spectrum_edges(g)`, in edge order.
+    """solve(g, chunk) for each contiguous chunk of edges, in edge order.
 
-    The edges are cut into at most processes chunks, one per worker; with
-    one process the whole edge list is one chunk.  processes is capped at
-    the core count and at the number of edges.
+    The caller supplies g's edges, already checked (`_spectrum_edges`).
+    They are cut into at most processes chunks, one per worker; with one
+    process the whole edge list is one chunk.  processes is capped at the
+    core count and at the number of edges.
     """
-    edges = _spectrum_edges(g)
     processes = min(processes, os.cpu_count() or 1, len(edges))
     if processes <= 1 or len(edges) < 4:
         return [solve(g, edges)]
@@ -492,19 +495,21 @@ def curvature_spectrum(g: Graph, processes: int = 1) -> CurvatureSpectrum:
     The edges are solved in contiguous chunks (`_map_chunks`), so their
     reports come back in edge order.
     """
-    reports = tuple(r for run in _map_chunks(_spectrum_chunk, g, processes) for r in run)
+    runs = _map_chunks(_spectrum_chunk, g, _spectrum_edges(g), processes)
+    reports = tuple(r for run in runs for r in run)
     # d is fixed, so the least kappa (d + 1 - C)/d is that of the largest cost C.
     d, worst = g.degree(0), max(r.min_bijection_cost for r in reports)
     return CurvatureSpectrum(reports=reports, min_kappa=Fraction(d + 1 - worst, d))
 
 
-def _worst_cost(g: Graph, processes: int = 1) -> int:
+def _worst_cost(g: Graph, edges: list[tuple[int, int]], processes: int = 1) -> int:
     """The largest least bijection cost C over the edges of g, the C of its least kappa.
 
-    It takes curvature_spectrum's checks and chunks, and each chunk gives
-    its largest C (`_worst_chunk_cost`), so no edge gets a report.
+    The caller supplies g's edges, already checked (`_spectrum_edges`).
+    They take curvature_spectrum's chunks, and each chunk gives its largest
+    C (`_worst_chunk_cost`), so no edge gets a report.
     """
-    return max(_map_chunks(_worst_chunk_cost, g, processes))
+    return max(_map_chunks(_worst_chunk_cost, g, edges, processes))
 
 
 def idleness_identity_check(g: Graph, x: int, y: int) -> tuple[Fraction, Fraction]:

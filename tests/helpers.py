@@ -923,24 +923,22 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
 
 
 def _try_regular(n: int, d: int, rng: random.Random) -> Graph | None:
+    # candidates stays, in order, the unused pairs of unsaturated vertices:
+    # the drawn pair leaves it, and a vertex's pairs leave when it saturates.
     remaining = {v: d for v in range(n)}
     adj: set[tuple[int, int]] = set()
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while remaining:
-        verts = sorted(remaining)
-        candidates = [
-            (u, v)
-            for i, u in enumerate(verts)
-            for v in verts[i + 1 :]
-            if (u, v) not in adj
-        ]
         if not candidates:
             return None
-        u, v = rng.choice(candidates)
-        adj.add((u, v))
+        u, v = pair = rng.choice(candidates)
+        candidates.remove(pair)
+        adj.add(pair)
         for w in (u, v):
             remaining[w] -= 1
             if remaining[w] == 0:
                 del remaining[w]
+                candidates = [c for c in candidates if w not in c]
     return Graph(n, adj)
 
 

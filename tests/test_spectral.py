@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from llycurv import spectral
+from llycurv import spectral, transport
 from llycurv.errors import (
     DisconnectedError,
     InfeasibleParametersError,
@@ -154,6 +154,32 @@ _RRG40 = load_graph(Path(__file__).parent / "data" / "rrg40_8.g6")
 @pytest.mark.parametrize("g", [_RRG40, paley_graph(13)], ids=["rrg40_8", "paley13"])
 def test_lichnerowicz_report_pool_matches_one_process(g):
     assert lichnerowicz_report(g, processes=2) == lichnerowicz_report(g, processes=1)
+
+
+@pytest.mark.parametrize(
+    "g, dense", [(_RRG40, None), (paley_graph(13), 12)], ids=["rrg40_8", "paley13-past-bound"]
+)
+def test_lichnerowicz_report_checks_and_classifies_once(monkeypatch, g, dense):
+    # One path on every graph: the search's checks, through either module's
+    # binding, and the classification each run once, also past the dense
+    # bound (lowered below P(13)'s 13 vertices).
+    calls = {"checks": 0, "classify": 0}
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    checks = counted("checks", transport._spectrum_edges)
+    monkeypatch.setattr(spectral, "_spectrum_edges", checks)
+    monkeypatch.setattr(transport, "_spectrum_edges", checks)
+    monkeypatch.setattr(spectral, "classify_regularity", counted("classify", classify_regularity))
+    if dense is not None:
+        monkeypatch.setattr(spectral, "_DENSE_VERTICES", dense)
+    lichnerowicz_report(g)
+    assert calls == {"checks": 1, "classify": 1}
 
 
 def test_numerical_lambda2_complete_graph():

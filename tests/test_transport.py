@@ -546,7 +546,7 @@ def test_curvature_spectrum_caps_processes(monkeypatch):
 def _worst_kappa(g):
     # The least kappa from the pruned search's largest cost C.
     d = g.degree(0)
-    return F(d + 1 - transport._worst_cost(g), d)
+    return F(d + 1 - transport._worst_cost(g, list(g.edges())), d)
 
 
 _WORST_COST_GRAPHS = (
@@ -606,7 +606,7 @@ def test_worst_cost_needs_h_delta_on_the_lone_worst_edge():
         _, reached, cover = _bit_matching(rows)
         lower.append(len(rows) + len(reached) - cover.bit_count())
     assert max(lower) == 6
-    assert transport._worst_cost(g) == 7
+    assert transport._worst_cost(g, list(g.edges())) == 7
 
 
 def _bound_beside_cost(g):
@@ -652,7 +652,7 @@ def test_worst_cost_gives_the_spectrum_largest_cost_on_bench_rrg200_20(monkeypat
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
     gen = importlib.import_module("gen")
     g = Graph(200, gen.edge_list(gen.circulant_swap_regular(200, 20, seed=seed)))
-    assert transport._worst_cost(g) == max(r.min_bijection_cost for r in curvature_spectrum(g).reports)
+    assert transport._worst_cost(g, list(g.edges())) == max(r.min_bijection_cost for r in curvature_spectrum(g).reports)
 
 
 def test_worst_cost_stages_on_rrg200_20(monkeypatch):
@@ -675,7 +675,7 @@ def test_worst_cost_stages_on_rrg200_20(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(transport, name, counted(name))
-    assert transport._worst_cost(g) == 28
+    assert transport._worst_cost(g, list(g.edges())) == 28
     edges = calls["_greedy_matching"]
     past_greedy = calls["_greedy_bijection_cost"]
     built_delta = calls["_h_delta"]
